@@ -15,8 +15,7 @@ ETA, OMEGA, DELTA, T = 0.1, 0.05, 0.99, 60.0
 
 def main():
     target = inverse.TargetCoefficients(np.array(TARGET, dtype=complex))
-    solutions = inverse.solve_weights(target, inverse.SolveOptions(enumerate_all=True))
-    best = inverse.best_realization(solutions)
+    best = inverse.solve_weights(target)[0]
     print(f"target coefficients : {TARGET}")
     print(f"internal weights    : {np.round(best.weights, 12)}")
     print(f"nominal survival    : {best.p_nominal}  (product formula)")

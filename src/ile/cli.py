@@ -81,7 +81,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """Strict JSON; a non-finite number is a numerical failure, not output."""
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SolverError(f"result is not finite ({exc})") from exc
 
 
 def _max_terms() -> int:
@@ -103,11 +107,14 @@ def _plan_from_json(doc) -> ProtocolPlan:
     for key in ("eta", "omega", "delta", "n_ions", "alpha", "cycles"):
         if key not in doc:
             raise ValueError(f"plan is missing {key!r}")
+    n_ions = doc["n_ions"]
+    if isinstance(n_ions, bool) or (isinstance(n_ions, float) and not n_ions.is_integer()):
+        raise ValueError(f"n_ions must be an integer, got {n_ions!r}")
     params = PhysicalParams(
         eta=float(doc["eta"]),
         omega=float(doc["omega"]),
         delta=float(doc["delta"]),
-        n_ions=int(doc["n_ions"]),
+        n_ions=int(n_ions),
     )
     cycles = []
     if not isinstance(doc["cycles"], list) or not doc["cycles"]:
@@ -137,40 +144,17 @@ def _plan_params_doc(plan: ProtocolPlan) -> dict:
     }
 
 
-def _solution_doc(sol: inverse.WeightSolution) -> dict:
-    return {
-        "weights": _pairs(sol.weights),
-        "branch": list(sol.branch_id),
-        "p_nominal": sol.p_nominal,
-        "residual": sol.residual,
-    }
-
-
 def cmd_plan(args) -> int:
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValueError("target must be a JSON object with a 'coeffs' list")
     coeffs = [_complex_from_pair(c, "coefficient") for c in doc["coeffs"]]
     target = inverse.TargetCoefficients(np.array(coeffs))
-    opts = inverse.SolveOptions(
-        max_branches=args.max_branches,
-        root_tolerance=args.tolerance,
-        enumerate_all=args.all,
-    )
-    solutions = inverse.solve_weights(target, opts)
-    best = inverse.best_realization(solutions)
-    out = {
-        "version": __version__,
-        "params": {
-            "coeffs": _pairs(coeffs),
-            "max_branches": opts.max_branches,
-            "tolerance": opts.root_tolerance,
-            "enumerate_all": opts.enumerate_all,
-        },
-    }
-    out.update(_solution_doc(best))
+    sol = inverse.solve_weights(target)[0]
+    found = {"weights": _pairs(sol.weights), "p_nominal": sol.p_nominal, "residual": sol.residual}
+    out = {"version": __version__, "params": {"coeffs": _pairs(coeffs)}, **found}
     if args.all:
-        out["solutions"] = [_solution_doc(s) for s in solutions]
+        out["solutions"] = [found]
     _emit(_json_text(out), args.output)
     return 0
 
@@ -396,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="solve a coefficient target for internal-state weights")
     p.add_argument("--input", required=True, help="target JSON with a 'coeffs' list")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
-    p.add_argument("--all", action="store_true", help="emit every branch, not just the best")
-    p.add_argument("--max-branches", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=1e-12, help="root polish tolerance")
+    p.add_argument("--all", action="store_true",
+                   help="also list the (unique) realization under 'solutions'")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="run a plan on the COM mode alone")

@@ -25,6 +25,7 @@ __all__ = [
     "displacement_matrix",
     "apply_displacement",
     "coherent_overlap",
+    "coherent_gram",
     "inner",
     "norm",
     "fidelity_pure",
@@ -204,6 +205,14 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     g1 = _finite_complex(g1, "g1")
     g2 = _finite_complex(g2, "g2")
     return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
+
+
+def coherent_gram(labels) -> np.ndarray:
+    """Gram matrix <labels[i]|labels[j]> of coherent states, vectorized
+    :func:`coherent_overlap` over every pair."""
+    g = np.asarray(labels, dtype=np.complex128)
+    h = np.abs(g) ** 2
+    return np.exp(-0.5 * h[:, None] - 0.5 * h[None, :] + np.conj(g)[:, None] * g[None, :])
 
 
 def inner(a: FockVector, b: FockVector) -> complex:

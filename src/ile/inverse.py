@@ -1,24 +1,28 @@
 """Planner: recover internal-state weights from target line coefficients.
 
-Peel-back procedure.  The coefficients C_n^k generated by weights p_i are,
-up to scale, the coefficients of the polynomial prod_i [(1 + p_i) +
-(1 - p_i) z]; writing x = (p - 1)/(p + 1), every weight shows up as a root
-of
+The coefficients C_n^k generated by weights p_i are, up to scale, the
+coefficients of the polynomial prod_i [(1 + p_i) + (1 - p_i) z]; writing
+x = (p - 1)/(p + 1), every weight shows up as a root of
 
     sum_k  C_n^{n-k} x^k  =  0.
 
-Peeling works one level at a time: pick a root x of that polynomial, map it
-to p = (1 + x)/(1 - x), divide the weight's factor out with the two-term
-recurrence run backwards, and repeat on the reduced coefficients.  Each
-distinct root spawns a branch; because the coefficients are symmetric in the
-weights, branches that accumulate the same weight multiset are duplicates
-and get merged.
+By unique factorization the weight multiset is fixed up to order, which does
+not change the coefficients, so one eigenvalue solve of the companion pencil
+gives the whole realization.  The roots are used as they come: they are
+backward stable in the coefficients, while a Newton step spoils repeated
+roots (for (1, 2, 1) it raises the forward residual from 2e-16 to 2e-9).
 
-Degenerate edges are stripped first: a vanishing leading coefficient forces
-a weight of -1, a vanishing trailing coefficient forces +1, and both peel by
-simple halving with no division hazard.  A root at x = 1 corresponds to
-p = infinity (an internal state that is pure |0>), which no finite weight
-sequence produces; such branches are rejected explicitly.
+Vanishing edge coefficients force weights -1 (leading) and +1 (trailing) and
+are stripped first.  A root at x = 1 means p = infinity, an internal state
+that is pure |0>, which no finite weight sequence produces; such targets are
+rejected explicitly.
+
+Range: random targets with weights r ~ U(0.2, 2) of random phase solve to a
+forward residual below 1e-9 up to n = 64.  Past that their edge coefficients
+fall below the 1e-14 of the largest that ``handle_degenerate`` takes for an
+exact zero, every coefficient is stripped as a forced +-1 weight, and the
+solve fails with a residual near 1 (1 in 100 targets at n = 68, half at
+n = 80, all at n = 96).
 
 Also here: ``fit_target``, the least-squares fit of an arbitrary number-basis
 state by a line superposition over a fixed component grid, via the
@@ -27,28 +31,27 @@ regularized coherent Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SolverError
-from .fock import FockVector, coherent_fock, coherent_overlap, inner, norm
+from .fock import FockVector, coherent_fock, coherent_gram, inner, norm
 from .protocol import forward_coeffs, success_probability_nominal
 
 __all__ = [
     "TargetCoefficients",
-    "SolveOptions",
     "WeightSolution",
     "DegenerateReport",
     "handle_degenerate",
     "solve_weights",
-    "best_realization",
     "fit_target",
 ]
 
 _ZERO_TOL = 1e-14  # entry treated as an exact zero after max-normalization
-_ROOT_CLUSTER_TOL = 1e-8
 _POLE_GUARD_TOL = 1e-9  # rejection radius around the x = 1 pole of the weight map
+_RESIDUAL_TOL = 1e-9  # largest accepted relative forward-reconstruction error
 
 
 @dataclass(frozen=True)
@@ -75,26 +78,11 @@ class TargetCoefficients:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    max_branches: int = 64
-    root_tolerance: float = 1e-12
-    enumerate_all: bool = False
-
-    def __post_init__(self):
-        if self.max_branches < 1:
-            raise ValueError("max_branches must be at least 1")
-        if not (np.isfinite(self.root_tolerance) and self.root_tolerance > 0):
-            raise ValueError("root_tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class WeightSolution:
-    """One realization: weights, the root choices that produced it, its
-    nominal success probability, and the relative forward-reconstruction
-    error against the target."""
+    """The realization: weights, their nominal success probability, and the
+    relative forward-reconstruction error against the target."""
 
     weights: np.ndarray
-    branch_id: tuple
     p_nominal: float
     residual: float
 
@@ -103,7 +91,6 @@ class WeightSolution:
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "branch_id", tuple(int(i) for i in self.branch_id))
 
 
 @dataclass(frozen=True)
@@ -162,215 +149,41 @@ def handle_degenerate(target: TargetCoefficients) -> DegenerateReport:
     return DegenerateReport(forced=tuple(forced), reduced=c)
 
 
-def _polished_roots(desc: np.ndarray, tol: float) -> np.ndarray:
-    """Companion-matrix roots with one Newton step each."""
-    r = np.roots(desc)
-    if r.size == 0:
-        return r
-    deriv = np.polyder(desc)
-    val = np.polyval(desc, r)
-    der = np.polyval(deriv, r)
-    safe = np.abs(der) > tol
-    r = r - np.where(safe, val / np.where(safe, der, 1.0), 0.0)
-    return r
+def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
+    """The weight realization of the target, as a one-element list.
 
-
-def _distinct_roots(roots: np.ndarray) -> list[complex]:
-    """Cluster numerically coincident roots; deterministic (re, im) order."""
-    order = np.lexsort((roots.imag, roots.real))
-    out: list[complex] = []
-    for r in roots[order]:
-        r = complex(r)
-        if not out or abs(r - out[-1]) > _ROOT_CLUSTER_TOL * (1.0 + abs(r)):
-            out.append(r)
-    return out
-
-
-def _peel(c: np.ndarray, p: complex) -> np.ndarray:
-    """Run the coefficient recurrence backwards, removing the factor of p."""
-    m = c.size - 1
-    out = np.zeros(m, dtype=np.complex128)
-    out[0] = c[0] / (1.0 + p)
-    for k in range(1, m):
-        out[k] = (c[k] - (1.0 - p) * out[k - 1]) / (1.0 + p)
-    # The untouched last entry c[m] = (1 - p) out[m-1] is implied; any
-    # mismatch shows up in the final forward residual.
-    return out
-
-
-def _multiset_key(weights) -> tuple:
-    return tuple(sorted((round(w.real, 9), round(w.imag, 9)) for w in weights))
-
-
-@dataclass
-class _Branch:
-    coeffs: np.ndarray
-    peeled: list = field(default_factory=list)  # weights in peel order (outermost first)
-    ids: tuple = ()
-    nominal_factor: float = 1.0  # running prod 1/(1 + |p|^2)
-    last_key: tuple | None = None  # rounded key of the last root chosen
-
-
-def _root_key(x: complex) -> tuple:
-    return (round(x.real, 6), round(x.imag, 6))
-
-
-def _explore(
-    reduced: np.ndarray,
-    forced_factor: float,
-    opts: SolveOptions,
-    width: int,
-    canonical: bool,
-):
-    """Breadth-first peel over root choices, frontier capped at ``width``
-    branches scored by the running nominal probability.
-
-    Because the coefficients are symmetric in the weights, every ordering of
-    one root multiset lands on the same solution.  A width of 1 therefore
-    already finds the (generically unique) realization; the census mode uses
-    the full width with the ``canonical`` non-decreasing root order, which
-    visits each multiset once instead of once per permutation.
+    The solved weights are sorted by (real, imag), the forced edge weights
+    follow.  A root at the x = 1 pole, or a relative forward-reconstruction
+    error above 1e-9, raises :class:`SolverError`.
     """
-    frontier = [_Branch(coeffs=reduced, nominal_factor=forced_factor)]
-    rejected_pole = 0
-    while frontier and frontier[0].coeffs.size > 1:
-        children: list[_Branch] = []
-        seen: set = set()
-        for br in frontier:
-            roots = _distinct_roots(_polished_roots(br.coeffs, opts.root_tolerance))
-            for idx, x in enumerate(roots):
-                key = _root_key(x)
-                if canonical and br.last_key is not None and key < br.last_key:
-                    continue
-                if abs(x - 1.0) <= _POLE_GUARD_TOL:
-                    # p = (1 + x)/(1 - x) has a pole here: the component ratio
-                    # asks for a pure-|0> preparation, unreachable by finite p.
-                    rejected_pole += 1
-                    continue
-                p = (1.0 + x) / (1.0 - x)
-                child = _Branch(
-                    coeffs=_peel(br.coeffs, p),
-                    peeled=br.peeled + [p],
-                    ids=br.ids + (idx,),
-                    nominal_factor=br.nominal_factor / (1.0 + abs(p) ** 2),
-                    last_key=key,
-                )
-                mkey = _multiset_key(child.peeled)
-                if mkey in seen:
-                    continue
-                seen.add(mkey)
-                children.append(child)
-        children.sort(key=lambda b: (-b.nominal_factor, b.ids))
-        frontier = children[:width]
-    return frontier, rejected_pole
-
-
-def _repolish_weights(weights: np.ndarray, reduced: np.ndarray, n_forced: int) -> np.ndarray:
-    """Newton-polish each peeled weight against the top-level polynomial.
-
-    Every weight's root x = (p - 1)/(p + 1) belongs to the original (stripped)
-    polynomial, so polishing there removes the drift the level-by-level peel
-    accumulates.  Forced edge weights are exact and left alone.
-    """
-    if reduced.size < 2:
-        return weights
-    deriv = np.polyder(reduced)
-    out = weights.copy()
-    stop = weights.size - n_forced  # forced weights sit at the tail
-    for i in range(stop):
-        p = out[i]
-        x = (p - 1.0) / (p + 1.0)
-        for _ in range(2):
-            d = np.polyval(deriv, x)
-            if abs(d) < 1e-300:
-                break
-            x = x - np.polyval(reduced, x) / d
-        if abs(1.0 - x) > _POLE_GUARD_TOL:
-            out[i] = (1.0 + x) / (1.0 - x)
-    return out
-
-
-def solve_weights(target: TargetCoefficients, opts: SolveOptions | None = None) -> list[WeightSolution]:
-    """All found weight realizations of the target, best first.
-
-    Peel levels are explored breadth-first over root choices with
-    weight-multiset deduplication and a ``max_branches`` cap scored by the
-    running nominal probability.  Each surviving branch is checked by running
-    the weights forward; solutions whose relative reconstruction error
-    exceeds the acceptance tolerance are dropped, and if none survive a
-    :class:`SolverError` reports the best failed residual.
-
-    Sorted by descending nominal probability, ties broken by branch id.
-    """
-    opts = opts or SolveOptions()
     if target.n < 1:
         raise ValueError("need at least two coefficients (one weight to solve for)")
     normalized = _projective_normalize(np.asarray(target.coeffs, dtype=np.complex128))
 
     report = handle_degenerate(target)
-    forced = report.forced
-    forced_factor = float(np.prod([1.0 / (1.0 + abs(p) ** 2) for p in forced])) if forced else 1.0
-    accept_tol = max(1e-9, 1e3 * opts.root_tolerance)
-    norm_target = np.linalg.norm(normalized)
-
-    def finish(frontier, rejected_pole):
-        solutions = []
-        best_failed = None
-        for br in frontier:
-            peel_order = list(forced) + br.peeled
-            weights = np.array(list(reversed(peel_order)), dtype=np.complex128)
-            weights = _repolish_weights(weights, report.reduced, len(forced))
-            branch_id = (0,) * len(forced) + br.ids
-            recon = forward_coeffs(weights)
-            s = np.vdot(recon, normalized) / np.vdot(recon, recon)
-            residual = float(np.linalg.norm(s * recon - normalized) / norm_target)
-            sol = WeightSolution(
-                weights=weights,
-                branch_id=branch_id,
-                p_nominal=success_probability_nominal(weights),
-                residual=residual,
-            )
-            if residual <= accept_tol:
-                solutions.append(sol)
-            elif best_failed is None or residual < best_failed.residual:
-                best_failed = sol
-        return solutions, best_failed, rejected_pole
-
-    if opts.enumerate_all:
-        first = _explore(report.reduced, forced_factor, opts, opts.max_branches, True)
-    else:
-        first = _explore(report.reduced, forced_factor, opts, 1, False)
-    solutions, best_failed, rejected_pole = finish(*first)
-    if not solutions:
-        # A narrow walk can commit to a poorly conditioned or pole-blocked
-        # peel order; retry exploring every ordering before giving up.
-        solutions, best_failed, rejected_pole = finish(
-            *_explore(report.reduced, forced_factor, opts, opts.max_branches, False)
+    # Roots x = a/b of the pencil A - x B: A has first row -c[1:] and ones
+    # below the diagonal, B = diag(c[0], 1, ..., 1).  Unlike np.roots this
+    # never divides by c[0], so a tiny edge coefficient leaves the other
+    # roots accurate, and p = (b + a)/(b - a) needs no huge x.
+    c = report.reduced
+    a = np.eye(c.size - 1, k=-1, dtype=np.complex128)
+    a[:1] = -c[1:]  # slices, not indices: the pencil is empty when every weight was forced
+    b = np.eye(c.size - 1, dtype=np.complex128)
+    b[:1, :1] = c[0]
+    num, den = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    if np.any(np.abs(num - den) <= _POLE_GUARD_TOL * np.abs(den)):
+        raise SolverError(
+            "no weight realization: a root sits at the x = 1 pole (target needs a "
+            "pure-|0> preparation, outside the finite-weight family)"
         )
+    weights = np.concatenate([np.sort_complex((den + num) / (den - num)), report.forced])
 
-    if not solutions:
-        detail = (
-            f"best residual {best_failed.residual:.3e} on branch {best_failed.branch_id}"
-            if best_failed
-            else "no branch survived"
-        )
-        if rejected_pole:
-            detail += (
-                f"; {rejected_pole} branch(es) rejected at the x = 1 pole "
-                "(target needs a pure-|0> preparation, outside the finite-weight family)"
-            )
-        raise SolverError(f"no weight realization within tolerance: {detail}")
-
-    solutions.sort(key=lambda s: (-s.p_nominal, s.branch_id))
-    return solutions
-
-
-def best_realization(solutions) -> WeightSolution:
-    """Maximum nominal success probability; ties broken by branch id."""
-    solutions = list(solutions)
-    if not solutions:
-        raise ValueError("no solutions to choose from")
-    return min(solutions, key=lambda s: (-s.p_nominal, s.branch_id))
+    recon = forward_coeffs(weights)
+    s = np.vdot(recon, normalized) / np.vdot(recon, recon)
+    residual = float(np.linalg.norm(s * recon - normalized) / np.linalg.norm(normalized))
+    if not residual <= _RESIDUAL_TOL:
+        raise SolverError(f"no weight realization within tolerance: residual {residual:.3e}")
+    return [WeightSolution(weights, success_probability_nominal(weights), residual)]
 
 
 def fit_target(
@@ -403,10 +216,7 @@ def fit_target(
     labels = alpha + disp
     phases = np.exp(0.5 * (disp * np.conj(alpha) - np.conj(disp) * alpha))
 
-    gram = np.array(
-        [[coherent_overlap(gi, gj) for gj in labels] for gi in labels],
-        dtype=np.complex128,
-    )
+    gram = coherent_gram(labels)
     gram *= np.conj(phases)[:, None] * phases[None, :]
     v = np.array(
         [

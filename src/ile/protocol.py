@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationWarning, coherent_fock, fidelity_pure
+from .fock import FockVector, TruncationWarning, coherent_fock, coherent_gram, fidelity_pure
 
 __all__ = [
     "RegimeWarning",
@@ -221,7 +221,7 @@ class LineSuperposition:
     def norm_sq(self) -> float:
         """Squared norm from the coherent Gram matrix; exact, no truncation."""
         a = self.phased_coeffs()
-        return float(np.real(np.conj(a) @ _coherent_gram(self.labels()) @ a))
+        return float(np.real(np.conj(a) @ coherent_gram(self.labels()) @ a))
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,6 @@ class ProtocolResult:
     p_nominal: float
     p_exact: float
     per_cycle_p_exact: np.ndarray
-
-
-def _coherent_gram(labels: np.ndarray) -> np.ndarray:
-    """Gram matrix <labels[i]|labels[j]> of coherent states."""
-    g = np.asarray(labels, dtype=np.complex128)
-    h = np.abs(g) ** 2
-    return np.exp(-0.5 * h[:, None] - 0.5 * h[None, :] + np.conj(g)[:, None] * g[None, :])
 
 
 def forward_coeffs(weights) -> np.ndarray:

@@ -101,6 +101,22 @@ class TestSimulateCommand:
         state = protocol.run_ideal(plan).state
         assert abs(fock.norm(vec) ** 2 - state.norm_sq()) <= 1e-8
 
+    def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
+        # 20 ions x 30 cycles: p_exact comes out NaN, which strict JSON rejects
+        plan = dict(PLAN, n_ions=20, cycles=[{"t": 80.0, "p": [[0.3, 0.2]] * 20}] * 30)
+        out = tmp_path / "r.json"
+        path = write_json(tmp_path / "p.json", plan)
+        assert run(["simulate", "--input", path, "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_ions", [2.7, True])
+    def test_non_integer_ion_count_exits_2(self, tmp_path, capsys, n_ions):
+        # each plan is otherwise valid for int(n_ions) ions
+        plan = dict(PLAN, n_ions=n_ions, cycles=[{"t": 80.0, "p": [[0.3, 0.2]] * int(n_ions)}])
+        assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
+        assert "n_ions" in capsys.readouterr().err
+
     def test_unequal_durations_exit_2(self, tmp_path):
         plan = dict(
             PLAN,
@@ -233,11 +249,18 @@ class TestInstalledEntryPoint:
     def test_exit_codes_from_subprocess(self, tmp_path):
         import subprocess
         import sys
+        from pathlib import Path
 
+        import ile
+
+        # run from the directory holding the package, so `-m ile.cli` resolves
+        # in a bare checkout as well as in an installed environment
+        here = Path(ile.__file__).resolve().parents[1]
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0, 0], [1, 0]]})
         ok = subprocess.run(
             [sys.executable, "-m", "ile.cli", "plan", "--input", target],
             capture_output=True,
+            cwd=here,
         )
         assert ok.returncode == 0
         bad = tmp_path / "bad.json"
@@ -245,12 +268,14 @@ class TestInstalledEntryPoint:
         invalid = subprocess.run(
             [sys.executable, "-m", "ile.cli", "plan", "--input", str(bad)],
             capture_output=True,
+            cwd=here,
         )
         assert invalid.returncode == 2
         unsolvable = write_json(tmp_path / "u.json", {"coeffs": [[1, 0], [-1, 0]]})
         failed = subprocess.run(
             [sys.executable, "-m", "ile.cli", "plan", "--input", unsolvable],
             capture_output=True,
+            cwd=here,
         )
         assert failed.returncode == 3
         assert b"solver error" in failed.stderr

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ile import fock, inverse, protocol
 from ile.errors import SolverError
@@ -30,12 +30,9 @@ class TestWorkedExamples:
         assert sols[0].p_nominal == pytest.approx(1 / 16, abs=1e-12)
 
     def test_balanced_cat(self):
-        sols = inverse.solve_weights(
-            inverse.TargetCoefficients([1.0, 0.0, 1.0]),
-            inverse.SolveOptions(enumerate_all=True),
-        )
+        sols = inverse.solve_weights(inverse.TargetCoefficients([1.0, 0.0, 1.0]))
         assert any(multiset(s.weights, 12) == multiset([-1j, 1j], 12) for s in sols)
-        best = inverse.best_realization(sols)
+        best = sols[0]
         assert best.p_nominal == pytest.approx(1 / 64, abs=1e-15)
         recon = protocol.forward_coeffs(best.weights)
         assert np.max(np.abs(recon - np.array([2.0, 0.0, 2.0]))) <= 1e-12
@@ -62,11 +59,18 @@ class TestDegenerate:
 
     @settings(max_examples=20, deadline=None)
     @given(inner=st.lists(complexes(1.0), min_size=1, max_size=4))
+    @example(inner=[1j, -1j])  # strips to the unreachable ratio (1, -1)
     def test_zero_edged_targets(self, inner):
         coeffs = np.array([0.0] + list(inner) + [0.0], dtype=complex)
         if not np.any(coeffs != 0):
             return
-        sols = inverse.solve_weights(inverse.TargetCoefficients(coeffs))
+        target = inverse.TargetCoefficients(coeffs)
+        reduced = inverse.handle_degenerate(target).reduced
+        if np.any(np.abs(np.roots(reduced) - 1.0) <= 1e-9):
+            with pytest.raises(SolverError, match="pure-"):
+                inverse.solve_weights(target)
+            return
+        sols = inverse.solve_weights(target)
         assert all(s.residual <= 1e-9 for s in sols)
 
 
@@ -82,6 +86,19 @@ class TestRoundtrip:
         t = np.asarray(coeffs)
         scale = np.vdot(recon, t) / np.vdot(recon, recon)
         assert np.linalg.norm(scale * recon - t) / np.linalg.norm(t) <= 1e-9
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 48, 64])
+    def test_frontier_targets(self, n):
+        # weights r e^{i theta}, r ~ U(0.2, 2), up to the largest degree the
+        # planner is stated to solve
+        rng = np.random.default_rng(2024 + n)
+        for _ in range(10):
+            p = rng.uniform(0.2, 2.0, n) * np.exp(2j * np.pi * rng.random(n))
+            t = protocol.forward_coeffs(p)
+            sol = inverse.solve_weights(inverse.TargetCoefficients(t))[0]
+            recon = protocol.forward_coeffs(sol.weights)
+            scale = np.vdot(recon, t) / np.vdot(recon, recon)
+            assert np.linalg.norm(scale * recon - t) / np.linalg.norm(t) <= 1e-9
 
     def test_nominal_matches_weights(self, rng):
         c = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
@@ -102,37 +119,9 @@ class TestBranchCompleteness:
         oracle = polynomial_all_roots_weights(rep.reduced)
         if np.any(np.abs(oracle) > 1e6):
             return  # effectively infinite weight, rejected by design
-        sols = inverse.solve_weights(target, inverse.SolveOptions(enumerate_all=True))
+        sols = inverse.solve_weights(target)
         expected = multiset(list(oracle) + list(rep.forced), digits=5)
         assert any(multiset(s.weights, digits=5) == expected for s in sols)
-
-
-class TestBestRealization:
-    def test_single(self):
-        sol = inverse.solve_weights(inverse.TargetCoefficients([1.0, 1.0]))[0]
-        assert inverse.best_realization([sol]) is sol
-
-    def test_prefers_higher_nominal(self):
-        low = inverse.WeightSolution(
-            weights=np.array([-1j, 1j]), branch_id=(0, 0), p_nominal=1 / 64, residual=0.0
-        )
-        high = inverse.WeightSolution(
-            weights=np.array([0j, 0j]), branch_id=(1, 0), p_nominal=1 / 16, residual=0.0
-        )
-        assert inverse.best_realization([low, high]) is high
-
-    def test_tie_breaks_on_branch_id(self):
-        a = inverse.WeightSolution(
-            weights=np.array([1j]), branch_id=(1,), p_nominal=1 / 8, residual=0.0
-        )
-        b = inverse.WeightSolution(
-            weights=np.array([-1j]), branch_id=(0,), p_nominal=1 / 8, residual=0.0
-        )
-        assert inverse.best_realization([a, b]) is b
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            inverse.best_realization([])
 
 
 class TestEdgeCases:
@@ -162,10 +151,7 @@ class TestEdgeCases:
 
     def test_imaginary_weights_from_unit_circle_roots(self):
         # roots on the unit circle map to purely imaginary weights
-        sols = inverse.solve_weights(
-            inverse.TargetCoefficients([1.0, -2.0 * np.cos(0.7), 1.0]),
-            inverse.SolveOptions(enumerate_all=True),
-        )
+        sols = inverse.solve_weights(inverse.TargetCoefficients([1.0, -2.0 * np.cos(0.7), 1.0]))
         for s in sols:
             assert np.max(np.abs(s.weights.real)) <= 1e-8
 
