@@ -164,6 +164,8 @@ def equilibrium_positions(n_ions: int) -> ChainGeometry:
                 break
             lam *= 0.5
         else:
+            if gmax <= _GRAD_TOL:
+                break  # rounding floor reached inside the documented tolerance
             raise SolverError(
                 f"equilibrium line search stalled at max|gradient| = {gmax:.3e}"
             )

@@ -7,8 +7,8 @@ outputs.  Floats are written with Python's shortest round-trip repr (at most
 parameter set plus the library version, so no default is hidden.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure.
-The environment variable ILE_MAX_TERMS caps the multimode term count
-(default 2^20).
+A leakage plan too large for the multimode memory budget is a solver
+failure: exit 3 for JSON output, a complete=false row in CSV output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -86,19 +85,6 @@ def _json_text(document: dict) -> str:
         return json.dumps(document, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise SolverError(f"result is not finite ({exc})") from exc
-
-
-def _max_terms() -> int:
-    raw = os.environ.get("ILE_MAX_TERMS", "")
-    if not raw:
-        return multimode.DEFAULT_MAX_TERMS
-    try:
-        val = int(raw)
-        if val < 1:
-            raise ValueError
-        return val
-    except ValueError as exc:
-        raise ValueError(f"ILE_MAX_TERMS must be a positive integer, got {raw!r}") from exc
 
 
 def _plan_from_json(doc) -> ProtocolPlan:
@@ -212,12 +198,11 @@ def cmd_leakage(args) -> int:
     modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
     integrated = not args.paper_beta
     variant = "integrated" if integrated else "paper"
-    max_terms = _max_terms()
 
     if args.format == "json":
         if args.sweep is not None:
             raise ValueError("JSON output is for single points; sweeps emit CSV")
-        report, p_exact = multimode.analyze_plan(plan, modes, integrated, max_terms=max_terms)
+        report, p_exact = multimode.analyze_plan(plan, modes, integrated)
         out = {
             "version": __version__,
             "params": {**_plan_params_doc(plan), "variant": variant},
@@ -256,9 +241,7 @@ def cmd_leakage(args) -> int:
             variant,
         ]
         try:
-            report, p_exact = multimode.analyze_plan(
-                point_plan, modes, integrated, max_terms=max_terms
-            )
+            report, p_exact = multimode.analyze_plan(point_plan, modes, integrated)
         except SolverError:
             rows.append(base + ["false"] + [""] * (4 + n))
             continue

@@ -207,12 +207,14 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
 
 
-def coherent_gram(labels) -> np.ndarray:
-    """Gram matrix <labels[i]|labels[j]> of coherent states, vectorized
-    :func:`coherent_overlap` over every pair."""
-    g = np.asarray(labels, dtype=np.complex128)
-    h = np.abs(g) ** 2
-    return np.exp(-0.5 * h[:, None] - 0.5 * h[None, :] + np.conj(g)[:, None] * g[None, :])
+def coherent_gram(a, b=None) -> np.ndarray:
+    """Matrix <a[i]|b[j]> of coherent states (``b`` defaults to ``a``),
+    vectorized :func:`coherent_overlap` over every pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = a if b is None else np.asarray(b, dtype=np.complex128)
+    ha = np.abs(a) ** 2
+    hb = np.abs(b) ** 2
+    return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(a)[:, None] * b[None, :])
 
 
 def inner(a: FockVector, b: FockVector) -> complex:

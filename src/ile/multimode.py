@@ -17,8 +17,9 @@ Displacement amplitude per ion and mode over a window t, in two variants:
 The exact conditional state is a sum over ion branches of products of
 coherent states across modes.  The factorized form instead lets every mode
 branch independently; the two coincide exactly whenever at most one mode is
-displaced, and ``leakage_report`` quantifies the gap otherwise.  Unlike the
-COM-only module, every composition phase is tracked here per mode.
+displaced, and ``leakage_report`` quantifies the gap otherwise.  The
+factorized state stays a list of per-mode factors, never their tensor product.
+Unlike the COM-only module, every composition phase is tracked here per mode.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .chain import ModeTable
 from .errors import IntegratorError, SolverError
-from .fock import coherent_fock
+from .fock import coherent_fock, coherent_gram
 from .protocol import (
     Cycle,
     LineSuperposition,
@@ -41,8 +42,8 @@ from .protocol import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_TERMS",
     "MultimodeSuperposition",
+    "FactorizedSuperposition",
     "DisplacementPlanEntry",
     "LeakageReport",
     "TrotterConfig",
@@ -55,8 +56,12 @@ __all__ = [
     "trotter_validate",
 ]
 
-DEFAULT_MAX_TERMS = 2**20
 _MERGE_DECIMALS = 10  # labels agreeing to 1e-10 are one component
+# Memory for the T x T complex arrays of one leakage_report, T the exact term
+# count.  At most 7.5 are alive at once: g_spec, s_com, w, mean_phonon's g and
+# w, and 2.5 while its norm_sq call forms a third pair Gram.
+_GRAM_BUDGET_BYTES = 1 << 30
+_LIVE_GRAMS = 8
 
 
 @dataclass(frozen=True)
@@ -100,19 +105,46 @@ class MultimodeSuperposition:
         g = _pair_gram(self.labels, self.labels)
         return float(np.real(np.conj(self.coeffs) @ g @ self.coeffs))
 
-    def overlap(self, other: "MultimodeSuperposition") -> complex:
-        """<self|other>, exact product-coherent Gram evaluation."""
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode-count mismatch")
-        g = _pair_gram(self.labels, other.labels)
-        return complex(np.conj(self.coeffs) @ g @ other.coeffs)
-
     def mean_phonon(self, mode: int) -> float:
         """<a+_l a_l> of the normalized state."""
         g = _pair_gram(self.labels, self.labels)
         w = np.conj(self.labels[:, mode])[:, None] * self.labels[:, mode][None, :]
         num = np.real(np.conj(self.coeffs) @ (g * w) @ self.coeffs)
         return float(num / self.norm_sq())
+
+
+@dataclass(frozen=True)
+class FactorizedSuperposition:
+    """Product state (x)_l factors[l] of single-mode superpositions, held as
+    its factors: sum_l T_l terms instead of the prod_l T_l of its expansion."""
+
+    factors: tuple[MultimodeSuperposition, ...]
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        if not factors or any(f.n_modes != 1 for f in factors):
+            raise ValueError("factors must be a non-empty sequence of single-mode states")
+        object.__setattr__(self, "factors", factors)
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.factors)
+
+    @property
+    def n_terms(self) -> int:
+        return sum(f.n_terms for f in self.factors)
+
+    def norm_sq(self) -> float:
+        return float(np.prod([f.norm_sq() for f in self.factors]))
+
+    def overlap(self, other: MultimodeSuperposition) -> complex:
+        """<self|other> = sum_u other.coeffs[u] prod_l <factors[l]|other.labels[u, l]>."""
+        if other.n_modes != self.n_modes:
+            raise ValueError("mode-count mismatch")
+        amps = np.ones(other.n_terms, dtype=np.complex128)
+        for f, column in zip(self.factors, other.labels.T):
+            amps *= np.conj(f.coeffs) @ coherent_gram(f.labels[:, 0], column)
+        return complex(amps @ other.coeffs)
 
 
 def _pair_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -205,7 +237,6 @@ def cycle_displacements(
 def _conditional_terms(
     plan: ProtocolPlan,
     betas: np.ndarray,
-    max_terms: int,
     mode_subset: slice,
     initial_labels: np.ndarray,
     prune: float = 0.0,
@@ -218,7 +249,18 @@ def _conditional_terms(
     terms whose coefficient magnitude falls below ``prune`` times the largest
     are dropped after each merge; the summed dropped magnitude is returned so
     the approximation stays visible.
+
+    After c cycles ion i is displaced by k_i b[i], k_i in {-c, -c+2, ..., c},
+    so there are at most (c + 1)^N terms (exactly that many for generic
+    inputs).  Plans whose Grams could exceed the budget are refused up front.
     """
+    bound = (len(plan.cycles) + 1) ** plan.params.n_ions
+    need = 16 * bound**2 * _LIVE_GRAMS
+    if need > _GRAM_BUDGET_BYTES:
+        raise SolverError(
+            f"up to {bound} terms, whose Grams need {need / 2**30:.2f} GiB "
+            f"(budget {_GRAM_BUDGET_BYTES / 2**30:.0f} GiB)"
+        )
     b = betas[:, mode_subset]
     coeffs = np.array([1.0 + 0.0j])
     labels = initial_labels.reshape(1, -1).astype(np.complex128)
@@ -238,11 +280,6 @@ def _conditional_terms(
                     dropped += float(np.sum(np.abs(coeffs[~keep])))
                     coeffs = coeffs[keep]
                     labels = labels[keep]
-            if coeffs.size > max_terms:
-                raise SolverError(
-                    f"conditional expansion exceeded {max_terms} terms; "
-                    "raise the cap or enable pruning"
-                )
     return coeffs, labels, dropped
 
 
@@ -251,7 +288,6 @@ def run_conditional_exact(
     modes: ModeTable,
     integrated: bool,
     betas: DisplacementPlanEntry | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
     prune: float = 0.0,
 ) -> tuple[MultimodeSuperposition, float]:
     """Exact conditional state of all modes after the full plan.
@@ -278,7 +314,7 @@ def run_conditional_exact(
     init = np.zeros(modes.n_ions, dtype=np.complex128)
     init[0] = plan.alpha
     coeffs, labels, dropped = _conditional_terms(
-        plan, entry.betas, max_terms, slice(None), init, prune
+        plan, entry.betas, slice(None), init, prune
     )
     state = MultimodeSuperposition(coeffs, labels, pruned_weight=dropped)
     return state, float(np.clip(state.norm_sq(), 0.0, 1.0))
@@ -289,12 +325,12 @@ def run_conditional_factorized(
     modes: ModeTable,
     integrated: bool,
     betas: DisplacementPlanEntry | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> MultimodeSuperposition:
+) -> FactorizedSuperposition:
     """The mode-factorized form of the conditional state.
 
-    Every mode is given its own independent copy of the conditional product,
-    and the results are tensored together.  This reproduces the exact state
+    Every mode is given its own independent copy of the conditional product;
+    the state is their tensor product, returned unexpanded as the single-mode
+    factors (sum_l T_l terms, not prod_l T_l).  This reproduces the exact state
     whenever at most one mode is displaced; in general the spin branches
     correlate the modes before the projection and the factorized form is only
     an approximation, whose gap ``leakage_report`` measures.
@@ -304,44 +340,18 @@ def run_conditional_factorized(
     entry = betas if betas is not None else cycle_displacements(
         modes, plan.params, plan.cycles[0].duration, integrated
     )
-    n_modes = modes.n_ions
-    coeffs = np.array([1.0 + 0.0j])
-    labels = np.zeros((1, 0), dtype=np.complex128)
-    for l in range(n_modes):
+    factors = []
+    for l in range(modes.n_ions):
         init = np.array([plan.alpha if l == 0 else 0.0], dtype=np.complex128)
-        c_l, g_l, _ = _conditional_terms(plan, entry.betas, max_terms, slice(l, l + 1), init)
-        coeffs = (coeffs[:, None] * c_l[None, :]).reshape(-1)
-        labels = np.concatenate(
-            [
-                np.repeat(labels, g_l.shape[0], axis=0),
-                np.tile(g_l, (labels.shape[0], 1)),
-            ],
-            axis=1,
-        )
-        coeffs, labels = _merge_terms(coeffs, labels)
-        if coeffs.size > max_terms:
-            raise SolverError(
-                f"factorized expansion exceeded {max_terms} terms; "
-                "raise the cap or enable pruning"
-            )
-    return MultimodeSuperposition(coeffs, labels)
-
-
-def _line_component_overlaps(labels_com: np.ndarray, ideal: LineSuperposition) -> np.ndarray:
-    """o[t] = <labels_com[t] | ideal>, both in plain-coherent convention."""
-    d = ideal.phased_coeffs()
-    m = ideal.labels()
-    ha = np.abs(labels_com) ** 2
-    hb = np.abs(m) ** 2
-    cross = np.conj(labels_com)[:, None] * m[None, :]
-    gram = np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + cross)
-    return gram @ d
+        c_l, g_l, _ = _conditional_terms(plan, entry.betas, slice(l, l + 1), init)
+        factors.append(MultimodeSuperposition(c_l, g_l))
+    return FactorizedSuperposition(factors)
 
 
 def leakage_report(
     ms_exact: MultimodeSuperposition,
     ideal: LineSuperposition,
-    factorized: MultimodeSuperposition,
+    factorized: FactorizedSuperposition,
 ) -> LeakageReport:
     """How much the spectator modes corrupted the COM-mode preparation.
 
@@ -355,8 +365,7 @@ def leakage_report(
     com = labels[:, 0]
     rest = labels[:, 1:]
     g_spec = _pair_gram(rest, rest) if rest.shape[1] else np.ones((c.size, c.size))
-    h = np.abs(com) ** 2
-    s_com = np.exp(-0.5 * h[:, None] - 0.5 * h[None, :] + np.conj(com)[:, None] * com[None, :])
+    s_com = coherent_gram(com)
     w = np.conj(c)[:, None] * c[None, :] * g_spec  # rho_com = sum w[t,u] |com_u><com_t| / nsq
     nsq = float(np.real(np.sum(w * s_com)))
     if nsq <= 0:
@@ -367,7 +376,7 @@ def leakage_report(
     a = w.T @ s_com
     purity = float(np.clip(np.real(np.trace(a @ a)) / nsq**2, 0.0, 1.0))
 
-    o = _line_component_overlaps(com, ideal)
+    o = coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
     ideal_nsq = ideal.norm_sq()
     fid = float(np.clip(np.real(o @ w @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
 
@@ -388,7 +397,6 @@ def analyze_plan(
     plan: ProtocolPlan,
     modes: ModeTable,
     integrated: bool,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[LeakageReport, float]:
     """Convenience: exact + factorized + ideal runs folded into one report.
 
@@ -399,9 +407,9 @@ def analyze_plan(
     variant the two references coincide: the COM column reproduces the
     single-mode formula identically.)
     """
-    ms, p_exact = run_conditional_exact(plan, modes, integrated, max_terms=max_terms)
-    fact = run_conditional_factorized(plan, modes, integrated, max_terms=max_terms)
     entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
+    ms, p_exact = run_conditional_exact(plan, modes, integrated, betas=entry)
+    fact = run_conditional_factorized(plan, modes, integrated, betas=entry)
     ideal = LineSuperposition(
         alpha=plan.alpha,
         beta=complex(entry.betas[0, 0]),

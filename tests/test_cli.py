@@ -159,15 +159,28 @@ class TestLeakageCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1][rows[0].index("variant")] == "paper"
 
-    def test_term_cap_marks_row_incomplete(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ILE_MAX_TERMS", "2")
-        path = write_json(tmp_path / "p.json", PLAN)
+    def test_term_cap_marks_row_incomplete(self, tmp_path):
+        # 8 ions x 2 cycles: up to 3^8 terms, over the Gram memory budget
+        cycle = {"t": 80.0, "p": [[0.3, 0.2], [0.0, -0.4]] * 4}
+        path = write_json(tmp_path / "p.json", dict(PLAN, n_ions=8, cycles=[cycle, cycle]))
         out = tmp_path / "r.csv"
         assert run(["leakage", "--input", path, "--output", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         idx = rows[0].index("complete")
         assert rows[1][idx] == "false"
         assert rows[1][rows[0].index("p_exact")] == ""
+
+    @pytest.mark.parametrize("n_ions, n_cycles", [(4, 2), (5, 1)])
+    def test_past_the_tensor_product_frontier(self, tmp_path, n_ions, n_cycles):
+        weights = [[0.3, 0.2], [0.0, -0.4], [0.2, -0.1], [0.5, 0.0], [-0.1, 0.3]]
+        cycle = {"t": 80.0, "p": weights[:n_ions]}
+        plan = dict(PLAN, n_ions=n_ions, cycles=[cycle] * n_cycles)
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.json"
+        assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 0
+        doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+        assert 0.0 <= doc["factorization_gap"] <= 1.0
+        assert len(doc["mean_phonon"]) == n_ions
 
     def test_bad_sweep_spec(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)

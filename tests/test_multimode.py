@@ -3,7 +3,7 @@ import pytest
 
 from ile import chain, fock, multimode, protocol
 from ile.errors import SolverError
-from oracles import two_mode_conditional, two_mode_metrics
+from oracles import tensor_product_gap, two_mode_conditional, two_mode_metrics
 
 
 def params_for(n, eta=0.1, omega=0.05, delta=0.97):
@@ -87,10 +87,17 @@ class TestConditionalExact:
         )
         assert abs(p - protocol.success_probability_exact(plan)[0]) <= 1e-10
 
-    def test_term_cap(self, mode_tables):
-        plan = one_cycle_plan([0.3 + 0.2j, -0.4j])
+    def test_term_cap(self):
+        # 3^8 terms: their Grams would need 5.1 GiB
+        modes = chain.normal_modes(chain.equilibrium_positions(8))
+        weights = [0.3 + 0.2j, -0.4j, 0.1, 0.2j, -0.3, 0.5, 0.1 - 0.1j, 0.2]
+        plan = protocol.ProtocolPlan(
+            params=params_for(8),
+            alpha=0j,
+            cycles=(protocol.Cycle(duration=80.0, weights=weights),) * 2,
+        )
         with pytest.raises(SolverError, match="term"):
-            multimode.run_conditional_exact(plan, mode_tables[2], False, max_terms=2)
+            multimode.run_conditional_exact(plan, modes, False)
 
     def test_pruning_reports_dropped_weight(self, mode_tables):
         # one nearly annihilated branch: its term is tiny and prunable
@@ -157,11 +164,11 @@ class TestAgainstFockOracle:
 
         cutoff = 24
         psi = two_mode_conditional(np.asarray(weights), entry.betas, plan.alpha, cutoff).reshape(-1)
-        psi_f = np.zeros((cutoff + 1) ** 2, dtype=complex)
-        for c, row in zip(fact.coeffs, fact.labels):
-            psi_f += c * np.kron(
-                fock.coherent_fock(row[0], cutoff).amps,
-                fock.coherent_fock(row[1], cutoff).amps,
+        psi_f = np.ones(1, dtype=complex)
+        for f in fact.factors:
+            psi_f = np.kron(
+                psi_f,
+                sum(c * fock.coherent_fock(g, cutoff).amps for c, g in zip(f.coeffs, f.labels[:, 0])),
             )
         fid = abs(np.vdot(psi_f, psi)) ** 2 / (
             np.vdot(psi_f, psi_f).real * np.vdot(psi, psi).real
@@ -198,6 +205,24 @@ class TestFactorized:
         ideal = protocol.run_ideal(plan).state
         rep = multimode.leakage_report(ms, ideal, fact)
         assert 0 < rep.factorization_gap < 1
+
+
+class TestFactorizedOverlap:
+    @pytest.mark.parametrize("n_ions, n_cycles", [(3, 1), (3, 2), (4, 1)])
+    def test_gap_matches_tensor_product(self, n_ions, n_cycles):
+        modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
+        weights = [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5][:n_ions]
+        plan = protocol.ProtocolPlan(
+            params=params_for(n_ions),
+            alpha=0.3,
+            cycles=(protocol.Cycle(duration=80.0, weights=weights),) * n_cycles,
+        )
+        ms, _ = multimode.run_conditional_exact(plan, modes, False)
+        fact = multimode.run_conditional_factorized(plan, modes, False)
+        ideal = protocol.run_ideal(plan).state
+        rep = multimode.leakage_report(ms, ideal, fact)
+        assert rep.factorization_gap > 1e-4  # genuinely nonzero here
+        assert abs(rep.factorization_gap - tensor_product_gap(ms, fact)) <= 1e-12
 
 
 class TestLeakageAnalysis:
