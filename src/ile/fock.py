@@ -26,6 +26,7 @@ __all__ = [
     "apply_displacement",
     "coherent_overlap",
     "coherent_gram",
+    "displacement_phase",
     "inner",
     "norm",
     "fidelity_pure",
@@ -215,6 +216,12 @@ def coherent_gram(a, b=None) -> np.ndarray:
     ha = np.abs(a) ** 2
     hb = np.abs(b) ** 2
     return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(a)[:, None] * b[None, :])
+
+
+def displacement_phase(beta, alpha: complex) -> np.ndarray:
+    """Phase e^{(beta conj(alpha) - conj(beta) alpha)/2} in
+    D(beta)|alpha> = phase |alpha + beta>, elementwise over ``beta``."""
+    return np.exp(0.5 * (beta * np.conj(alpha) - np.conj(beta) * alpha))
 
 
 def inner(a: FockVector, b: FockVector) -> complex:

@@ -19,7 +19,12 @@ coherent states across modes.  The factorized form instead lets every mode
 branch independently; the two coincide exactly whenever at most one mode is
 displaced, and ``leakage_report`` quantifies the gap otherwise.  The
 factorized state stays a list of per-mode factors, never their tensor product.
-Unlike the COM-only module, every composition phase is tracked here per mode.
+
+Collinearity: the mode vectors are real, so all displacements of one mode
+are real multiples of one amplitude and compose without a phase.  The only
+phase left is that of D(g)|alpha> = e^{(g conj(alpha) - conj(g) alpha)/2}
+|alpha + g> on the COM mode, applied once per state; ``DisplacementPlanEntry``
+refuses tables this does not cover.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .chain import ModeTable
 from .errors import IntegratorError, SolverError
-from .fock import coherent_fock, coherent_gram
+from .fock import coherent_fock, coherent_gram, displacement_phase
 from .protocol import (
     Cycle,
     LineSuperposition,
@@ -57,23 +62,21 @@ __all__ = [
 ]
 
 _MERGE_DECIMALS = 10  # labels agreeing to 1e-10 are one component
+_COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
 # Memory for the T x T complex arrays of one leakage_report, T the exact term
-# count.  At most 7.5 are alive at once: g_spec, s_com, w, mean_phonon's g and
-# w, and 2.5 while its norm_sq call forms a third pair Gram.
+# count.  At most 4 are alive at once: w, s_com, a and a * a.T while the
+# purity is summed (3.5 while a Gram is formed).  Peak RSS above the
+# interpreter's is 3.9 of them at 7 ions x 2 cycles and at 2 ions x 52 cycles.
 _GRAM_BUDGET_BYTES = 1 << 30
-_LIVE_GRAMS = 8
+_LIVE_GRAMS = 4
 
 
 @dataclass(frozen=True)
 class MultimodeSuperposition:
-    """Unnormalized sum_t coeffs[t] (x)_l |labels[t, l]> over all modes.
-
-    ``pruned_weight`` records the summed coefficient magnitude of any terms
-    dropped while building the state (0 when pruning was off)."""
+    """Unnormalized sum_t coeffs[t] (x)_l |labels[t, l]> over all modes."""
 
     coeffs: np.ndarray
     labels: np.ndarray
-    pruned_weight: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -84,8 +87,6 @@ class MultimodeSuperposition:
             raise ValueError("labels must be (n_terms, n_modes) matching coeffs")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(g))):
             raise ValueError("coefficients and labels must be finite")
-        if not (np.isfinite(self.pruned_weight) and self.pruned_weight >= 0):
-            raise ValueError("pruned_weight must be non-negative")
         c = c.copy()
         g = g.copy()
         c.flags.writeable = False
@@ -104,13 +105,6 @@ class MultimodeSuperposition:
     def norm_sq(self) -> float:
         g = _pair_gram(self.labels, self.labels)
         return float(np.real(np.conj(self.coeffs) @ g @ self.coeffs))
-
-    def mean_phonon(self, mode: int) -> float:
-        """<a+_l a_l> of the normalized state."""
-        g = _pair_gram(self.labels, self.labels)
-        w = np.conj(self.labels[:, mode])[:, None] * self.labels[:, mode][None, :]
-        num = np.real(np.conj(self.coeffs) @ (g * w) @ self.coeffs)
-        return float(num / self.norm_sq())
 
 
 @dataclass(frozen=True)
@@ -172,15 +166,10 @@ def _merge_terms(coeffs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return merged_c, labels[first_idx]
 
 
-def _branch_phase(labels: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Composition phase for displacing label rows by ``shift`` (one row)."""
-    expo = np.sum(shift[None, :] * np.conj(labels) - np.conj(shift)[None, :] * labels, axis=1)
-    return np.exp(0.5 * expo)
-
-
 @dataclass(frozen=True)
 class DisplacementPlanEntry:
-    """Per-cycle displacement table, rows = ions, columns = modes."""
+    """Per-cycle displacement table, rows = ions, columns = modes; each column
+    holds real multiples of one amplitude (see the module docstring)."""
 
     betas: np.ndarray
 
@@ -190,6 +179,10 @@ class DisplacementPlanEntry:
             raise ValueError("betas must be a 2-D (ions x modes) table")
         if not np.all(np.isfinite(b)):
             raise ValueError("betas must be finite")
+        ref = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
+        skew = np.abs(np.imag(b * np.conj(ref)))
+        if np.any(skew > _COLLINEAR_TOL * np.abs(ref) ** 2):
+            raise ValueError("each mode's displacements must be real multiples of one amplitude")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "betas", b)
@@ -234,25 +227,15 @@ def cycle_displacements(
     return DisplacementPlanEntry(betas)
 
 
-def _conditional_terms(
-    plan: ProtocolPlan,
-    betas: np.ndarray,
-    mode_subset: slice,
-    initial_labels: np.ndarray,
-    prune: float = 0.0,
-):
+def _conditional_terms(plan: ProtocolPlan, betas: np.ndarray):
     """Expand the conditional product over cycles and ions into coherent terms.
 
-    ``betas`` is restricted to ``mode_subset`` columns so the same walker
-    serves both the exact (all modes) and factorized (one mode) expansions.
-    Every displacement carries its composition phase.  With ``prune`` > 0,
-    terms whose coefficient magnitude falls below ``prune`` times the largest
-    are dropped after each merge; the summed dropped magnitude is returned so
-    the approximation stays visible.
-
-    After c cycles ion i is displaced by k_i b[i], k_i in {-c, -c+2, ..., c},
-    so there are at most (c + 1)^N terms (exactly that many for generic
-    inputs).  Plans whose Grams could exceed the budget are refused up front.
+    Returns phase-free amplitudes and their label rows: by collinearity the
+    only phase is the COM mode's D(g)|alpha> phase, which the caller
+    applies.  After c cycles ion i is displaced by k_i b[i],
+    k_i in {-c, -c+2, ..., c}, so there are at most (c + 1)^N terms (exactly
+    that many for generic inputs).  Plans whose Grams could exceed the budget
+    are refused up front.
     """
     bound = (len(plan.cycles) + 1) ** plan.params.n_ions
     need = 16 * bound**2 * _LIVE_GRAMS
@@ -261,26 +244,27 @@ def _conditional_terms(
             f"up to {bound} terms, whose Grams need {need / 2**30:.2f} GiB "
             f"(budget {_GRAM_BUDGET_BYTES / 2**30:.0f} GiB)"
         )
-    b = betas[:, mode_subset]
     coeffs = np.array([1.0 + 0.0j])
-    labels = initial_labels.reshape(1, -1).astype(np.complex128)
-    dropped = 0.0
+    labels = np.zeros((1, betas.shape[1]), dtype=np.complex128)
+    labels[0, 0] = plan.alpha
     for cyc in plan.cycles:
-        for i, p in enumerate(cyc.weights):
+        for p, shift in zip(cyc.weights, betas):
             pref = 0.5 / np.sqrt(1.0 + abs(p) ** 2)
-            shift = b[i]
-            plus_c = coeffs * (1.0 - p) * pref * _branch_phase(labels, shift)
-            minus_c = coeffs * (1.0 + p) * pref * _branch_phase(labels, -shift)
-            coeffs = np.concatenate([plus_c, minus_c])
-            labels = np.concatenate([labels + shift[None, :], labels - shift[None, :]])
+            coeffs = np.concatenate([coeffs * (1.0 - p) * pref, coeffs * (1.0 + p) * pref])
+            labels = np.concatenate([labels + shift, labels - shift])
             coeffs, labels = _merge_terms(coeffs, labels)
-            if prune > 0 and coeffs.size > 1:
-                keep = np.abs(coeffs) >= prune * np.max(np.abs(coeffs))
-                if not np.all(keep):
-                    dropped += float(np.sum(np.abs(coeffs[~keep])))
-                    coeffs = coeffs[keep]
-                    labels = labels[keep]
-    return coeffs, labels, dropped
+    return coeffs, labels
+
+
+def _marginal_factors(exact: MultimodeSuperposition, alpha: complex) -> FactorizedSuperposition:
+    """Mode l's factor: the phase-free amplitudes of ``exact`` summed over
+    the terms that share a mode-l label.  Only the COM factor gets the
+    D(g)|alpha> phase back."""
+    free = exact.coeffs * np.conj(displacement_phase(exact.labels[:, 0] - alpha, alpha))
+    factors = [_merge_terms(free, column[:, None]) for column in exact.labels.T]
+    c0, g0 = factors[0]
+    factors[0] = (c0 * displacement_phase(g0[:, 0] - alpha, alpha), g0)
+    return FactorizedSuperposition([MultimodeSuperposition(c, g) for c, g in factors])
 
 
 def run_conditional_exact(
@@ -288,7 +272,6 @@ def run_conditional_exact(
     modes: ModeTable,
     integrated: bool,
     betas: DisplacementPlanEntry | None = None,
-    prune: float = 0.0,
 ) -> tuple[MultimodeSuperposition, float]:
     """Exact conditional state of all modes after the full plan.
 
@@ -301,8 +284,7 @@ def run_conditional_exact(
     squared norm, the initial state being normalized).
 
     ``betas`` overrides the computed displacement table; tests use it to
-    switch spectator modes off.  ``prune`` (e.g. 1e-12) drops negligible
-    terms and records their weight on the returned state.
+    switch spectator modes off.
     """
     if modes.n_ions != plan.params.n_ions:
         raise ValueError("plan and mode table disagree on the ion count")
@@ -311,12 +293,9 @@ def run_conditional_exact(
     )
     if entry.betas.shape != (plan.params.n_ions, modes.n_ions):
         raise ValueError("displacement table has the wrong shape")
-    init = np.zeros(modes.n_ions, dtype=np.complex128)
-    init[0] = plan.alpha
-    coeffs, labels, dropped = _conditional_terms(
-        plan, entry.betas, slice(None), init, prune
-    )
-    state = MultimodeSuperposition(coeffs, labels, pruned_weight=dropped)
+    amps, labels = _conditional_terms(plan, entry.betas)
+    phase = displacement_phase(labels[:, 0] - plan.alpha, plan.alpha)
+    state = MultimodeSuperposition(amps * phase, labels)
     return state, float(np.clip(state.norm_sq(), 0.0, 1.0))
 
 
@@ -330,22 +309,14 @@ def run_conditional_factorized(
 
     Every mode is given its own independent copy of the conditional product;
     the state is their tensor product, returned unexpanded as the single-mode
-    factors (sum_l T_l terms, not prod_l T_l).  This reproduces the exact state
-    whenever at most one mode is displaced; in general the spin branches
-    correlate the modes before the projection and the factorized form is only
-    an approximation, whose gap ``leakage_report`` measures.
+    factors (sum_l T_l terms, not prod_l T_l), each read off the exact walk
+    as its marginal on one mode.  This reproduces the exact state whenever at
+    most one mode is displaced; in general the spin branches correlate the
+    modes before the projection and the factorized form is only an
+    approximation, whose gap ``leakage_report`` measures.
     """
-    if modes.n_ions != plan.params.n_ions:
-        raise ValueError("plan and mode table disagree on the ion count")
-    entry = betas if betas is not None else cycle_displacements(
-        modes, plan.params, plan.cycles[0].duration, integrated
-    )
-    factors = []
-    for l in range(modes.n_ions):
-        init = np.array([plan.alpha if l == 0 else 0.0], dtype=np.complex128)
-        c_l, g_l, _ = _conditional_terms(plan, entry.betas, slice(l, l + 1), init)
-        factors.append(MultimodeSuperposition(c_l, g_l))
-    return FactorizedSuperposition(factors)
+    exact, _ = run_conditional_exact(plan, modes, integrated, betas)
+    return _marginal_factors(exact, plan.alpha)
 
 
 def leakage_report(
@@ -364,17 +335,19 @@ def leakage_report(
     labels = ms_exact.labels
     com = labels[:, 0]
     rest = labels[:, 1:]
-    g_spec = _pair_gram(rest, rest) if rest.shape[1] else np.ones((c.size, c.size))
+    w = np.conj(c)[:, None] * c[None, :]
+    if rest.shape[1]:
+        w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
     s_com = coherent_gram(com)
-    w = np.conj(c)[:, None] * c[None, :] * g_spec  # rho_com = sum w[t,u] |com_u><com_t| / nsq
-    nsq = float(np.real(np.sum(w * s_com)))
+    full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
+    nsq = float(np.real(np.sum(full)))
     if nsq <= 0:
         raise ValueError("exact state has zero norm")
-
-    mean_phonon = np.array([ms_exact.mean_phonon(l) for l in range(ms_exact.n_modes)])
+    mean_phonon = np.array([np.real(np.conj(g) @ full @ g) for g in labels.T]) / nsq
+    del full
 
     a = w.T @ s_com
-    purity = float(np.clip(np.real(np.trace(a @ a)) / nsq**2, 0.0, 1.0))
+    purity = float(np.clip(np.real(np.sum(a * a.T)) / nsq**2, 0.0, 1.0))
 
     o = coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
     ideal_nsq = ideal.norm_sq()
@@ -398,7 +371,8 @@ def analyze_plan(
     modes: ModeTable,
     integrated: bool,
 ) -> tuple[LeakageReport, float]:
-    """Convenience: exact + factorized + ideal runs folded into one report.
+    """Convenience: one exact walk, its per-mode marginals and the ideal
+    single-mode run folded into one report.
 
     The ideal reference is the single-mode conditional state built with the
     *same* displacement variant's COM amplitude, so ``com_fidelity_vs_ideal``
@@ -409,7 +383,7 @@ def analyze_plan(
     """
     entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
     ms, p_exact = run_conditional_exact(plan, modes, integrated, betas=entry)
-    fact = run_conditional_factorized(plan, modes, integrated, betas=entry)
+    fact = _marginal_factors(ms, plan.alpha)
     ideal = LineSuperposition(
         alpha=plan.alpha,
         beta=complex(entry.betas[0, 0]),

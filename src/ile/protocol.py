@@ -34,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, TruncationWarning, coherent_fock, coherent_gram, fidelity_pure
+from .errors import SolverError
+from .fock import (
+    FockVector,
+    TruncationWarning,
+    coherent_fock,
+    coherent_gram,
+    displacement_phase,
+    fidelity_pure,
+)
 
 __all__ = [
     "RegimeWarning",
@@ -214,9 +222,7 @@ class LineSuperposition:
     def phased_coeffs(self) -> np.ndarray:
         """Coefficients with the D(gamma)|alpha> phases folded in, so that the
         state is exactly sum_k phased[k] |labels()[k]> on plain coherent kets."""
-        g = self.displacements()
-        phase = np.exp(0.5 * (g * np.conj(self.alpha) - np.conj(g) * self.alpha))
-        return self.coeffs * phase
+        return self.coeffs * displacement_phase(self.displacements(), self.alpha)
 
     def norm_sq(self) -> float:
         """Squared norm from the coherent Gram matrix; exact, no truncation."""
@@ -279,23 +285,26 @@ def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:
     from coherent Gram matrices.  Coinciding components (beta = 0) reduce to
     the scalar case automatically since the Gram entries are then all ones.
 
+    The coefficients are rescaled to unit maximum modulus every cycle and
+    log(aleph^2 scale^2) is carried, so long plans neither under- nor overflow.
+
     Returns (total, per-cycle array); the total is the product of the
     per-cycle values.
     """
     beta = beta_of(plan.params, plan.cycles[0].duration)
+    log_aleph_sq = np.log(0.25 / (1.0 + np.abs(plan.all_weights) ** 2))
+    log_aleph_sq = log_aleph_sq.reshape(len(plan.cycles), -1).sum(axis=1)
     coeffs = np.array([1.0 + 0.0j])
-    aleph_sq = 1.0
-    prev = 1.0
+    log_weight = 0.0
+    prev = 0.0
     per_cycle = []
-    for cyc in plan.cycles:
-        for p in cyc.weights:
-            nxt = np.zeros(coeffs.size + 1, dtype=np.complex128)
-            nxt[:-1] += (1 + p) * coeffs
-            nxt[1:] += (1 - p) * coeffs
-            coeffs = nxt
-            aleph_sq *= 0.25 / (1.0 + abs(p) ** 2)
-        cur = aleph_sq * LineSuperposition(plan.alpha, beta, coeffs).norm_sq()
-        per_cycle.append(float(np.clip(cur / prev, 0.0, 1.0)))
+    for cyc, log_a in zip(plan.cycles, log_aleph_sq):
+        coeffs = np.convolve(coeffs, forward_coeffs(cyc.weights))
+        scale = np.max(np.abs(coeffs))
+        coeffs = coeffs / scale
+        log_weight += 2.0 * np.log(scale) + log_a
+        cur = log_weight + np.log(LineSuperposition(plan.alpha, beta, coeffs).norm_sq())
+        per_cycle.append(min(float(np.exp(cur - prev)), 1.0))  # a NaN stays NaN
         prev = cur
     per_cycle = np.array(per_cycle)
     return float(np.prod(per_cycle)), per_cycle
@@ -307,13 +316,18 @@ def run_ideal(plan: ProtocolPlan) -> ProtocolResult:
     The weights of all cycles concatenate into one sequence of length
     n = (ions) x (cycles); a plan with one ion and 2m cycles therefore
     produces exactly the same coefficients as two ions and m cycles carrying
-    the same sequence.
+    the same sequence.  Coefficients past the float range (about 1,100
+    slots) raise :class:`SolverError`.
     """
     weights = plan.all_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = forward_coeffs(weights)
+    if not np.all(np.isfinite(coeffs)):
+        raise SolverError(f"line coefficients overflow at {weights.size} slots")
     state = LineSuperposition(
         alpha=plan.alpha,
         beta=beta_of(plan.params, plan.cycles[0].duration),
-        coeffs=forward_coeffs(weights),
+        coeffs=coeffs,
     )
     p_exact, per_cycle = success_probability_exact(plan)
     return ProtocolResult(

@@ -144,6 +144,44 @@ def tensor_product_gap(exact, fact, block: int = 256) -> float:
     return float(1.0 - abs(cross) ** 2 / (fact_nsq * exact_nsq))
 
 
+def per_mode_walk(weights_per_cycle, betas: np.ndarray, alpha: complex):
+    """Each mode's own conditional walk with every composition phase tracked.
+
+    Mode l starts at ``alpha`` (mode 0) or vacuum and is displaced by
+    +-betas[i, l] for ion i in every cycle; each displacement of a term at
+    label g carries the phase exp((s conj(g) - conj(s) g)/2) of D(s)|g>.
+    Terms whose labels agree to 10 decimal places are merged after every
+    slot.  Returns one (coeffs, labels) pair per mode.
+    """
+    factors = []
+    for l in range(betas.shape[1]):
+        coeffs = np.ones(1, dtype=np.complex128)
+        labels = np.array([alpha if l == 0 else 0j], dtype=np.complex128)
+        for weights in weights_per_cycle:
+            for i, p in enumerate(weights):
+                pref = 0.5 / np.sqrt(1.0 + abs(p) ** 2)
+                s = betas[i, l]
+                half = 0.5 * (s * np.conj(labels) - np.conj(s) * labels)
+                coeffs = np.concatenate(
+                    [coeffs * (1 - p) * pref * np.exp(half), coeffs * (1 + p) * pref * np.exp(-half)]
+                )
+                labels = np.concatenate([labels + s, labels - s])
+                keys = np.round(np.stack([labels.real, labels.imag], axis=1), 10) + 0.0
+                _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+                merged = np.zeros(first.size, dtype=np.complex128)
+                np.add.at(merged, inverse.reshape(-1), coeffs)
+                coeffs, labels = merged, labels[first]
+        factors.append((coeffs, labels))
+    return factors
+
+
+def product_overlap(ca, la, cb, lb) -> complex:
+    """<sum_t ca[t] |la[t]>|sum_u cb[u] |lb[u]>> for single-mode coherent sums."""
+    la = np.asarray(la).reshape(-1, 1)
+    lb = np.asarray(lb).reshape(-1, 1)
+    return complex(np.conj(ca) @ _product_gram(la, lb) @ cb)
+
+
 def hand_hessian_three_ions() -> np.ndarray:
     """Second-derivative matrix of the three-ion chain at its closed-form
     equilibrium +-(5/4)^(1/3), derived by hand from the pair distances."""

@@ -102,8 +102,8 @@ class TestSimulateCommand:
         assert abs(fock.norm(vec) ** 2 - state.norm_sq()) <= 1e-8
 
     def test_non_finite_result_exits_3_without_output(self, tmp_path, capsys):
-        # 20 ions x 30 cycles: p_exact comes out NaN, which strict JSON rejects
-        plan = dict(PLAN, n_ions=20, cycles=[{"t": 80.0, "p": [[0.3, 0.2]] * 20}] * 30)
+        # 20 ions x 60 cycles: the line coefficients overflow the float range
+        plan = dict(PLAN, n_ions=20, cycles=[{"t": 80.0, "p": [[0.3, 0.2]] * 20}] * 60)
         out = tmp_path / "r.json"
         path = write_json(tmp_path / "p.json", plan)
         assert run(["simulate", "--input", path, "--output", str(out)]) == 3

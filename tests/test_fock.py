@@ -95,6 +95,14 @@ def test_displacement_composition_phase(beta, gamma):
     assert np.max(np.abs(twice.amps[:20] - phase * once.amps[:20])) <= 1e-8
 
 
+@settings(max_examples=40, deadline=None)
+@given(beta=complexes(1.0), alpha=complexes(1.0))
+def test_displacement_phase_of_displaced_coherent_state(beta, alpha):
+    moved = fock.apply_displacement(fock.coherent_fock(alpha, 64), beta)
+    target = fock.displacement_phase(beta, alpha) * fock.coherent_fock(alpha + beta, 64).amps
+    assert np.max(np.abs(moved.amps[:20] - target[:20])) <= 1e-8
+
+
 def test_apply_displacement_roundtrip():
     start = fock.coherent_fock(0.4 + 0.2j, 64)
     back = fock.apply_displacement(fock.apply_displacement(start, 1.5 - 0.5j), -1.5 + 0.5j)

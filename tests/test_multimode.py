@@ -3,7 +3,13 @@ import pytest
 
 from ile import chain, fock, multimode, protocol
 from ile.errors import SolverError
-from oracles import tensor_product_gap, two_mode_conditional, two_mode_metrics
+from oracles import (
+    per_mode_walk,
+    product_overlap,
+    tensor_product_gap,
+    two_mode_conditional,
+    two_mode_metrics,
+)
 
 
 def params_for(n, eta=0.1, omega=0.05, delta=0.97):
@@ -99,19 +105,6 @@ class TestConditionalExact:
         with pytest.raises(SolverError, match="term"):
             multimode.run_conditional_exact(plan, modes, False)
 
-    def test_pruning_reports_dropped_weight(self, mode_tables):
-        # one nearly annihilated branch: its term is tiny and prunable
-        plan = one_cycle_plan([1.0 - 1e-8, 0.3])
-        full, p_full = multimode.run_conditional_exact(plan, mode_tables[2], False)
-        assert full.pruned_weight == 0.0
-        lean, p_lean = multimode.run_conditional_exact(
-            plan, mode_tables[2], False, prune=1e-6
-        )
-        assert lean.n_terms < full.n_terms
-        assert 0 < lean.pruned_weight < 1e-6
-        # the probability can shift by at most ~2 ||psi|| x (dropped weight)
-        assert abs(p_lean - p_full) <= 10 * lean.pruned_weight
-
     def test_mode_count_validated(self, mode_tables):
         plan = one_cycle_plan([0.1, 0.2])
         with pytest.raises(ValueError):
@@ -146,7 +139,9 @@ class TestAgainstFockOracle:
         plan = one_cycle_plan(weights, alpha=0.2j)
         entry = multimode.cycle_displacements(mode_tables[2], plan.params, 80.0, False)
         ms, _ = multimode.run_conditional_exact(plan, mode_tables[2], False)
-        total_gram = sum(ms.mean_phonon(l) for l in range(2))
+        fact = multimode.run_conditional_factorized(plan, mode_tables[2], False)
+        rep = multimode.leakage_report(ms, protocol.run_ideal(plan).state, fact)
+        total_gram = sum(rep.per_mode_mean_phonon)
         psi = two_mode_conditional(np.asarray(weights), entry.betas, plan.alpha, 24)
         oracle = two_mode_metrics(psi, np.eye(25)[0])
         total_fock = sum(oracle["mean_phonon"])
@@ -181,8 +176,13 @@ class TestFactorized:
         ms = multimode.MultimodeSuperposition(
             coeffs=np.array([0.7j]), labels=np.array([[0.3 + 0.4j, -0.2j]])
         )
-        assert ms.mean_phonon(0) == pytest.approx(0.25, abs=1e-12)
-        assert ms.mean_phonon(1) == pytest.approx(0.04, abs=1e-12)
+        fact = multimode.FactorizedSuperposition(
+            [multimode.MultimodeSuperposition(ms.coeffs, ms.labels[:, l : l + 1]) for l in range(2)]
+        )
+        ideal = protocol.LineSuperposition(alpha=0.3 + 0.4j, beta=0j, coeffs=[1.0])
+        rep = multimode.leakage_report(ms, ideal, fact)
+        assert rep.per_mode_mean_phonon[0] == pytest.approx(0.25, abs=1e-12)
+        assert rep.per_mode_mean_phonon[1] == pytest.approx(0.04, abs=1e-12)
 
     def test_exact_when_spectators_off(self, mode_tables):
         plan = one_cycle_plan([0.2, -0.6j], alpha=0.4)
@@ -223,6 +223,47 @@ class TestFactorizedOverlap:
         rep = multimode.leakage_report(ms, ideal, fact)
         assert rep.factorization_gap > 1e-4  # genuinely nonzero here
         assert abs(rep.factorization_gap - tensor_product_gap(ms, fact)) <= 1e-12
+
+
+class TestFactorsAgainstPerModeWalk:
+    @pytest.mark.parametrize("integrated", [False, True])
+    @pytest.mark.parametrize("n_ions, n_cycles", [(2, 3), (3, 2), (4, 1), (4, 2)])
+    def test_factors_match_phase_tracking_walk(self, n_ions, n_cycles, integrated):
+        modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
+        weights = [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5][:n_ions]
+        plan = protocol.ProtocolPlan(
+            params=params_for(n_ions),
+            alpha=0.3 - 0.2j,
+            cycles=(protocol.Cycle(duration=80.0, weights=weights),) * n_cycles,
+        )
+        entry = multimode.cycle_displacements(modes, plan.params, 80.0, integrated)
+        fact = multimode.run_conditional_factorized(plan, modes, integrated)
+        reference = per_mode_walk([weights] * n_cycles, entry.betas, plan.alpha)
+        assert fact.n_modes == len(reference) == n_ions
+        for f, (rc, rg) in zip(fact.factors, reference):
+            fg = f.labels[:, 0]
+            f_nsq = product_overlap(f.coeffs, fg, f.coeffs, fg).real
+            r_nsq = product_overlap(rc, rg, rc, rg).real
+            cross = abs(product_overlap(f.coeffs, fg, rc, rg)) ** 2
+            assert cross / (f_nsq * r_nsq) >= 1 - 1e-12
+            assert abs(f_nsq - r_nsq) <= 1e-12 * r_nsq
+
+
+class TestCollinearityGuard:
+    def test_non_collinear_table_rejected(self):
+        with pytest.raises(ValueError, match="real multiples"):
+            multimode.DisplacementPlanEntry(np.array([[0.2, 0.1], [0.2j, -0.1]]))
+
+    def test_zero_and_collinear_columns_accepted(self):
+        multimode.DisplacementPlanEntry(np.zeros((2, 2), dtype=complex))
+        multimode.DisplacementPlanEntry(np.array([[0.3 + 0.1j, 0.0], [-0.6 - 0.2j, 0.0]]))
+
+    def test_computed_tables_pass(self):
+        for n in range(1, 65):
+            modes = chain.normal_modes(chain.equilibrium_positions(n))
+            for integrated in (False, True):
+                entry = multimode.cycle_displacements(modes, params_for(n), 80.0, integrated)
+                assert entry.betas.shape == (n, n)
 
 
 class TestLeakageAnalysis:

@@ -173,6 +173,44 @@ class TestExactProbability:
         assert abs(p_exact - orthogonal_limit) <= bound + 1e-15
 
 
+    def test_long_plan_stays_finite(self, rng):
+        # 20 ions x 30 cycles: the nominal prefactor 4^-600 underflows and the
+        # line coefficients reach ~1e180 in between
+        weights = rng.uniform(-1, 1, (30, 20)) + 1j * rng.uniform(-1, 1, (30, 20))
+        plan = make_plan(list(weights), eta=0.1, omega=0.05, delta=0.97, t=80.0)
+        p_exact, per_cycle = protocol.success_probability_exact(plan)
+        assert np.isfinite(p_exact) and 0 < p_exact <= 1
+        assert p_exact == pytest.approx(np.prod(per_cycle), rel=1e-12)
+
+    @pytest.mark.parametrize("n_ions, n_cycles", [(1, 40), (2, 100), (5, 8), (10, 20), (20, 10)])
+    def test_rescaled_per_cycle_matches_dense_formula(self, rng, n_ions, n_cycles):
+        weights = rng.uniform(-1, 1, (n_cycles, n_ions)) + 1j * rng.uniform(-1, 1, (n_cycles, n_ions))
+        plan = make_plan(list(weights), eta=0.1, omega=0.05, delta=0.97, t=80.0, alpha=0.2 - 0.1j)
+        _, per_cycle = protocol.success_probability_exact(plan)
+        assert np.max(np.abs(per_cycle / dense_per_cycle(plan) - 1)) <= 1e-12
+
+
+def dense_per_cycle(plan) -> np.ndarray:
+    """Per-cycle probabilities from the unscaled coefficient recurrence and
+    the plain prefactor aleph^2, fine while neither leaves the float range."""
+    beta = protocol.beta_of(plan.params, plan.cycles[0].duration)
+    coeffs = np.array([1.0 + 0.0j])
+    aleph_sq = 1.0
+    prev = 1.0
+    out = []
+    for cyc in plan.cycles:
+        for p in cyc.weights:
+            nxt = np.zeros(coeffs.size + 1, dtype=np.complex128)
+            nxt[:-1] += (1 + p) * coeffs
+            nxt[1:] += (1 - p) * coeffs
+            coeffs = nxt
+            aleph_sq *= 0.25 / (1.0 + abs(p) ** 2)
+        cur = aleph_sq * protocol.LineSuperposition(plan.alpha, beta, coeffs).norm_sq()
+        out.append(cur / prev)
+        prev = cur
+    return np.array(out)
+
+
 class TestRunIdeal:
     def test_single_cycle_single_ion(self):
         plan = make_plan([[0.0]])
