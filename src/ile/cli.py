@@ -6,8 +6,9 @@ outputs.  Floats are written with Python's shortest round-trip repr (at most
 17 significant digits) and every JSON document embeds the fully resolved
 parameter set plus the library version, so no default is hidden.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure.
-A leakage plan too large for the multimode memory budget is a solver
+Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure,
+running out of memory included.  A leakage plan too large for the multimode
+memory budget, or whose Gram sums cancel past float precision, is a solver
 failure: exit 3 for JSON output, a complete=false row in CSV output.
 """
 
@@ -430,6 +431,9 @@ def main(argv=None) -> int:
         return _EXIT_BAD_INPUT
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return _EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver error: out of memory ({exc})", file=sys.stderr)
         return _EXIT_SOLVER
 
 

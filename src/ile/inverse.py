@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .errors import SolverError
 from .fock import FockVector, coherent_fock, coherent_gram, inner, norm
-from .protocol import forward_coeffs, success_probability_nominal
+from .protocol import LineSuperposition, forward_coeffs, success_probability_nominal
 
 __all__ = [
     "TargetCoefficients",
@@ -211,10 +211,9 @@ def fit_target(
     if tn == 0.0:
         raise ValueError("target must be nonzero")
 
-    k = np.arange(n + 1)
-    disp = (2 * k - n) * beta
-    labels = alpha + disp
-    phases = np.exp(0.5 * (disp * np.conj(alpha) - np.conj(disp) * alpha))
+    grid = LineSuperposition(alpha, beta, np.ones(n + 1))
+    labels = grid.labels()
+    phases = grid.phased_coeffs()
 
     gram = coherent_gram(labels)
     gram *= np.conj(phases)[:, None] * phases[None, :]

@@ -5,7 +5,8 @@ underlying time-dependent Hamiltonian.
 
 Displacement amplitude per ion and mode over a window t, in two variants:
 
-* endpoint form:   beta[i, l] = i eta Omega t sqrt(N / mu_l) b[i, l] e^{i (mu_l - delta) t}
+* endpoint form:   beta[i, l] = i Omega t eta[i, l] e^{i (mu_l - delta) t}, with the
+  coupling eta[i, l] = eta sqrt(N / mu_l) b[i, l] of :func:`ile.chain.lamb_dicke`
 * integrated form: the same prefactor times the actual first-order time
   integral of the drive, t e^{i Delta t / 2} sinc(Delta t / 2 pi) with
   Delta = mu_l - delta.  The two agree as Delta t -> 0; only the integrated
@@ -14,14 +15,19 @@ Displacement amplitude per ion and mode over a window t, in two variants:
   form (CLI name: --paper-beta) reproduces the protocol formula on the COM
   mode exactly.
 
-The exact conditional state is a sum over ion branches of products of
-coherent states across modes.  The factorized form instead lets every mode
-branch independently; the two coincide exactly whenever at most one mode is
-displaced, and ``leakage_report`` quantifies the gap otherwise.  The
-factorized state stays a list of per-mode factors, never their tensor product.
+The exact conditional state is a sum of products of coherent states across
+modes.  Since the ions' conditional operators commute (see Collinearity), it
+is a product over ions: ion i, with weights w_i over all c cycles, applies
+its own line sum_k C^k D((2k - c) beta[i]) with C^k = forward_coeffs(w_i),
+the single-ion method of :mod:`ile.protocol` run once per ion.  The
+factorized form instead lets every mode branch independently; the two
+coincide exactly whenever at most one mode is displaced, and
+``leakage_report`` quantifies the gap otherwise.  The factorized state stays
+a list of per-mode factors, never their tensor product.
 
 Collinearity: the mode vectors are real, so all displacements of one mode
-are real multiples of one amplitude and compose without a phase.  The only
+are real multiples of one amplitude and compose without a phase; hence
+displacements, and the ions' conditional operators, commute.  The only
 phase left is that of D(g)|alpha> = e^{(g conj(alpha) - conj(g) alpha)/2}
 |alpha + g> on the COM mode, applied once per state; ``DisplacementPlanEntry``
 refuses tables this does not cover.
@@ -35,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .chain import ModeTable
+from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError
 from .fock import coherent_fock, coherent_gram, displacement_phase
 from .protocol import (
@@ -43,7 +49,9 @@ from .protocol import (
     LineSuperposition,
     PhysicalParams,
     ProtocolPlan,
+    checked_norm_sq,
     forward_coeffs,
+    log_slot_nominal,
 )
 
 __all__ = [
@@ -216,44 +224,48 @@ def cycle_displacements(
         )
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
-    mu = modes.frequencies
-    detune = mu - params.delta
-    prefactor = 1j * params.eta * params.omega * np.sqrt(params.n_ions / mu)
+    detune = modes.frequencies - params.delta
     if integrated:
         window = t * np.exp(0.5j * detune * t) * np.sinc(detune * t / (2.0 * np.pi))
     else:
         window = t * np.exp(1j * detune * t)
-    betas = prefactor[None, :] * modes.vectors * window[None, :]
+    betas = 1j * params.omega * lamb_dicke(modes, params.eta).entries * window[None, :]
     return DisplacementPlanEntry(betas)
 
 
 def _conditional_terms(plan: ProtocolPlan, betas: np.ndarray):
-    """Expand the conditional product over cycles and ions into coherent terms.
+    """Expand the conditional state into coherent terms as a product over ions.
+
+    Ion i, with weights w_i over the c cycles, contributes the amplitudes
+    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)) at the
+    shifts (2k - c) b[i]; the square root is taken in logs, since it
+    underflows long before a_i does.  The outer product over ions has at most
+    (c + 1)^N terms (exactly that many for generic inputs); terms whose
+    labels coincide are merged once, at the end.
 
     Returns phase-free amplitudes and their label rows: by collinearity the
     only phase is the COM mode's D(g)|alpha> phase, which the caller
-    applies.  After c cycles ion i is displaced by k_i b[i],
-    k_i in {-c, -c+2, ..., c}, so there are at most (c + 1)^N terms (exactly
-    that many for generic inputs).  Plans whose Grams could exceed the budget
-    are refused up front.
+    applies.  Plans whose Grams could exceed the budget are refused up front.
     """
-    bound = (len(plan.cycles) + 1) ** plan.params.n_ions
+    n_cycles = len(plan.cycles)
+    bound = (n_cycles + 1) ** plan.params.n_ions
     need = 16 * bound**2 * _LIVE_GRAMS
     if need > _GRAM_BUDGET_BYTES:
         raise SolverError(
             f"up to {bound} terms, whose Grams need {need / 2**30:.2f} GiB "
             f"(budget {_GRAM_BUDGET_BYTES / 2**30:.0f} GiB)"
         )
+    steps = 2 * np.arange(n_cycles + 1) - n_cycles
     coeffs = np.array([1.0 + 0.0j])
     labels = np.zeros((1, betas.shape[1]), dtype=np.complex128)
     labels[0, 0] = plan.alpha
-    for cyc in plan.cycles:
-        for p, shift in zip(cyc.weights, betas):
-            pref = 0.5 / np.sqrt(1.0 + abs(p) ** 2)
-            coeffs = np.concatenate([coeffs * (1.0 - p) * pref, coeffs * (1.0 + p) * pref])
-            labels = np.concatenate([labels + shift, labels - shift])
-            coeffs, labels = _merge_terms(coeffs, labels)
-    return coeffs, labels
+    for w, b in zip(plan.all_weights.reshape(n_cycles, -1).T, betas):
+        line = forward_coeffs(w)
+        scale = np.max(np.abs(line))
+        amps = line / scale * np.exp(np.log(scale) + 0.5 * np.sum(log_slot_nominal(w)))
+        coeffs = np.outer(coeffs, amps).ravel()
+        labels = (labels[:, None, :] + np.multiply.outer(steps, b)).reshape(-1, betas.shape[1])
+    return _merge_terms(coeffs, labels)
 
 
 def _marginal_factors(exact: MultimodeSuperposition, alpha: complex) -> FactorizedSuperposition:
@@ -279,7 +291,7 @@ def run_conditional_exact(
     Projecting ion i onto |1> contributes
     [(1 - p_i) prod_l D_l(+beta[i, l]) + (1 + p_i) prod_l D_l(-beta[i, l])]
     / (2 sqrt(1 + |p_i|^2)); expanding over all ions and cycles gives at most
-    2^(ions x cycles) product-coherent terms, merged whenever all labels
+    (cycles + 1)^ions product-coherent terms, merged whenever all labels
     agree.  Returns the state and the exact post-selection probability (its
     squared norm, the initial state being normalized).
 
@@ -340,7 +352,7 @@ def leakage_report(
         w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
     s_com = coherent_gram(com)
     full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
-    nsq = float(np.real(np.sum(full)))
+    nsq = checked_norm_sq(float(np.real(np.sum(full))), c)
     if nsq <= 0:
         raise ValueError("exact state has zero norm")
     mean_phonon = np.array([np.real(np.conj(g) @ full @ g) for g in labels.T]) / nsq
@@ -501,7 +513,7 @@ def trotter_validate(
     eye_m = sp.identity(size, format="csr")
     sy_list, sx_list = _spin_operators(n)
     mu = modes.frequencies
-    b = modes.vectors
+    coupling = lamb_dicke(modes, params.eta).entries
 
     def mode_op(op: sp.csr_matrix, slot: int) -> sp.csr_matrix:
         out = None
@@ -510,13 +522,12 @@ def trotter_validate(
             out = f if out is None else sp.kron(out, f, format="csr")
         return out
 
-    x_ops, p_ops, theta_fac = [], [], []
+    x_ops, p_ops = [], []
     for l in range(n):
-        theta = np.sqrt(n) * sum(b[i, l] * sy_list[i] / 2.0 for i in range(n))
-        theta_sp = sp.csr_matrix(theta)
-        x_ops.append(sp.kron(theta_sp, mode_op(x1, l), format="csr"))
-        p_ops.append(sp.kron(theta_sp, mode_op(p1, l), format="csr"))
-        theta_fac.append(-2.0 * np.sqrt(2.0) * params.eta * params.omega / np.sqrt(mu[l]))
+        theta = sp.csr_matrix(sum(coupling[i, l] * sy_list[i] / 2.0 for i in range(n)))
+        x_ops.append(sp.kron(theta, mode_op(x1, l), format="csr"))
+        p_ops.append(sp.kron(theta, mode_op(p1, l), format="csr"))
+    drive = -2.0 * np.sqrt(2.0) * params.omega
     jx = sp.csr_matrix(sum(sx_list) / 2.0)
     jx_full = sp.kron(jx, sp.identity(size**n, format="csr"), format="csr")
 
@@ -524,12 +535,12 @@ def trotter_validate(
         h = sp.csr_matrix((dim, dim), dtype=np.complex128)
         for l in range(n):
             slow = mu[l] - params.delta
-            f = theta_fac[l] * np.cos(slow * tau)
-            g = theta_fac[l] * np.sin(slow * tau)
+            f = drive * np.cos(slow * tau)
+            g = drive * np.sin(slow * tau)
             if fast:
                 quick = mu[l] + params.delta
-                f += theta_fac[l] * np.cos(quick * tau)
-                g += theta_fac[l] * np.sin(quick * tau)
+                f += drive * np.cos(quick * tau)
+                g += drive * np.sin(quick * tau)
             h = h + f * x_ops[l] + g * p_ops[l]
         if fast:
             h = h + (4.0 * params.omega * np.cos(params.delta * tau)) * jx_full

@@ -54,11 +54,19 @@ __all__ = [
     "beta_of",
     "forward_coeffs",
     "success_probability_nominal",
+    "log_slot_nominal",
     "success_probability_exact",
     "run_ideal",
     "to_fock",
     "fidelity_to_target",
+    "checked_norm_sq",
 ]
+
+# A squared norm summed from a coherent Gram matrix is refused when
+# ||c||_1^2 exceeds it by more than this: every overlap has modulus at most 1,
+# so the summed terms reach ||c||_1^2, and rounding then leaves the norm
+# fewer than about 16 - 8 = 8 correct digits.
+_CANCELLATION_LIMIT = 1e8
 
 
 class RegimeWarning(UserWarning):
@@ -225,9 +233,24 @@ class LineSuperposition:
         return self.coeffs * displacement_phase(self.displacements(), self.alpha)
 
     def norm_sq(self) -> float:
-        """Squared norm from the coherent Gram matrix; exact, no truncation."""
+        """Squared norm from the coherent Gram matrix; exact, no truncation.
+        A sum cancelled past float precision raises :class:`SolverError`."""
         a = self.phased_coeffs()
-        return float(np.real(np.conj(a) @ coherent_gram(self.labels()) @ a))
+        return checked_norm_sq(float(np.real(np.conj(a) @ coherent_gram(self.labels()) @ a)), a)
+
+
+def checked_norm_sq(nsq: float, coeffs) -> float:
+    """``nsq``, the squared norm of sum_t coeffs[t] |g_t> summed over the
+    coherent Gram matrix of the g_t, unless it is NaN or more than
+    ``_CANCELLATION_LIMIT`` times below ||coeffs||_1^2, which raises
+    :class:`SolverError`.  O(len(coeffs))."""
+    l1_sq = float(np.sum(np.abs(coeffs))) ** 2
+    if not l1_sq <= _CANCELLATION_LIMIT * nsq:
+        raise SolverError(
+            f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
+            f"against ||c||_1^2 = {l1_sq:.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
+        )
+    return nsq
 
 
 @dataclass(frozen=True)
@@ -276,6 +299,13 @@ def success_probability_nominal(weights) -> float:
     return float(0.25 ** w.size * np.prod(1.0 / (1.0 + np.abs(w) ** 2)))
 
 
+def log_slot_nominal(weights) -> np.ndarray:
+    """log(1 / (4 (1 + |p|^2))) per weight: the logs of the factors of
+    :func:`success_probability_nominal`, whose product underflows long
+    before their sum does."""
+    return np.log(0.25 / (1.0 + np.abs(weights) ** 2))
+
+
 def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:
     """True probability of the all-no-fluorescence record, cycle by cycle.
 
@@ -292,8 +322,7 @@ def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:
     per-cycle values.
     """
     beta = beta_of(plan.params, plan.cycles[0].duration)
-    log_aleph_sq = np.log(0.25 / (1.0 + np.abs(plan.all_weights) ** 2))
-    log_aleph_sq = log_aleph_sq.reshape(len(plan.cycles), -1).sum(axis=1)
+    log_aleph_sq = log_slot_nominal(plan.all_weights).reshape(len(plan.cycles), -1).sum(axis=1)
     coeffs = np.array([1.0 + 0.0j])
     log_weight = 0.0
     prev = 0.0

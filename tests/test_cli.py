@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ile import cli, fock, protocol
+from ile import cli, fock, inverse, protocol
 
 PLAN = {
     "eta": 0.1,
@@ -13,6 +13,19 @@ PLAN = {
     "n_ions": 2,
     "alpha": [0.3, 0.0],
     "cycles": [{"t": 80.0, "p": [[0.3, 0.2], [0.0, -0.4]]}],
+}
+
+# Heavily overlapping components with large alternating coefficients: the
+# coherent Gram sums cancel far past float precision (a 50-digit evaluation
+# gives p_exact 3.0e-24 for simulate, 2.6e-26 and COM purity 0.9999 for
+# leakage, where float sums gave 1.1e-21, 4.9e-22 and 0.0).
+CANCELLING_PLAN = {
+    "eta": 0.05,
+    "omega": 0.01,
+    "delta": 0.99,
+    "n_ions": 2,
+    "alpha": [0.3, 0.0],
+    "cycles": [{"t": 200.0, "p": [[2.0, 0.0], [-2.0, 0.0]]}] * 20,
 }
 
 
@@ -110,6 +123,13 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "solver error" in capsys.readouterr().err
 
+    def test_cancelled_gram_sum_exits_3_without_output(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        path = write_json(tmp_path / "p.json", CANCELLING_PLAN)
+        assert run(["simulate", "--input", path, "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "cancelled" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_ions", [2.7, True])
     def test_non_integer_ion_count_exits_2(self, tmp_path, capsys, n_ions):
         # each plan is otherwise valid for int(n_ions) ions
@@ -182,6 +202,17 @@ class TestLeakageCommand:
         assert 0.0 <= doc["factorization_gap"] <= 1.0
         assert len(doc["mean_phonon"]) == n_ions
 
+    def test_cancelled_gram_sum_exits_3_or_marks_row_incomplete(self, tmp_path, capsys):
+        path = write_json(tmp_path / "p.json", CANCELLING_PLAN)
+        out = tmp_path / "r.json"
+        assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 3
+        assert not out.exists()
+        assert "cancelled" in capsys.readouterr().err
+        out = tmp_path / "r.csv"
+        assert run(["leakage", "--input", path, "--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][rows[0].index("complete")] == "false"
+
     def test_bad_sweep_spec(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)
         assert run(["leakage", "--input", path, "--sweep", "delta=0:1:1"]) == 2
@@ -242,6 +273,18 @@ class TestFitCommand:
             "--n", "2", "--alpha", "0,0.2", "--beta", "0,0.5",
         ]) == 0
         assert json.loads(out.read_text())["fidelity"] >= 1 - 1e-10
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(inverse, "fit_target", refuse)
+        path = write_json(tmp_path / "t.json", fock.coherent_fock(0.3, 8).to_json())
+        out = tmp_path / "f.json"
+        argv = ["fit", "--input", path, "--output", str(out), "--n", "200000", "--beta", "0.5"]
+        assert run(argv) == 3
+        assert not out.exists()
+        assert "out of memory" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -105,6 +105,17 @@ class TestConditionalExact:
         with pytest.raises(SolverError, match="term"):
             multimode.run_conditional_exact(plan, modes, False)
 
+    def test_long_plan_keeps_its_weight(self, mode_tables):
+        # the nominal probability of these 200 slots underflows to 0
+        plan = protocol.ProtocolPlan(
+            params=params_for(1),
+            alpha=0.3,
+            cycles=(protocol.Cycle(duration=80.0, weights=[10.0]),) * 200,
+        )
+        assert protocol.success_probability_nominal(plan.all_weights) == 0.0
+        _, p = multimode.run_conditional_exact(plan, mode_tables[1], False)
+        assert p == pytest.approx(protocol.success_probability_exact(plan)[0], rel=1e-10)
+
     def test_mode_count_validated(self, mode_tables):
         plan = one_cycle_plan([0.1, 0.2])
         with pytest.raises(ValueError):
@@ -225,20 +236,33 @@ class TestFactorizedOverlap:
         assert abs(rep.factorization_gap - tensor_product_gap(ms, fact)) <= 1e-12
 
 
+# Rows are cycles, columns ions.
+CYCLE_WEIGHTS = np.array([
+    [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5],
+    [-0.6 + 0.1j, 0.7, 0.1j, -0.2 - 0.3j],
+    [0.4j, -0.1 - 0.5j, 0.8, 0.3 + 0.3j],
+])
+
+
 class TestFactorsAgainstPerModeWalk:
     @pytest.mark.parametrize("integrated", [False, True])
-    @pytest.mark.parametrize("n_ions, n_cycles", [(2, 3), (3, 2), (4, 1), (4, 2)])
-    def test_factors_match_phase_tracking_walk(self, n_ions, n_cycles, integrated):
+    @pytest.mark.parametrize(
+        "n_ions, n_cycles, distinct",
+        [(2, 3, False), (3, 2, False), (4, 1, False), (4, 2, False), (3, 2, True), (2, 3, True)],
+        ids=["2-3", "3-2", "4-1", "4-2", "3-2-distinct", "2-3-distinct"],
+    )
+    def test_factors_match_phase_tracking_walk(self, n_ions, n_cycles, distinct, integrated):
         modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
-        weights = [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5][:n_ions]
+        rows = range(n_cycles) if distinct else [0] * n_cycles
+        table = [CYCLE_WEIGHTS[r, :n_ions] for r in rows]
         plan = protocol.ProtocolPlan(
             params=params_for(n_ions),
             alpha=0.3 - 0.2j,
-            cycles=(protocol.Cycle(duration=80.0, weights=weights),) * n_cycles,
+            cycles=tuple(protocol.Cycle(duration=80.0, weights=w) for w in table),
         )
         entry = multimode.cycle_displacements(modes, plan.params, 80.0, integrated)
         fact = multimode.run_conditional_factorized(plan, modes, integrated)
-        reference = per_mode_walk([weights] * n_cycles, entry.betas, plan.alpha)
+        reference = per_mode_walk(table, entry.betas, plan.alpha)
         assert fact.n_modes == len(reference) == n_ions
         for f, (rc, rg) in zip(fact.factors, reference):
             fg = f.labels[:, 0]
