@@ -8,8 +8,9 @@ parameter set plus the library version, so no default is hidden.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure,
 running out of memory included.  A leakage plan too large for the multimode
-memory budget, or whose Gram sums cancel past float precision, is a solver
-failure: exit 3 for JSON output, a complete=false row in CSV output.
+memory budget, whose Gram sums cancel past float precision, or whose line
+coefficients overflow, is a solver failure: exit 3 for JSON output, a
+complete=false row in CSV output.
 """
 
 from __future__ import annotations

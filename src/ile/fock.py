@@ -11,6 +11,7 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ __all__ = [
     "apply_displacement",
     "coherent_overlap",
     "coherent_gram",
+    "line_overlaps",
     "displacement_phase",
     "inner",
     "norm",
@@ -142,11 +144,19 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
             TruncationWarning,
             stacklevel=2,
         )
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    # Python complex scalars, several times faster per step than numpy ones.
+    # Each part is scaled by the reciprocal root, which is what numpy's
+    # complex-by-real division computes, so the amplitudes equal bitwise
+    # those of amps[n] = amps[n - 1] * alpha / np.sqrt(n) on a complex array
+    # (up to the sign of a part that is exactly zero).
+    a = complex(np.exp(-0.5 * abs(alpha) ** 2))
+    amps = [a]
     for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    return FockVector(amps)
+        a = a * alpha
+        s = 1.0 / math.sqrt(n)
+        a = complex(a.real * s, a.imag * s)
+        amps.append(a)
+    return FockVector(np.array(amps, dtype=np.complex128))
 
 
 def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
@@ -216,6 +226,21 @@ def coherent_gram(a, b=None) -> np.ndarray:
     ha = np.abs(a) ** 2
     hb = np.abs(b) ** 2
     return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(a)[:, None] * b[None, :])
+
+
+def line_overlaps(alpha: complex, step: complex, n: int) -> np.ndarray:
+    """<alpha|D(d step)|alpha> = exp(-d^2 |step|^2 / 2 + 2i d Im(conj(alpha) step))
+    for the lags d = -n..n, in that order.
+
+    Every component of a line superposition sum_k c[k] D((2k - n) beta)|alpha>
+    is a multiple of one step, and collinear displacements compose without a
+    phase, so its Gram entries depend on the lag k' - k alone: with
+    step = 2 beta, the squared norm is the lag sum of these values against
+    the autocorrelation np.correlate(c, c, "full")."""
+    alpha = _finite_complex(alpha, "alpha")
+    step = _finite_complex(step, "step")
+    d = np.arange(-n, n + 1, dtype=float)
+    return np.exp(d * (-0.5 * abs(step) ** 2 * d + 2j * (alpha.conjugate() * step).imag))
 
 
 def displacement_phase(beta, alpha: complex) -> np.ndarray:

@@ -245,7 +245,8 @@ def _conditional_terms(plan: ProtocolPlan, betas: np.ndarray):
 
     Returns phase-free amplitudes and their label rows: by collinearity the
     only phase is the COM mode's D(g)|alpha> phase, which the caller
-    applies.  Plans whose Grams could exceed the budget are refused up front.
+    applies.  Plans whose Grams could exceed the budget are refused up front;
+    an ion whose line coefficients overflow raises :class:`SolverError`.
     """
     n_cycles = len(plan.cycles)
     bound = (n_cycles + 1) ** plan.params.n_ions

@@ -17,7 +17,7 @@ post-selection record:
   physical probability.
 * ``p_exact``, the true post-selection probability: the squared norm of each
   cycle's conditional state over the previous one, evaluated analytically
-  with coherent overlaps (no truncation anywhere).
+  (no truncation anywhere) as a sum over lags, see ``LineSuperposition.norm_sq``.
 
 Phase bookkeeping: displacements generated within a run are collinear
 (integer multiples of one beta), so their mutual composition phases vanish
@@ -39,9 +39,9 @@ from .fock import (
     FockVector,
     TruncationWarning,
     coherent_fock,
-    coherent_gram,
     displacement_phase,
     fidelity_pure,
+    line_overlaps,
 )
 
 __all__ = [
@@ -62,10 +62,10 @@ __all__ = [
     "checked_norm_sq",
 ]
 
-# A squared norm summed from a coherent Gram matrix is refused when
-# ||c||_1^2 exceeds it by more than this: every overlap has modulus at most 1,
-# so the summed terms reach ||c||_1^2, and rounding then leaves the norm
-# fewer than about 16 - 8 = 8 correct digits.
+# A squared norm summed over coherent overlaps is refused when ||c||_1^2
+# exceeds it by more than this: every overlap has modulus at most 1, so the
+# summed terms reach ||c||_1^2, and rounding then leaves the norm fewer than
+# about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
 
 
@@ -233,15 +233,23 @@ class LineSuperposition:
         return self.coeffs * displacement_phase(self.displacements(), self.alpha)
 
     def norm_sq(self) -> float:
-        """Squared norm from the coherent Gram matrix; exact, no truncation.
-        A sum cancelled past float precision raises :class:`SolverError`."""
-        a = self.phased_coeffs()
-        return checked_norm_sq(float(np.real(np.conj(a) @ coherent_gram(self.labels()) @ a)), a)
+        """Squared norm as a sum over lags; exact, no truncation.
+
+        The Gram entry of components k and k + d is
+        <alpha|D(2 d beta)|alpha>, a function of the lag d alone
+        (:func:`ile.fock.line_overlaps`), so the norm is its sum against the
+        autocorrelation of the phase-free coefficients: O(n^2) products and
+        2n + 1 exponentials.  A sum cancelled past float precision raises
+        :class:`SolverError`."""
+        c = self.coeffs
+        lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
+        nsq = float(np.real(lags @ line_overlaps(self.alpha, 2.0 * self.beta, self.n)))
+        return checked_norm_sq(nsq, c)
 
 
 def checked_norm_sq(nsq: float, coeffs) -> float:
     """``nsq``, the squared norm of sum_t coeffs[t] |g_t> summed over the
-    coherent Gram matrix of the g_t, unless it is NaN or more than
+    coherent overlaps of the g_t, unless it is NaN or more than
     ``_CANCELLATION_LIMIT`` times below ||coeffs||_1^2, which raises
     :class:`SolverError`.  O(len(coeffs))."""
     l1_sq = float(np.sum(np.abs(coeffs))) ** 2
@@ -270,6 +278,8 @@ def forward_coeffs(weights) -> np.ndarray:
 
     starting from C_0^0 = 1; O(m^2) and exact for the all-zero row (binomial
     coefficients).  The result is symmetric under permutations of the weights.
+    Coefficients past the float range (about 1,030 zero weights) raise
+    :class:`SolverError`.
     """
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.size < 1:
@@ -277,11 +287,14 @@ def forward_coeffs(weights) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     c = np.array([1.0 + 0.0j])
-    for p in w:
-        nxt = np.zeros(c.size + 1, dtype=np.complex128)
-        nxt[:-1] += (1 + p) * c
-        nxt[1:] += (1 - p) * c
-        c = nxt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in w:
+            nxt = np.zeros(c.size + 1, dtype=np.complex128)
+            nxt[:-1] += (1 + p) * c
+            nxt[1:] += (1 - p) * c
+            c = nxt
+    if not np.all(np.isfinite(c)):
+        raise SolverError(f"line coefficients overflow at {w.size} slots")
     return c
 
 
@@ -311,9 +324,10 @@ def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:
 
     Each cycle applies the conditional operator
     prod_i [(1 - p_i) D(beta) + (1 + p_i) D(-beta)] / (2 sqrt(1 + |p_i|^2));
-    the cycle's probability is the squared-norm ratio before/after, computed
-    from coherent Gram matrices.  Coinciding components (beta = 0) reduce to
-    the scalar case automatically since the Gram entries are then all ones.
+    the cycle's probability is the squared-norm ratio before/after, each
+    norm a sum over lags (``LineSuperposition.norm_sq``).  Coinciding
+    components (beta = 0) reduce to the scalar case automatically since the
+    lag overlaps are then all ones.
 
     The coefficients are rescaled to unit maximum modulus every cycle and
     log(aleph^2 scale^2) is carried, so long plans neither under- nor overflow.
@@ -345,14 +359,11 @@ def run_ideal(plan: ProtocolPlan) -> ProtocolResult:
     The weights of all cycles concatenate into one sequence of length
     n = (ions) x (cycles); a plan with one ion and 2m cycles therefore
     produces exactly the same coefficients as two ions and m cycles carrying
-    the same sequence.  Coefficients past the float range (about 1,100
-    slots) raise :class:`SolverError`.
+    the same sequence.  Coefficients past the float range raise
+    :class:`SolverError` (see :func:`forward_coeffs`).
     """
     weights = plan.all_weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = forward_coeffs(weights)
-    if not np.all(np.isfinite(coeffs)):
-        raise SolverError(f"line coefficients overflow at {weights.size} slots")
+    coeffs = forward_coeffs(weights)
     state = LineSuperposition(
         alpha=plan.alpha,
         beta=beta_of(plan.params, plan.cycles[0].duration),

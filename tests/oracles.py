@@ -17,6 +17,18 @@ def conditional_operator(p: complex, d_plus: np.ndarray, d_minus: np.ndarray) ->
     return ((1 - p) * d_plus + (1 + p) * d_minus) / (2.0 * np.sqrt(1.0 + abs(p) ** 2))
 
 
+def coherent_fock_array(alpha: complex, cutoff: int) -> np.ndarray:
+    """Coherent amplitudes by the ratio recurrence on numpy complex scalars,
+    amps[n] = amps[n - 1] * alpha / sqrt(n), the loop ``fock.coherent_fock``
+    must reproduce bitwise."""
+    alpha = complex(alpha)
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, cutoff + 1):
+        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+    return amps
+
+
 def single_mode_conditional(weights, beta: complex, alpha: complex, cutoff: int) -> np.ndarray:
     """Unnormalized conditional state of one mode after all weights, as a vector."""
     d_plus = fock.displacement_matrix(beta, cutoff).entries

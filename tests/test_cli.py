@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ class TestLeakageCommand:
         assert "cancelled" in capsys.readouterr().err
         out = tmp_path / "r.csv"
         assert run(["leakage", "--input", path, "--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][rows[0].index("complete")] == "false"
+
+    def test_coefficient_overflow_exits_3_or_marks_row_incomplete(self, tmp_path, capsys):
+        # 1 ion x 1,100 cycles at p = 0: the binomial line coefficients
+        # overflow the float range, a numerical limit and not bad input
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0.0, 0.0]]}] * 1100)
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 3
+            assert not out.exists()
+            assert "overflow" in capsys.readouterr().err
+            out = tmp_path / "r.csv"
+            assert run(["leakage", "--input", path, "--output", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1][rows[0].index("complete")] == "false"
 

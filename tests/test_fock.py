@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
 from ile import fock
 from conftest import complexes
 
@@ -32,6 +35,29 @@ def test_tail_weight_is_exposed():
     top = np.sum(np.abs(v.amps[-3:]) ** 2)
     assert v.tail_weight == pytest.approx(top)
     assert v.tail_weight > 1e-6  # genuinely lossy at this cutoff
+
+
+def test_coherent_fock_bitwise_matches_array_recurrence(rng):
+    amplitudes = [0j]
+    amplitudes += [complex(x) for x in rng.uniform(-5, 5, 40)]
+    amplitudes += [complex(0, y) for y in rng.uniform(-5, 5, 40)]
+    amplitudes += list(rng.uniform(0, 5, 120) * np.exp(2j * np.pi * rng.random(120)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for alpha in amplitudes:
+            for cutoff in (1, 2, int(rng.integers(3, 80)), 80):
+                got = fock.coherent_fock(alpha, cutoff).amps
+                assert np.array_equal(got, oracles.coherent_fock_array(alpha, cutoff))
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(3.0), complexes(1.0))
+def test_line_overlaps_are_displaced_overlaps(alpha, step):
+    got = fock.line_overlaps(alpha, step, 3)
+    for d, value in zip(range(-3, 4), got):
+        g = d * step
+        want = fock.displacement_phase(g, alpha) * fock.coherent_overlap(alpha, alpha + g)
+        assert abs(value - want) <= 1e-13
 
 
 def test_displacement_identity_at_zero():

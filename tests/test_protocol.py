@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ile import fock, protocol
+from ile.errors import SolverError
 from conftest import complexes
 from oracles import single_mode_conditional
 
@@ -74,6 +76,43 @@ class TestForwardCoeffs:
         a = protocol.forward_coeffs(weights)
         b = protocol.forward_coeffs(shuffled)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+
+    def test_overflow_is_a_solver_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(protocol.forward_coeffs(np.zeros(1029))))
+            with pytest.raises(SolverError, match="overflow at 1030 slots"):
+                protocol.forward_coeffs(np.zeros(1030))
+
+
+class TestLineNorm:
+    @staticmethod
+    def gram_form(state):
+        a = state.phased_coeffs()
+        return float(np.real(np.conj(a) @ fock.coherent_gram(state.labels()) @ a))
+
+    def test_lag_sum_matches_gram_form(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(0, 301))
+            alpha = complex(*rng.normal(0.0, 1.5, 2))
+            # |labels| stay below about 10, where the Gram form's exponents
+            # still carry 14 digits
+            beta = 0j if trial % 5 == 0 else complex(*rng.normal(0.0, 1.0, 2)) * 3.0 / max(n, 1)
+            coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            state = protocol.LineSuperposition(alpha, beta, coeffs)
+            want = self.gram_form(state)
+            assert abs(state.norm_sq() - want) <= 1e-12 * want
+
+    def test_forty_digit_reference(self):
+        # Dyadic inputs, so the float values are exact; the reference was
+        # summed over all component pairs in 60-digit arithmetic.
+        state = protocol.LineSuperposition(
+            alpha=0.75 + 0.25j,
+            beta=0.125 - 0.375j,
+            coeffs=[1, -0.5 + 0.25j, 0.75j, 2, -1.25 - 0.5j, 0.375],
+        )
+        want = float("3.360442362719939732497325526335941142252")
+        assert abs(state.norm_sq() - want) <= 1e-15 * want
 
 
 class TestCycleIonEquivalence:
