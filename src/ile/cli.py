@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -367,14 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.add_argument("--all", action="store_true",
                    help="also list the (unique) realization under 'solutions'")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="run a plan on the COM mode alone")
     p.add_argument("--input", required=True, help="plan JSON")
     p.add_argument("--output", default=None)
     p.add_argument("--fock", type=int, default=None, metavar="CUTOFF",
                    help="also dump the state on the number basis at this cutoff")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("leakage", help="spectator-mode leakage report (CSV)")
     p.add_argument("--input", required=True, help="plan JSON")
@@ -388,13 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded time-integrated displacement amplitudes (default)")
     group.add_argument("--paper-beta", action="store_true", default=False,
                        help="endpoint-form displacement amplitudes, beta ~ t e^{i(mu-delta)t}")
-    p.set_defaults(func=cmd_leakage)
 
     p = sub.add_parser("modes", help="chain normal-mode table")
     p.add_argument("n_ions", type=int)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("fit", help="fit a number-basis target by a line superposition")
     p.add_argument("--input", required=True,
@@ -403,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="component count minus one")
     p.add_argument("--alpha", default="0", help="grid centre, 'RE' or 'RE,IM'")
     p.add_argument("--beta", required=True, help="grid half-step, 'RE' or 'RE,IM'")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("validate", help="integrator referee for the displacement formulas")
     p.add_argument("--eta", type=float, required=True)
@@ -418,15 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None,
                    help="semicolon-separated internal weights, each 'RE' or 'RE,IM'")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up at call time, so a wrapped cmd_* still runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT

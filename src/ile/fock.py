@@ -137,9 +137,10 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     alpha = _finite_complex(alpha, "alpha")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if abs(alpha) ** 2 > cutoff / 2:
+    mag = abs(alpha)
+    if mag > math.sqrt(cutoff / 2):
         warnings.warn(
-            f"|alpha|^2 = {abs(alpha) ** 2:.3g} exceeds cutoff/2 = {cutoff / 2:.3g}; "
+            f"|alpha| = {mag:.3g} exceeds sqrt(cutoff/2) = {math.sqrt(cutoff / 2):.3g}; "
             "truncation is unreliable",
             TruncationWarning,
             stacklevel=2,
@@ -149,7 +150,8 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     # complex-by-real division computes, so the amplitudes equal bitwise
     # those of amps[n] = amps[n - 1] * alpha / np.sqrt(n) on a complex array
     # (up to the sign of a part that is exactly zero).
-    a = complex(np.exp(-0.5 * abs(alpha) ** 2))
+    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
+    a = complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
     amps = [a]
     for n in range(1, cutoff + 1):
         a = a * alpha

@@ -215,7 +215,10 @@ def fit_target(
     labels = grid.labels()
     phases = grid.phased_coeffs()
 
-    gram = coherent_gram(labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = coherent_gram(labels)
+    if not np.all(np.isfinite(gram)):
+        raise SolverError("component Gram matrix is not finite; the grid lies past float range")
     gram *= np.conj(phases)[:, None] * phases[None, :]
     v = np.array(
         [

@@ -38,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
 
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError
@@ -77,6 +76,8 @@ _COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
 # interpreter's is 3.9 of them at 7 ions x 2 cycles and at 2 ions x 52 cycles.
 _GRAM_BUDGET_BYTES = 1 << 30
 _LIVE_GRAMS = 4
+# Multiply-adds of one referee step's change of motional basis, 2^n size^(n+1).
+_STEP_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -446,24 +447,6 @@ class TrotterReport:
     conditional_weight: float
 
 
-def _spin_operators(n_ions: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(2)
-    ys, xs = [], []
-    for i in range(n_ions):
-        factors_y = [sy if j == i else eye for j in range(n_ions)]
-        factors_x = [sx if j == i else eye for j in range(n_ions)]
-        oy = factors_y[0]
-        ox = factors_x[0]
-        for f_y, f_x in zip(factors_y[1:], factors_x[1:]):
-            oy = np.kron(oy, f_y)
-            ox = np.kron(ox, f_x)
-        ys.append(oy)
-        xs.append(ox)
-    return ys, xs
-
-
 def trotter_validate(
     params: PhysicalParams,
     modes: ModeTable,
@@ -482,17 +465,35 @@ def trotter_validate(
     The projected motional state is compared against the conditional states
     predicted with the integrated and endpoint displacement amplitudes.
 
-    Three resolutions (steps, 2x, 4x) are always run; a Richardson limit from
-    the two finest certifies second order (deviation ratio near 4) and an
-    :class:`IntegratorError` flags anything far off that.
+    Each step applies exp(-i dt H(tau)) exactly on the truncated space.  Mode
+    l's drive f x + g p equals |z| e^{i phi N} x e^{-i phi N} (z = f + i g,
+    phi = arg z), the truncated x is V diag(lam) V^T, and every spin
+    operator is diagonal in the sigma_y basis except the carrier term's
+    sigma_x.  In the basis of the sigma_y eigenvectors and the rotated V, the
+    generator at motional eigen-index k is a sum of commuting one-ion terms
+    (a_{k,i} Z + c Y') / 2 with a_{k,i} = sum_l eta[i, l] |z_l| lam_{k_l},
+    so the step is a product of closed-form 2 x 2 rotations between two
+    changes of motional basis.  Only the carrier coefficient c differs with
+    ``include_fast_terms``: 4 Omega cos(delta tau) with it, 0 without.
+    Against a Krylov exponential of the sparse Hamiltonian the results move
+    in the last digits (the step-halving ratio by up to 2.3e-9 relative over
+    the benchmark's referee runs, the fidelities by 2e-15).
+
+    One step costs about 2^n (cutoff + 1)^(n + 1) multiply-adds per mode;
+    above 4e6 (cutoff 99 at two ions, 1413 at one) a ValueError refuses the
+    call before any allocation.  Three resolutions (steps, 2x, 4x) are
+    always run; a Richardson limit from the two finest certifies second
+    order (deviation ratio near 4) and an :class:`IntegratorError` flags
+    anything far off that.
     """
     n = modes.n_ions
     if params.n_ions != n:
         raise ValueError("plan and mode table disagree on the ion count")
     if n > 2:
         raise ValueError("the referee is a desk-scale tool; n_ions <= 2 only")
-    if cfg.cutoff * n > 10_000:
-        raise ValueError("cutoff x modes beyond desk scale")
+    size = cfg.cutoff + 1
+    if 2**n * size ** (n + 1) > _STEP_BUDGET:
+        raise ValueError("one integrator step beyond desk scale; lower the cutoff")
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
     weights = np.zeros(n, dtype=np.complex128) if weights is None else np.asarray(
@@ -500,68 +501,62 @@ def trotter_validate(
     )
     if weights.shape != (n,):
         raise ValueError("need one weight per ion")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
 
-    size = cfg.cutoff + 1
-    dim = 2**n * size**n
-    if dim > 40_000:
-        raise ValueError("joint Hilbert space beyond desk scale; lower the cutoff")
-
-    # Constant operator skeletons; only scalar coefficients depend on time.
-    diag = np.sqrt(np.arange(1, size))
-    a = sp.diags(diag, 1, format="csr")
-    x1 = ((a + a.T) / np.sqrt(2.0)).tocsr()
-    p1 = (1j * (a.T - a) / np.sqrt(2.0)).tocsr()
-    eye_m = sp.identity(size, format="csr")
-    sy_list, sx_list = _spin_operators(n)
-    mu = modes.frequencies
+    lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
+    number = np.arange(size)
+    # eig[l, k]: x's eigenvalue on mode l at the flattened motional index k
+    eig = lam[np.indices((size,) * n).reshape(n, -1)]
     coupling = lamb_dicke(modes, params.eta).entries
-
-    def mode_op(op: sp.csr_matrix, slot: int) -> sp.csr_matrix:
-        out = None
-        for l in range(n):
-            f = op if l == slot else eye_m
-            out = f if out is None else sp.kron(out, f, format="csr")
-        return out
-
-    x_ops, p_ops = [], []
-    for l in range(n):
-        theta = sp.csr_matrix(sum(coupling[i, l] * sy_list[i] / 2.0 for i in range(n)))
-        x_ops.append(sp.kron(theta, mode_op(x1, l), format="csr"))
-        p_ops.append(sp.kron(theta, mode_op(p1, l), format="csr"))
     drive = -2.0 * np.sqrt(2.0) * params.omega
-    jx = sp.csr_matrix(sum(sx_list) / 2.0)
-    jx_full = sp.kron(jx, sp.identity(size**n, format="csr"), format="csr")
+    slow, quick = modes.frequencies - params.delta, modes.frequencies + params.delta
 
-    def hamiltonian(tau: float, fast: bool) -> sp.csr_matrix:
-        h = sp.csr_matrix((dim, dim), dtype=np.complex128)
-        for l in range(n):
-            slow = mu[l] - params.delta
-            f = drive * np.cos(slow * tau)
-            g = drive * np.sin(slow * tau)
-            if fast:
-                quick = mu[l] + params.delta
-                f += drive * np.cos(quick * tau)
-                g += drive * np.sin(quick * tau)
-            h = h + f * x_ops[l] + g * p_ops[l]
-        if fast:
-            h = h + (4.0 * params.omega * np.cos(params.delta * tau)) * jx_full
-        return h
-
-    spin0 = np.array([1.0])
+    # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis
+    # spin onto (|+y>, |-y>), and <1| in the z basis reads (i, -i) / sqrt 2.
+    to_y = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
+    spin0, bra = np.array([1.0]), np.array([1.0])
     for p in weights:
-        spin0 = np.kron(spin0, np.array([1j * p, 1.0]) / np.sqrt(1.0 + abs(p) ** 2))
+        spin0 = np.kron(spin0, to_y @ np.array([1j * p, 1.0]) / np.sqrt(1.0 + abs(p) ** 2))
+        bra = np.kron(bra, np.array([1.0j, -1.0j]) / np.sqrt(2.0))
     motion0 = np.array([1.0])
     for l in range(n):
         motion0 = np.kron(motion0, coherent_fock(alpha if l == 0 else 0j, cfg.cutoff).amps)
-    psi0 = np.kron(spin0, motion0)
+    psi0 = np.outer(spin0, motion0)
+
+    def change_modes(psi: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        for l in range(n):
+            psi = mats[l] @ psi.reshape(2**n * size**l, size, -1)
+        return psi.reshape(2**n, -1)
+
+    def step(psi: np.ndarray, tau: float, dt: float, fast: bool) -> np.ndarray:
+        z = drive * np.exp(1j * slow * tau)  # f + i g per mode
+        c = 0.0
+        if fast:
+            z += drive * np.exp(1j * quick * tau)
+            c = 4.0 * params.omega * np.cos(params.delta * tau)
+        phase = np.exp(-1j * np.angle(z)[:, None] * number)  # e^{-i phi N} per mode
+        psi = change_modes(psi, vecs.T[None] * phase[:, None, :])
+        a = (coupling * np.abs(z)) @ eig
+        r = np.hypot(a, c)
+        angle = 0.5 * dt * r
+        sin = np.sin(angle) / np.where(r > 0, r, 1.0)
+        diag = np.cos(angle) - 1j * sin * a  # the |+y> entry; |-y> has its conjugate
+        for i in range(n):
+            spins = psi.reshape(2**i, 2, -1, size**n)
+            up, down = spins[:, 0], spins[:, 1]
+            off = sin[i] * c
+            psi = np.empty_like(spins)
+            psi[:, 0] = diag[i] * up - off * down
+            psi[:, 1] = off * up + np.conj(diag[i]) * down
+        return change_modes(psi, np.conj(phase)[:, :, None] * vecs[None])
 
     def evolve(steps: int, fast: bool) -> np.ndarray:
-        psi = psi0.astype(np.complex128)
         dt = t / steps
+        psi = psi0
         for k in range(steps):
-            h = hamiltonian((k + 0.5) * dt, fast)
-            psi = expm_multiply(-1j * dt * h, psi)
-        return psi
+            psi = step(psi, (k + 0.5) * dt, dt, fast)
+        return psi.reshape(-1)
 
     psi_1 = evolve(cfg.steps, False)
     psi_2 = evolve(2 * cfg.steps, False)
@@ -581,8 +576,7 @@ def trotter_validate(
             )
 
     def conditional(psi: np.ndarray) -> np.ndarray:
-        full = psi.reshape((2,) * n + (size,) * n)
-        return full[(1,) * n].reshape(-1)
+        return bra @ psi.reshape(2**n, -1)
 
     cond = conditional(psi_4)
     cond_nsq = float(np.real(np.vdot(cond, cond)))

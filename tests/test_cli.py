@@ -317,6 +317,84 @@ class TestValidateCommand:
         assert 3.0 <= doc["step_halving_ratio"] <= 5.0
         assert doc["fast_terms_effect"] is None
 
+    @pytest.mark.parametrize("weights", ["nan", "inf", "0.3;nan"])
+    def test_non_finite_weights_exit_2(self, tmp_path, capsys, weights):
+        out = tmp_path / "v.json"
+        n_ions = str(weights.count(";") + 1)
+        assert run([
+            "validate", "--eta", "0.05", "--omega", "0.05", "--delta", "0.99",
+            "--t", "20", "--cutoff", "4", "--steps", "10", "--n-ions", n_ions,
+            "--weights", weights, "--output", str(out),
+        ]) == 2
+        assert not out.exists()
+        assert "weights must be finite" in capsys.readouterr().err
+
+    def test_oversized_step_refused_quickly(self, tmp_path, capsys):
+        import time
+
+        out = tmp_path / "v.json"
+        start = time.perf_counter()
+        code = run([
+            "validate", "--eta", "0.05", "--omega", "0.005", "--delta", "0.99",
+            "--t", "100", "--cutoff", "1414", "--output", str(out),
+        ])
+        assert code == 2
+        assert time.perf_counter() - start < 0.5
+        assert not out.exists()
+        assert "desk scale" in capsys.readouterr().err
+
+
+class TestHugeCoherentAmplitudes:
+    """|alpha| whose square overflows a float ends in a documented exit
+    code, never in an OverflowError traceback."""
+
+    def test_fit_far_grid_exits_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "f.json", [[1, 0], [0, 0], [0.5, 0]])
+        out = tmp_path / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            code = run(["fit", "--input", path, "--n", "4", "--alpha", "1e300", "--beta", "0.3",
+                        "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
+    def test_simulate_fock_dump_far_from_origin(self, tmp_path):
+        plan = write_json(tmp_path / "p.json", {**PLAN, "alpha": [1e200, 0.0]})
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            code = run(["simulate", "--input", plan, "--fock", "10", "--output", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["fock"] == [[0.0, 0.0]] * 11  # nothing of |1e200> below n = 11
+
+
+class TestParser:
+    def test_built_once_across_calls(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for n in (1, 2, 3):
+                assert run(["modes", str(n), "--output", str(tmp_path / f"m{n}.json")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_handler_resolved_at_call_time(self, monkeypatch):
+        run(["modes", "1", "--format", "csv"])  # the parser is built by now
+        seen = []
+        monkeypatch.setattr(cli, "cmd_modes", lambda args: seen.append(args.n_ions) or 0)
+        assert run(["modes", "4"]) == 0
+        assert seen == [4]
+
 
 class TestInstalledEntryPoint:
     def test_exit_codes_from_subprocess(self, tmp_path):

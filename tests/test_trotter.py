@@ -4,6 +4,8 @@ import pytest
 from ile import multimode, protocol
 from ile.errors import IntegratorError
 
+from oracles import sparse_trotter_validate
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -79,3 +81,63 @@ def test_weight_count_checked(mode_tables):
     cfg = multimode.TrotterConfig(cutoff=8, steps=10)
     with pytest.raises(ValueError):
         multimode.trotter_validate(params, mode_tables[1], 100.0, cfg, weights=[0.1, 0.2])
+
+
+def test_non_finite_weights_refused(mode_tables):
+    params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=1)
+    cfg = multimode.TrotterConfig(cutoff=8, steps=10)
+    for bad in (float("nan"), float("inf"), complex(0.0, float("-inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            multimode.trotter_validate(params, mode_tables[1], 100.0, cfg, weights=[bad])
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "n_ions, cutoff, admitted",
+    [(2, 99, True), (2, 100, False), (1, 1413, True), (1, 1414, False)],
+)
+def test_step_cost_guard_edge(mode_tables, monkeypatch, n_ions, cutoff, admitted):
+    """2^n (cutoff + 1)^(n + 1) <= 4e6 is admitted, one cutoff more is not,
+    and a refused call stops before the eigen-decomposition."""
+
+    def stop(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(multimode, "eigh_tridiagonal", stop)
+    params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=n_ions)
+    cfg = multimode.TrotterConfig(cutoff=cutoff, steps=10)
+    expected = pytest.raises(_Admitted) if admitted else pytest.raises(ValueError, match="desk scale")
+    with expected:
+        multimode.trotter_validate(params, mode_tables[n_ions], 100.0, cfg)
+
+
+# (n_ions, eta, omega, delta, t, cutoff, steps, weights, alpha, fast terms)
+_ORACLE_CASES = [
+    (1, 0.05, 0.005, 0.99, 100.0, 16, 20, [1.0], 0j, False),
+    (1, 0.05, 0.005, 0.99, 100.0, 16, 20, None, 0.3 + 0.2j, True),
+    (1, 0.08, 0.01, 0.97, 60.0, 12, 10, [0.3 + 0.1j], 0j, True),
+    (2, 0.08, 0.01, 0.98, 50.0, 10, 16, [0.5, -0.5j], 0j, False),
+    (2, 0.08, 0.01, 0.98, 50.0, 8, 12, [0.5, -0.5j], 0.4 - 0.1j, True),
+    (2, 0.05, 0.05, 0.99, 20.0, 8, 10, None, 0j, True),
+    (2, 0.05, 0.005, 0.99, 100.0, 8, 10, None, 0.2j, False),
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_structured_step_matches_sparse_krylov_referee(mode_tables, case):
+    n, eta, omega, delta, t, cutoff, steps, weights, alpha, fast = case
+    params = protocol.PhysicalParams(eta=eta, omega=omega, delta=delta, n_ions=n)
+    cfg = multimode.TrotterConfig(cutoff=cutoff, steps=steps, include_fast_terms=fast)
+    got = multimode.trotter_validate(params, mode_tables[n], t, cfg, weights=weights, alpha=alpha)
+    ref = sparse_trotter_validate(params, mode_tables[n], t, cfg, weights=weights, alpha=alpha)
+    assert got.step_halving_ratio == pytest.approx(ref.step_halving_ratio, rel=1e-7, abs=0)
+    assert got.fidelity_integrated == pytest.approx(ref.fidelity_integrated, rel=0, abs=1e-12)
+    assert got.fidelity_endpoint == pytest.approx(ref.fidelity_endpoint, rel=0, abs=1e-12)
+    assert got.conditional_weight == pytest.approx(ref.conditional_weight, rel=1e-11, abs=0)
+    if fast:
+        assert got.fast_terms_effect == pytest.approx(ref.fast_terms_effect, rel=0, abs=1e-12)
+    else:
+        assert got.fast_terms_effect is None and ref.fast_terms_effect is None
