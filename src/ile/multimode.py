@@ -15,34 +15,42 @@ Displacement amplitude per ion and mode over a window t, in two variants:
   form (CLI name: --paper-beta) reproduces the protocol formula on the COM
   mode exactly.
 
-The exact conditional state is a sum of products of coherent states across
-modes.  Since the ions' conditional operators commute (see Collinearity), it
-is a product over ions: ion i, with weights w_i over all c cycles, applies
-its own line sum_k C^k D((2k - c) beta[i]) with C^k = forward_coeffs(w_i),
-the single-ion method of :mod:`ile.protocol` run once per ion.  The
-factorized form instead lets every mode branch independently; the two
-coincide exactly whenever at most one mode is displaced, and
-``leakage_report`` quantifies the gap otherwise.  The factorized state stays
-a list of per-mode factors, never their tensor product.
+The exact conditional state is a product over ions: ion i, with weights
+w_i over all c cycles, applies its own line sum_k a_i[k] D((2k - c) beta[i]),
+a_i being forward_coeffs(w_i) times the root of its nominal probability.
+``MultimodeSuperposition`` holds exactly that.  The factorized form lets
+every mode branch on its own: the product of the exact state's per-mode
+marginals, held as the exact state.  The two coincide whenever at most one
+mode is displaced; ``leakage_report`` quantifies the gap otherwise.
 
 Collinearity: the mode vectors are real, so all displacements of one mode
 are real multiples of one amplitude and compose without a phase; hence
-displacements, and the ions' conditional operators, commute.  The only
-phase left is that of D(g)|alpha> = e^{(g conj(alpha) - conj(g) alpha)/2}
-|alpha + g> on the COM mode, applied once per state; ``DisplacementPlanEntry``
-refuses tables this does not cover.
+displacements, and the ions' conditional operators, commute
+(``DisplacementPlanEntry`` refuses other tables).  So the bra term k and ket
+term k' of the expanded state, k, k' in [0, c]^N with amplitudes
+a(k) = prod_i a_i[k_i], overlap by G(d) = prod_l <init_l|D(2 sum_i d_i beta[i, l])|init_l>
+(init_0 = alpha, vacuum elsewhere), a function of the lag d = k' - k alone.
+Every leakage field is a sum over the (2c + 1)^N lags, with no Gram or merge
+of terms: the norm pairs G with the autocorrelations of the a_i, each <n_l>
+with those tables carrying the step 2k - c on bra or ket, and the gap needs
+h_l(k) = sum_k' conj(a(k')) G_l(k - k'), a cyclic FFT convolution per mode.
+The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
+mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
+same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
+alone; ``leakage_report`` raises ValueError for a non-uniform COM column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError
-from .fock import coherent_fock, coherent_gram, displacement_phase
+from .fock import coherent_fock, coherent_gram, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
     LineSuperposition,
@@ -68,111 +76,78 @@ __all__ = [
     "trotter_validate",
 ]
 
-_MERGE_DECIMALS = 10  # labels agreeing to 1e-10 are one component
 _COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
-# Memory for the T x T complex arrays of one leakage_report, T the exact term
-# count.  At most 4 are alive at once: w, s_com, a and a * a.T while the
-# purity is summed (3.5 while a Gram is formed).  Peak RSS above the
-# interpreter's is 3.9 of them at 7 ions x 2 cycles and at 2 ions x 52 cycles.
-_GRAM_BUDGET_BYTES = 1 << 30
-_LIVE_GRAMS = 4
+# Memory of one report, refused up front past the budget: complex arrays of
+# the (2c + 1)^N lags (at most 6.5 alive at once, counted and measured at 9 x 2
+# and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class sums (at most 3) and two
+# blocks of _class_matrix.
+_LATTICE_BUDGET_BYTES = 1 << 30
+_LIVE_LATTICES = 7
+_LIVE_CLASSES = 4
+_BLOCK_ENTRIES = 1 << 20
 # Multiply-adds of one referee step's change of motional basis, 2^n size^(n+1).
 _STEP_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultimodeSuperposition:
-    """Unnormalized sum_t coeffs[t] (x)_l |labels[t, l]> over all modes."""
+    """Unnormalized prod_i (sum_k amps[i, k] D((2k - c) betas[i])) |alpha, 0, ...>
+    with c = amps.shape[1] - 1, D(g) = prod_l D_l(g[l]); amps are phase-free."""
 
-    coeffs: np.ndarray
-    labels: np.ndarray
+    alpha: complex
+    betas: np.ndarray
+    amps: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        g = np.asarray(self.labels, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D sequence")
-        if g.ndim != 2 or g.shape[0] != c.size or g.shape[1] < 1:
-            raise ValueError("labels must be (n_terms, n_modes) matching coeffs")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(g))):
-            raise ValueError("coefficients and labels must be finite")
-        c = c.copy()
-        g = g.copy()
-        c.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "labels", g)
-
-    @property
-    def n_modes(self) -> int:
-        return self.labels.shape[1]
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        b, a = (np.array(x, dtype=np.complex128) for x in (self.betas, self.amps))
+        shapes = b.ndim == a.ndim == 2 and a.shape[0] == b.shape[0] and 0 not in a.shape + b.shape
+        if not (shapes and np.isfinite(self.alpha) and np.isfinite(b).all() and np.isfinite(a).all()):
+            raise ValueError("need finite alpha, betas (ions x modes), amps (ions x cycles + 1)")
+        b.flags.writeable = a.flags.writeable = False
+        object.__setattr__(self, "betas", b)
+        object.__setattr__(self, "amps", a)
 
     @property
     def n_terms(self) -> int:
-        return self.coeffs.size
+        """Terms of the expansion, (c + 1)^N."""
+        return self.amps.shape[1] ** self.amps.shape[0]
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coeffs, labels): the state as sum_t coeffs[t] (x)_l |labels[t, l]>
+        on plain coherent kets, COM phase in coeffs, all terms unmerged."""
+        n, size = self.amps.shape
+        k = np.indices((size,) * n).reshape(n, -1)  # every term's index tuple, ion 0 slowest
+        labels = (2 * k.T - (size - 1)) @ self.betas
+        coeffs = reduce(np.multiply.outer, self.amps).ravel()
+        coeffs = coeffs * displacement_phase(labels[:, 0], self.alpha)
+        labels[:, 0] += self.alpha
+        return coeffs, labels
 
     def norm_sq(self) -> float:
-        g = _pair_gram(self.labels, self.labels)
-        return float(np.real(np.conj(self.coeffs) @ g @ self.coeffs))
+        """Squared norm as a lag sum (:class:`SolverError` if it cancelled)."""
+        nsq = _moments(reduce(np.multiply, _mode_overlaps(self)), self.amps)[-1, -1]
+        return checked_norm_sq(float(np.real(nsq)), *self.amps)
 
 
 @dataclass(frozen=True)
 class FactorizedSuperposition:
-    """Product state (x)_l factors[l] of single-mode superpositions, held as
-    its factors: sum_l T_l terms instead of the prod_l T_l of its expansion."""
+    """Product (x)_l f_l of the per-mode marginals of ``exact``,
+    f_l = sum_k a(k) D_l(g_l(k))|init_l> with g_l(k) the mode-l displacement
+    of term k, so every mode runs its own copy of the conditional product."""
 
-    factors: tuple[MultimodeSuperposition, ...]
-
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        if not factors or any(f.n_modes != 1 for f in factors):
-            raise ValueError("factors must be a non-empty sequence of single-mode states")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.factors)
+    exact: MultimodeSuperposition
 
     @property
     def n_terms(self) -> int:
-        return sum(f.n_terms for f in self.factors)
+        """Terms of the factors' expansions, (c + 1)^N per mode."""
+        return self.exact.betas.shape[1] * self.exact.n_terms
 
-    def norm_sq(self) -> float:
-        return float(np.prod([f.norm_sq() for f in self.factors]))
-
-    def overlap(self, other: MultimodeSuperposition) -> complex:
-        """<self|other> = sum_u other.coeffs[u] prod_l <factors[l]|other.labels[u, l]>."""
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode-count mismatch")
-        amps = np.ones(other.n_terms, dtype=np.complex128)
-        for f, column in zip(self.factors, other.labels.T):
-            amps *= np.conj(f.coeffs) @ coherent_gram(f.labels[:, 0], column)
-        return complex(amps @ other.coeffs)
-
-
-def _pair_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """(Ta, Tb) matrix of prod_l <la[t, l]|lb[u, l]>."""
-    ha = np.sum(np.abs(la) ** 2, axis=1)
-    hb = np.sum(np.abs(lb) ** 2, axis=1)
-    return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(la) @ lb.T)
-
-
-def _merge_terms(coeffs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum coefficients of terms whose labels agree to the merge tolerance.
-
-    Terms are ordered by rounded label tuple, which makes the merge (and
-    everything downstream) deterministic regardless of expansion order.
-    """
-    rounded = np.round(
-        np.concatenate([labels.real, labels.imag], axis=1), _MERGE_DECIMALS
-    )
-    rounded += 0.0  # collapse -0.0 onto 0.0 so the row keys are canonical
-    _, first_idx, inverse = np.unique(
-        rounded, axis=0, return_index=True, return_inverse=True
-    )
-    merged_c = np.zeros(first_idx.size, dtype=np.complex128)
-    np.add.at(merged_c, inverse, coeffs)
-    return merged_c, labels[first_idx]
+    def expand(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Factor l as (coeffs, labels), f_l = sum_t coeffs[t] |labels[t]>."""
+        coeffs, labels = self.exact.expand()
+        free = reduce(np.multiply.outer, self.exact.amps).ravel()  # no COM phase
+        return [(coeffs if l == 0 else free, g) for l, g in enumerate(labels.T)]
 
 
 @dataclass(frozen=True)
@@ -234,51 +209,138 @@ def cycle_displacements(
     return DisplacementPlanEntry(betas)
 
 
-def _conditional_terms(plan: ProtocolPlan, betas: np.ndarray):
-    """Expand the conditional state into coherent terms as a product over ions.
-
-    Ion i, with weights w_i over the c cycles, contributes the amplitudes
-    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)) at the
-    shifts (2k - c) b[i]; the square root is taken in logs, since it
-    underflows long before a_i does.  The outer product over ions has at most
-    (c + 1)^N terms (exactly that many for generic inputs); terms whose
-    labels coincide are merged once, at the end.
-
-    Returns phase-free amplitudes and their label rows: by collinearity the
-    only phase is the COM mode's D(g)|alpha> phase, which the caller
-    applies.  Plans whose Grams could exceed the budget are refused up front;
-    an ion whose line coefficients overflow raises :class:`SolverError`.
-    """
-    n_cycles = len(plan.cycles)
-    bound = (n_cycles + 1) ** plan.params.n_ions
-    need = 16 * bound**2 * _LIVE_GRAMS
-    if need > _GRAM_BUDGET_BYTES:
-        raise SolverError(
-            f"up to {bound} terms, whose Grams need {need / 2**30:.2f} GiB "
-            f"(budget {_GRAM_BUDGET_BYTES / 2**30:.0f} GiB)"
-        )
-    steps = 2 * np.arange(n_cycles + 1) - n_cycles
-    coeffs = np.array([1.0 + 0.0j])
-    labels = np.zeros((1, betas.shape[1]), dtype=np.complex128)
-    labels[0, 0] = plan.alpha
-    for w, b in zip(plan.all_weights.reshape(n_cycles, -1).T, betas):
+def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
+    """The conditional state as a product over ions: ion i contributes
+    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)), the
+    root taken in logs, since it underflows long before a_i does.  A state
+    whose report would exceed the memory budget is refused up front."""
+    if modes.n_ions != plan.params.n_ions:
+        raise ValueError("plan and mode table disagree on the ion count")
+    entry = betas if betas is not None else cycle_displacements(
+        modes, plan.params, plan.cycles[0].duration, integrated
+    )
+    if entry.betas.shape != (plan.params.n_ions, modes.n_ions):
+        raise ValueError("displacement table has the wrong shape")
+    n, c = plan.params.n_ions, len(plan.cycles)
+    lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
+    need = 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _BLOCK_ENTRIES)
+    if need > _LATTICE_BUDGET_BYTES:
+        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
+        raise SolverError(f"{2 * c + 1}^{n} lag terms need {gib:.3g} GiB (budget 1 GiB)")
+    amps = []
+    for w in plan.all_weights.reshape(len(plan.cycles), -1).T:
         line = forward_coeffs(w)
         scale = np.max(np.abs(line))
-        amps = line / scale * np.exp(np.log(scale) + 0.5 * np.sum(log_slot_nominal(w)))
-        coeffs = np.outer(coeffs, amps).ravel()
-        labels = (labels[:, None, :] + np.multiply.outer(steps, b)).reshape(-1, betas.shape[1])
-    return _merge_terms(coeffs, labels)
+        amps.append(line / scale * np.exp(np.log(scale) + 0.5 * np.sum(log_slot_nominal(w))))
+    return MultimodeSuperposition(plan.alpha, entry.betas, amps)
 
 
-def _marginal_factors(exact: MultimodeSuperposition, alpha: complex) -> FactorizedSuperposition:
-    """Mode l's factor: the phase-free amplitudes of ``exact`` summed over
-    the terms that share a mode-l label.  Only the COM factor gets the
-    D(g)|alpha> phase back."""
-    free = exact.coeffs * np.conj(displacement_phase(exact.labels[:, 0] - alpha, alpha))
-    factors = [_merge_terms(free, column[:, None]) for column in exact.labels.T]
-    c0, g0 = factors[0]
-    factors[0] = (c0 * displacement_phase(g0[:, 0] - alpha, alpha), g0)
-    return FactorizedSuperposition([MultimodeSuperposition(c, g) for c, g in factors])
+def _mode_overlaps(state: MultimodeSuperposition):
+    """Mode by mode, <init_l|D(g)|init_l> = exp(-|g|^2 / 2 + 2i Im(conj(init_l) g))
+    at g = 2 sum_i d_i betas[i, l], over the lattice (axis i: lag d_i at c + d_i)."""
+    c, alpha = state.amps.shape[1] - 1, state.alpha
+    lags = 2.0 * np.arange(-c, c + 1)
+    for l, column in enumerate(state.betas.T):
+        g = reduce(np.add.outer, [b * lags for b in column])
+        log = -0.5 * (g.real**2 + g.imag**2)
+        if l == 0 and alpha != 0:
+            log = log + 2j * (alpha.real * g.imag - alpha.imag * g.real)
+        del g
+        yield np.exp(log)
+
+
+def _moments(overlaps: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """M[i, j] = sum_d G(d) prod_ion T_ion(d_ion), G = ``overlaps``, where
+    ion i's table carries the step s_k = 2k - c on the bra, ion j's on the
+    ket, and index N is no ion (M[N, N] is the squared norm).  One
+    contraction, last ion first, keeping a partial sum per placement."""
+    n, size = amps.shape
+    x = overlaps.reshape(1, -1)
+    pairs = [(n, n)]  # (bra ion, ket ion) of each partial sum
+    for i in reversed(range(n)):
+        a, sa = amps[i], amps[i] * (2 * np.arange(size) - (size - 1))
+        # correlate(u, v)[c + d] = sum_k conj(v[k]) u[k + d]: plain, bra, ket, both
+        tables = [np.correlate(u, v, "full") for u, v in ((a, a), (a, sa), (sa, a), (sa, sa))]
+        y = (x.reshape(-1, 2 * size - 1) @ np.transpose(tables)).reshape(len(pairs), -1, 4)
+        free_bra = [t for t, (b, _) in enumerate(pairs) if b == n]
+        free_ket = [t for t, (_, k) in enumerate(pairs) if k == n]
+        x = np.concatenate([y[:, :, 0], y[free_bra, :, 1], y[free_ket, :, 2], y[:1, :, 3]])
+        pairs += [(i, pairs[t][1]) for t in free_bra] + [(pairs[t][0], i) for t in free_ket]
+        pairs.append((i, i))
+    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    out[tuple(zip(*pairs))] = x[:, 0]
+    return out
+
+
+def _class_matrix(spectators: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """R[m, m'] = sum conj(a(k)) a(k') G_s(k' - k) over the terms of COM classes
+    sum k_i = m and sum k'_i = m', G_s = ``spectators``: ion by ion, the bra's
+    class is the power of z at the Nc + 1 roots of unity, m' - m a lag sum."""
+    n, size = amps.shape
+    nc, w, k = n * (size - 1), 2 * size - 1, np.arange(size)
+    joint = np.zeros((n, size, w), dtype=np.complex128)  # [i, k, c + d]: conj(a_i[k]) a_i[k + d]
+    joint[:, k[:, None], size - 1 - k[:, None] + k] = np.conj(amps)[:, :, None] * amps[:, None, :]
+    hats = np.fft.fft(joint, n=nc + 1, axis=1)
+    sums = np.empty((nc + 1, 2 * nc + 1), dtype=np.complex128)  # [q, m' - m + nc]
+    block = max(1, _BLOCK_ENTRIES // spectators.size)
+    for lo in range(0, nc + 1, block):
+        h = hats[:, lo : lo + block]
+        x = spectators.reshape(1, w, -1) * h[0][:, :, None]
+        for hi in h[1:]:
+            x = x.reshape(x.shape[0], x.shape[1], w, -1)
+            y = np.zeros((x.shape[0], x.shape[1] + w - 1, x.shape[3]), dtype=np.complex128)
+            for j in range(w):
+                y[:, j : j + x.shape[1]] += x[:, :, j] * hi[:, j, None, None]
+            x = y
+        sums[lo : lo + block] = x[:, :, 0]
+    m = np.arange(nc + 1)
+    return np.fft.ifft(sums, axis=0)[m[:, None], m - m[:, None] + nc]
+
+
+def _report(state: MultimodeSuperposition, ideal: LineSuperposition) -> tuple[LeakageReport, float]:
+    """The leakage report and the squared norm of ``state``, as lag sums."""
+    n, size = state.amps.shape
+    nc, w = n * (size - 1), 2 * size - 1
+    beta0 = state.betas[0, 0]
+    if np.any(np.abs(state.betas[:, 0] - beta0) > _COLLINEAR_TOL * abs(beta0)):
+        raise ValueError("every ion must displace the COM mode by the same amplitude")
+    norms = np.linalg.norm(state.amps, axis=1)
+    if not np.all(norms > 0):
+        raise ValueError("exact state has zero norm")
+    lines = state.amps / norms[:, None]  # unit lines keep long plans' sums in range
+
+    # h_l(k) is entry c + k of the cyclic convolution of the zero-padded
+    # conj(a) with G_l, whose DFT is a product over ions.
+    bra_hat = reduce(np.multiply.outer, np.fft.fft(np.conj(lines), w))
+    amps = reduce(np.multiply.outer, lines)
+    cross, fact_nsq = amps, 1.0
+    spectators = np.ones((w,) * n)
+    for l, overlap in enumerate(_mode_overlaps(state)):
+        if l:
+            spectators *= overlap
+        h = np.fft.ifftn(np.fft.fftn(overlap) * bra_hat)[(slice(size - 1, None),) * n]
+        fact_nsq *= float(np.real(np.sum(amps * h)))  # ||f_l||^2
+        cross = cross * h
+    del bra_hat, overlap, h
+
+    # the COM factor is taken again rather than held through the loop
+    moments = _moments(spectators * next(_mode_overlaps(state)), lines)
+    nsq = checked_norm_sq(float(np.real(moments[n, n])), *lines)
+    # <n_l> nsq = u_l^H M u_l: ion rows hold the displacements, the last alpha
+    u = np.vstack([state.betas, np.eye(1, state.betas.shape[1]) * state.alpha])
+    mean_phonon = np.real(np.einsum("il,ij,jl->l", np.conj(u), moments, u)) / nsq
+
+    r = _class_matrix(spectators, lines)
+    m = np.arange(nc + 1)
+    rs = r.T @ line_overlaps(state.alpha, 2.0 * beta0, nc)[m - m[:, None] + nc]
+    purity = float(np.clip(np.real(np.sum(rs * rs.T)) / nsq**2, 0.0, 1.0))
+    shifts = (2 * m - nc) * beta0  # class m's COM state is D(shifts[m]) |alpha>
+    o = np.conj(displacement_phase(shifts, state.alpha)) * (
+        coherent_gram(state.alpha + shifts, ideal.labels()) @ ideal.phased_coeffs()
+    )
+    fid = float(np.clip(np.real(o @ r @ np.conj(o)) / (nsq * ideal.norm_sq()), 0.0, 1.0))
+    gap = float(np.clip(1.0 - abs(np.sum(cross)) ** 2 / (fact_nsq * nsq), 0.0, 1.0))
+    return LeakageReport(mean_phonon, fid, purity, gap), nsq * float(np.prod(norms**2))
 
 
 def run_conditional_exact(
@@ -287,29 +349,10 @@ def run_conditional_exact(
     integrated: bool,
     betas: DisplacementPlanEntry | None = None,
 ) -> tuple[MultimodeSuperposition, float]:
-    """Exact conditional state of all modes after the full plan.
-
-    Initial state: coherent ``plan.alpha`` on the COM mode, vacuum elsewhere.
-    Projecting ion i onto |1> contributes
-    [(1 - p_i) prod_l D_l(+beta[i, l]) + (1 + p_i) prod_l D_l(-beta[i, l])]
-    / (2 sqrt(1 + |p_i|^2)); expanding over all ions and cycles gives at most
-    (cycles + 1)^ions product-coherent terms, merged whenever all labels
-    agree.  Returns the state and the exact post-selection probability (its
-    squared norm, the initial state being normalized).
-
-    ``betas`` overrides the computed displacement table; tests use it to
-    switch spectator modes off.
-    """
-    if modes.n_ions != plan.params.n_ions:
-        raise ValueError("plan and mode table disagree on the ion count")
-    entry = betas if betas is not None else cycle_displacements(
-        modes, plan.params, plan.cycles[0].duration, integrated
-    )
-    if entry.betas.shape != (plan.params.n_ions, modes.n_ions):
-        raise ValueError("displacement table has the wrong shape")
-    amps, labels = _conditional_terms(plan, entry.betas)
-    phase = displacement_phase(labels[:, 0] - plan.alpha, plan.alpha)
-    state = MultimodeSuperposition(amps * phase, labels)
+    """Exact conditional state of all modes after the full plan, from coherent
+    ``plan.alpha`` on the COM mode and vacuum elsewhere, and its squared norm,
+    the post-selection probability.  ``betas`` overrides the displacement table."""
+    state = _exact_state(plan, modes, integrated, betas)
     return state, float(np.clip(state.norm_sq(), 0.0, 1.0))
 
 
@@ -319,18 +362,9 @@ def run_conditional_factorized(
     integrated: bool,
     betas: DisplacementPlanEntry | None = None,
 ) -> FactorizedSuperposition:
-    """The mode-factorized form of the conditional state.
-
-    Every mode is given its own independent copy of the conditional product;
-    the state is their tensor product, returned unexpanded as the single-mode
-    factors (sum_l T_l terms, not prod_l T_l), each read off the exact walk
-    as its marginal on one mode.  This reproduces the exact state whenever at
-    most one mode is displaced; in general the spin branches correlate the
-    modes before the projection and the factorized form is only an
-    approximation, whose gap ``leakage_report`` measures.
-    """
-    exact, _ = run_conditional_exact(plan, modes, integrated, betas)
-    return _marginal_factors(exact, plan.alpha)
+    """The mode-factorized form: every mode gets its own independent copy of
+    the conditional product, exact only while at most one mode is displaced."""
+    return FactorizedSuperposition(_exact_state(plan, modes, integrated, betas))
 
 
 def leakage_report(
@@ -338,46 +372,18 @@ def leakage_report(
     ideal: LineSuperposition,
     factorized: FactorizedSuperposition,
 ) -> LeakageReport:
-    """How much the spectator modes corrupted the COM-mode preparation.
-
-    All quantities come from the Gram representation, no truncation:
-    per-mode mean phonon numbers, the fidelity of the reduced COM state
-    against the ideal single-mode result, its purity, and the infidelity
-    between the exact state and its mode-factorized form.
-    """
-    c = ms_exact.coeffs
-    labels = ms_exact.labels
-    com = labels[:, 0]
-    rest = labels[:, 1:]
-    w = np.conj(c)[:, None] * c[None, :]
-    if rest.shape[1]:
-        w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
-    s_com = coherent_gram(com)
-    full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
-    nsq = checked_norm_sq(float(np.real(np.sum(full))), c)
-    if nsq <= 0:
-        raise ValueError("exact state has zero norm")
-    mean_phonon = np.array([np.real(np.conj(g) @ full @ g) for g in labels.T]) / nsq
-    del full
-
-    a = w.T @ s_com
-    purity = float(np.clip(np.real(np.sum(a * a.T)) / nsq**2, 0.0, 1.0))
-
-    o = coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
-    ideal_nsq = ideal.norm_sq()
-    fid = float(np.clip(np.real(o @ w @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
-
-    if factorized.n_modes != ms_exact.n_modes:
-        raise ValueError("factorized state has a different mode count")
-    cross = abs(factorized.overlap(ms_exact)) ** 2
-    gap = float(np.clip(1.0 - cross / (factorized.norm_sq() * nsq), 0.0, 1.0))
-
-    return LeakageReport(
-        per_mode_mean_phonon=mean_phonon,
-        com_fidelity_vs_ideal=fid,
-        com_purity=purity,
-        factorization_gap=gap,
-    )
+    """How much the spectator modes corrupted the COM-mode preparation, as
+    exact lag sums: per-mode mean phonon numbers, the fidelity of the reduced
+    COM state against ``ideal``, its purity, and the infidelity between the
+    exact state and its mode-factorized form (read from ``ms_exact``)."""
+    other = getattr(factorized, "exact", None)
+    if not isinstance(other, MultimodeSuperposition) or not (
+        other.alpha == ms_exact.alpha
+        and np.array_equal(other.betas, ms_exact.betas)
+        and np.array_equal(other.amps, ms_exact.amps)
+    ):
+        raise ValueError("the factorized state is not read from this exact state")
+    return _report(ms_exact, ideal)[0]
 
 
 def analyze_plan(
@@ -385,25 +391,20 @@ def analyze_plan(
     modes: ModeTable,
     integrated: bool,
 ) -> tuple[LeakageReport, float]:
-    """Convenience: one exact walk, its per-mode marginals and the ideal
-    single-mode run folded into one report.
-
-    The ideal reference is the single-mode conditional state built with the
-    *same* displacement variant's COM amplitude, so ``com_fidelity_vs_ideal``
-    isolates what the spectators did to the COM mode instead of conflating it
-    with the endpoint/integrated convention difference.  (For the endpoint
-    variant the two references coincide: the COM column reproduces the
-    single-mode formula identically.)
-    """
+    """The leakage report of the plan and its exact probability.  The ideal
+    reference is the single-mode state built with the *same* displacement
+    variant's COM amplitude (for the endpoint variant the two coincide), so
+    ``com_fidelity_vs_ideal`` isolates what the spectators did to the COM
+    mode; its coefficients are scaled by a power of two to unit order."""
     entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
-    ms, p_exact = run_conditional_exact(plan, modes, integrated, betas=entry)
-    fact = _marginal_factors(ms, plan.alpha)
+    coeffs = forward_coeffs(plan.all_weights)
     ideal = LineSuperposition(
         alpha=plan.alpha,
         beta=complex(entry.betas[0, 0]),
-        coeffs=forward_coeffs(plan.all_weights),
+        coeffs=coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1],
     )
-    return leakage_report(ms, ideal, fact), p_exact
+    report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
+    return report, float(np.clip(nsq, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +476,6 @@ def trotter_validate(
     so the step is a product of closed-form 2 x 2 rotations between two
     changes of motional basis.  Only the carrier coefficient c differs with
     ``include_fast_terms``: 4 Omega cos(delta tau) with it, 0 without.
-    Against a Krylov exponential of the sparse Hamiltonian the results move
-    in the last digits (the step-halving ratio by up to 2.3e-9 relative over
-    the benchmark's referee runs, the fidelities by 2e-15).
 
     One step costs about 2^n (cutoff + 1)^(n + 1) multiply-adds per mode;
     above 4e6 (cutoff 99 at two ions, 1413 at one) a ValueError refuses the
@@ -517,7 +515,7 @@ def trotter_validate(
     to_y = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
     spin0, bra = np.array([1.0]), np.array([1.0])
     for p in weights:
-        spin0 = np.kron(spin0, to_y @ np.array([1j * p, 1.0]) / np.sqrt(1.0 + abs(p) ** 2))
+        spin0 = np.kron(spin0, to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)))
         bra = np.kron(bra, np.array([1.0j, -1.0j]) / np.sqrt(2.0))
     motion0 = np.array([1.0])
     for l in range(n):
@@ -588,9 +586,8 @@ def trotter_validate(
     )
 
     def predicted(integrated: bool) -> np.ndarray:
-        ms, _ = run_conditional_exact(plan, modes, integrated)
         vec = np.zeros(size**n, dtype=np.complex128)
-        for c, row in zip(ms.coeffs, ms.labels):
+        for c, row in zip(*_exact_state(plan, modes, integrated, None).expand()):
             term = np.array([c])
             for g in row:
                 term = np.kron(term, coherent_fock(g, cfg.cutoff).amps)

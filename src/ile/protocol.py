@@ -247,17 +247,18 @@ class LineSuperposition:
         return checked_norm_sq(nsq, c)
 
 
-def checked_norm_sq(nsq: float, coeffs) -> float:
-    """``nsq``, the squared norm of sum_t coeffs[t] |g_t> summed over the
-    coherent overlaps of the g_t, unless it is NaN or more than
-    ``_CANCELLATION_LIMIT`` times below ||coeffs||_1^2, which raises
-    :class:`SolverError`.  O(len(coeffs))."""
-    l1_sq = float(np.sum(np.abs(coeffs))) ** 2
-    if not l1_sq <= _CANCELLATION_LIMIT * nsq:
-        raise SolverError(
-            f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
-            f"against ||c||_1^2 = {l1_sq:.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
-        )
+def checked_norm_sq(nsq: float, *factors) -> float:
+    """``nsq``, the squared norm of a coherent sum whose coefficients are the
+    outer product of ``factors``, unless it is NaN or more than
+    ``_CANCELLATION_LIMIT`` times below ||c||_1^2 = prod ||factor||_1^2
+    (compared in logs, free of overflow), which raises :class:`SolverError`."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_l1_sq = 2.0 * sum(np.log(np.sum(np.abs(f))) for f in factors)
+        if not log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq):
+            raise SolverError(
+                f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
+                f"against ||c||_1^2 = {np.exp(log_l1_sq):.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
+            )
     return nsq
 
 
@@ -309,14 +310,15 @@ def success_probability_nominal(weights) -> float:
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    return float(0.25 ** w.size * np.prod(1.0 / (1.0 + np.abs(w) ** 2)))
+    with np.errstate(over="ignore"):  # past |p| ~ 1e154 the factor is 1/inf = 0
+        return float(0.25 ** w.size * np.prod(1.0 / (1.0 + np.abs(w) ** 2)))
 
 
 def log_slot_nominal(weights) -> np.ndarray:
-    """log(1 / (4 (1 + |p|^2))) per weight: the logs of the factors of
-    :func:`success_probability_nominal`, whose product underflows long
-    before their sum does."""
-    return np.log(0.25 / (1.0 + np.abs(weights) ** 2))
+    """log(1 / (4 (1 + |p|^2))) per weight, 1 + |p|^2 taken as hypot(1, |p|)^2:
+    the logs of the factors of :func:`success_probability_nominal`, whose
+    product underflows long before their sum does, finite for finite p."""
+    return np.log(0.25) - 2.0 * np.log(np.hypot(1.0, np.abs(weights)))
 
 
 def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:

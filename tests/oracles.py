@@ -15,8 +15,8 @@ from ile import fock
 from ile.chain import ModeTable, lamb_dicke
 from ile.errors import IntegratorError
 from ile.fock import coherent_fock
-from ile.multimode import TrotterConfig, TrotterReport, run_conditional_exact
-from ile.protocol import Cycle, PhysicalParams, ProtocolPlan
+from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, run_conditional_exact
+from ile.protocol import Cycle, PhysicalParams, ProtocolPlan, checked_norm_sq
 
 
 def conditional_operator(p: complex, d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
@@ -140,27 +140,87 @@ def _product_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return g
 
 
+def merge_labels(coeffs, labels, decimals: int = 10):
+    """Sum the coefficients of single-mode terms whose labels agree to
+    ``decimals`` places; returns (coeffs, labels) of the distinct labels."""
+    keys = np.round(np.stack([labels.real, labels.imag], axis=1), decimals) + 0.0
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    merged = np.zeros(first.size, dtype=np.complex128)
+    np.add.at(merged, inverse.reshape(-1), coeffs)
+    return merged, labels[first]
+
+
 def tensor_product_gap(exact, fact, block: int = 256) -> float:
     """1 - |<fact|exact>|^2 / (||fact||^2 ||exact||^2) with the factorized
     state expanded into its full tensor product, one term per combination of
-    per-mode terms in ``fact.factors``.  The norm of the expansion is summed
+    the (merged) terms of its factors.  The norm of the expansion is summed
     over row blocks so its Gram is never held whole."""
     coeffs = np.ones(1, dtype=np.complex128)
     labels = np.zeros((1, 0), dtype=np.complex128)
-    for f in fact.factors:
-        coeffs = np.kron(coeffs, f.coeffs)
+    for fc, fg in fact.expand():
+        fc, fg = merge_labels(fc, fg)
+        coeffs = np.kron(coeffs, fc)
         labels = np.concatenate(
-            [np.repeat(labels, f.n_terms, axis=0), np.tile(f.labels, (labels.shape[0], 1))],
+            [np.repeat(labels, fc.size, axis=0), np.tile(fg[:, None], (labels.shape[0], 1))],
             axis=1,
         )
     fact_nsq = sum(
         np.conj(coeffs[k : k + block]) @ _product_gram(labels[k : k + block], labels) @ coeffs
         for k in range(0, coeffs.size, block)
     ).real
-    ec, el = exact.coeffs, exact.labels
+    ec, el = exact.expand()
     exact_nsq = (np.conj(ec) @ _product_gram(el, el) @ ec).real
     cross = np.conj(coeffs) @ _product_gram(labels, el) @ ec
     return float(1.0 - abs(cross) ** 2 / (fact_nsq * exact_nsq))
+
+
+def _pair_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """(Ta, Tb) matrix of prod_l <la[t, l]|lb[u, l]>."""
+    ha = np.sum(np.abs(la) ** 2, axis=1)
+    hb = np.sum(np.abs(lb) ** 2, axis=1)
+    return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(la) @ lb.T)
+
+
+def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, float]:
+    """``multimode.leakage_report`` in the Gram form it had before the lag
+    lattice: dense T x T Grams over the expanded exact state and the
+    expanded factors.  Returns the report and the exact squared norm."""
+    c, labels = ms_exact.expand()
+    com = labels[:, 0]
+    rest = labels[:, 1:]
+    w = np.conj(c)[:, None] * c[None, :]
+    if rest.shape[1]:
+        w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
+    s_com = fock.coherent_gram(com)
+    full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
+    nsq = checked_norm_sq(float(np.real(np.sum(full))), c)
+    if nsq <= 0:
+        raise ValueError("exact state has zero norm")
+    mean_phonon = np.array([np.real(np.conj(g) @ full @ g) for g in labels.T]) / nsq
+    del full
+
+    a = w.T @ s_com
+    purity = float(np.clip(np.real(np.sum(a * a.T)) / nsq**2, 0.0, 1.0))
+
+    o = fock.coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
+    ideal_nsq = ideal.norm_sq()
+    fid = float(np.clip(np.real(o @ w @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
+
+    factors = factorized.expand()
+    amps = np.ones(c.size, dtype=np.complex128)
+    fact_nsq = 1.0
+    for (fc, fg), column in zip(factors, labels.T):
+        amps *= np.conj(fc) @ fock.coherent_gram(fg, column)
+        fact_nsq *= float(np.real(np.conj(fc) @ fock.coherent_gram(fg) @ fc))
+    cross = abs(complex(amps @ c)) ** 2
+    gap = float(np.clip(1.0 - cross / (fact_nsq * nsq), 0.0, 1.0))
+
+    return LeakageReport(
+        per_mode_mean_phonon=mean_phonon,
+        com_fidelity_vs_ideal=fid,
+        com_purity=purity,
+        factorization_gap=gap,
+    ), nsq
 
 
 def per_mode_walk(weights_per_cycle, betas: np.ndarray, alpha: complex):
@@ -185,11 +245,7 @@ def per_mode_walk(weights_per_cycle, betas: np.ndarray, alpha: complex):
                     [coeffs * (1 - p) * pref * np.exp(half), coeffs * (1 + p) * pref * np.exp(-half)]
                 )
                 labels = np.concatenate([labels + s, labels - s])
-                keys = np.round(np.stack([labels.real, labels.imag], axis=1), 10) + 0.0
-                _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-                merged = np.zeros(first.size, dtype=np.complex128)
-                np.add.at(merged, inverse.reshape(-1), coeffs)
-                coeffs, labels = merged, labels[first]
+                coeffs, labels = merge_labels(coeffs, labels)
         factors.append((coeffs, labels))
     return factors
 
@@ -381,9 +437,8 @@ def sparse_trotter_validate(
     )
 
     def predicted(integrated: bool) -> np.ndarray:
-        ms, _ = run_conditional_exact(plan, modes, integrated)
         vec = np.zeros(size**n, dtype=np.complex128)
-        for c, row in zip(ms.coeffs, ms.labels):
+        for c, row in zip(*run_conditional_exact(plan, modes, integrated)[0].expand()):
             term = np.array([c])
             for g in row:
                 term = np.kron(term, coherent_fock(g, cfg.cutoff).amps)

@@ -39,6 +39,24 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_capped(argv, address_space=2 << 30):
+    """Exit code of ``python -m ile.cli argv`` in a fresh process whose
+    address space is capped (2 GiB by default)."""
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ile
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    here = Path(ile.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "ile.cli", *argv], cwd=here, preexec_fn=cap)
+    return done.returncode
+
+
 class TestPlanCommand:
     def test_balanced_cat(self, tmp_path, capsys):
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0, 0], [1, 0]]})
@@ -181,9 +199,9 @@ class TestLeakageCommand:
         assert rows[1][rows[0].index("variant")] == "paper"
 
     def test_term_cap_marks_row_incomplete(self, tmp_path):
-        # 8 ions x 2 cycles: up to 3^8 terms, over the Gram memory budget
-        cycle = {"t": 80.0, "p": [[0.3, 0.2], [0.0, -0.4]] * 4}
-        path = write_json(tmp_path / "p.json", dict(PLAN, n_ions=8, cycles=[cycle, cycle]))
+        # 10 ions x 2 cycles: 5^10 lags, over the lag-lattice memory budget
+        cycle = {"t": 80.0, "p": [[0.3, 0.2], [0.0, -0.4]] * 5}
+        path = write_json(tmp_path / "p.json", dict(PLAN, n_ions=10, cycles=[cycle, cycle]))
         out = tmp_path / "r.csv"
         assert run(["leakage", "--input", path, "--output", str(out)]) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
@@ -191,14 +209,16 @@ class TestLeakageCommand:
         assert rows[1][idx] == "false"
         assert rows[1][rows[0].index("p_exact")] == ""
 
-    @pytest.mark.parametrize("n_ions, n_cycles", [(4, 2), (5, 1)])
+    @pytest.mark.parametrize("n_ions, n_cycles", [(4, 2), (5, 1), (8, 2), (4, 8)])
     def test_past_the_tensor_product_frontier(self, tmp_path, n_ions, n_cycles):
-        weights = [[0.3, 0.2], [0.0, -0.4], [0.2, -0.1], [0.5, 0.0], [-0.1, 0.3]]
+        weights = [[0.3, 0.2], [0.0, -0.4], [0.2, -0.1], [0.5, 0.0], [-0.1, 0.3], [0.4, 0.1],
+                   [-0.3, -0.2], [0.1, 0.6]]
         cycle = {"t": 80.0, "p": weights[:n_ions]}
         plan = dict(PLAN, n_ions=n_ions, cycles=[cycle] * n_cycles)
         path = write_json(tmp_path / "p.json", plan)
         out = tmp_path / "r.json"
-        assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 0
+        argv = ["leakage", "--input", path, "--output", str(out), "--format", "json"]
+        assert run_capped(argv) == 0
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
         assert 0.0 <= doc["factorization_gap"] <= 1.0
         assert len(doc["mean_phonon"]) == n_ions
@@ -230,6 +250,20 @@ class TestLeakageCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1][rows[0].index("complete")] == "false"
 
+    def test_long_single_ion_plan_matches_simulate(self, tmp_path):
+        # 1 ion x 200 cycles at p = 10: line coefficients near 1e208, whose
+        # squared l1 norm overflows; with one ion leakage's p_exact is simulate's
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[10.0, 0.0]]}] * 200)
+        path = write_json(tmp_path / "p.json", plan)
+        leak, sim = tmp_path / "l.json", tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["leakage", "--input", path, "--output", str(leak), "--format", "json"]
+            assert run(argv + ["--paper-beta"]) == 0
+            assert run(["simulate", "--input", path, "--output", str(sim)]) == 0
+        p_leak = json.loads(leak.read_text())["p_exact"]
+        assert p_leak == pytest.approx(json.loads(sim.read_text())["p_exact"], rel=1e-10)
+
     def test_bad_sweep_spec(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)
         assert run(["leakage", "--input", path, "--sweep", "delta=0:1:1"]) == 2
@@ -244,6 +278,43 @@ class TestLeakageCommand:
             assert key in doc
         assert len(doc["mean_phonon"]) == 2
         assert run(["leakage", "--input", path, "--format", "json", "--sweep", "t=1:2:2"]) == 2
+
+
+class TestHugeWeights:
+    # |p| = 1e300 squares past the float range; every command must agree with
+    # |p| = 1e10, whose results differ from the limit by O(1/|p|)
+    FIELDS = {
+        "simulate": ("p_exact", "per_cycle"),
+        "leakage": ("mean_phonon", "com_fidelity", "com_purity", "factorization_gap", "p_exact"),
+        "validate": ("fidelity_integrated", "fidelity_endpoint", "step_halving_ratio",
+                     "conditional_weight"),
+    }
+
+    @staticmethod
+    def outputs(tmp_path, p):
+        plan = dict(PLAN, cycles=[{"t": 80.0, "p": [[p, 0.0], [-0.2, 0.4]]}])
+        path = write_json(tmp_path / f"plan{p:g}.json", plan)
+        argvs = {
+            "simulate": ["simulate", "--input", path],
+            "leakage": ["leakage", "--input", path, "--format", "json"],
+            "validate": ["validate", "--eta", "0.05", "--omega", "0.005", "--delta", "0.99",
+                         "--t", "100", "--steps", "10", "--cutoff", "12", "--weights", repr(p)],
+        }
+        docs = {}
+        for cmd, argv in argvs.items():
+            out = tmp_path / f"{cmd}{p:g}.json"
+            assert run(argv + ["--output", str(out)]) == 0
+            docs[cmd] = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        return docs
+
+    def test_match_a_large_finite_weight(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = self.outputs(tmp_path, 1e300)
+        ref = self.outputs(tmp_path, 1e10)
+        for cmd, keys in self.FIELDS.items():
+            for key in keys:
+                assert np.allclose(huge[cmd][key], ref[cmd][key], rtol=1e-9, atol=0), (cmd, key)
 
 
 class TestModesCommand:

@@ -4,6 +4,7 @@ import pytest
 from ile import chain, fock, multimode, protocol
 from ile.errors import SolverError
 from oracles import (
+    gram_leakage_report,
     per_mode_walk,
     product_overlap,
     tensor_product_gap,
@@ -60,8 +61,8 @@ class TestConditionalExact:
         plan = one_cycle_plan([0.4j, -0.3])
         zeros = multimode.DisplacementPlanEntry(np.zeros((2, 2), dtype=complex))
         ms, p = multimode.run_conditional_exact(plan, mode_tables[2], False, betas=zeros)
-        assert ms.n_terms == 1
-        assert np.allclose(ms.labels, 0.0)
+        _, labels = ms.expand()
+        assert np.all(labels == 0)
         expect = 1.0 / ((1 + 0.16) * (1 + 0.09))
         assert p == pytest.approx(expect, rel=1e-12)
 
@@ -94,11 +95,11 @@ class TestConditionalExact:
         assert abs(p - protocol.success_probability_exact(plan)[0]) <= 1e-10
 
     def test_term_cap(self):
-        # 3^8 terms: their Grams would need 5.1 GiB
-        modes = chain.normal_modes(chain.equilibrium_positions(8))
-        weights = [0.3 + 0.2j, -0.4j, 0.1, 0.2j, -0.3, 0.5, 0.1 - 0.1j, 0.2]
+        # 5^10 lags: their sums would need 1.2 GiB
+        modes = chain.normal_modes(chain.equilibrium_positions(10))
+        weights = [0.3 + 0.2j, -0.4j, 0.1, 0.2j, -0.3, 0.5, 0.1 - 0.1j, 0.2, 0.4, -0.1j]
         plan = protocol.ProtocolPlan(
-            params=params_for(8),
+            params=params_for(10),
             alpha=0j,
             cycles=(protocol.Cycle(duration=80.0, weights=weights),) * 2,
         )
@@ -171,10 +172,10 @@ class TestAgainstFockOracle:
         cutoff = 24
         psi = two_mode_conditional(np.asarray(weights), entry.betas, plan.alpha, cutoff).reshape(-1)
         psi_f = np.ones(1, dtype=complex)
-        for f in fact.factors:
+        for fc, fg in fact.expand():
             psi_f = np.kron(
                 psi_f,
-                sum(c * fock.coherent_fock(g, cutoff).amps for c, g in zip(f.coeffs, f.labels[:, 0])),
+                sum(c * fock.coherent_fock(g, cutoff).amps for c, g in zip(fc, fg)),
             )
         fid = abs(np.vdot(psi_f, psi)) ** 2 / (
             np.vdot(psi_f, psi_f).real * np.vdot(psi, psi).real
@@ -184,12 +185,11 @@ class TestAgainstFockOracle:
 
 class TestFactorized:
     def test_single_coherent_term_mean_phonon(self):
+        # one ion over one cycle with all weight on k = 1: 0.7j |0.3 + 0.4j>|-0.2j>
         ms = multimode.MultimodeSuperposition(
-            coeffs=np.array([0.7j]), labels=np.array([[0.3 + 0.4j, -0.2j]])
+            alpha=0.3 + 0.4j, betas=np.array([[0.0, -0.2j]]), amps=np.array([[0.0, 0.7j]])
         )
-        fact = multimode.FactorizedSuperposition(
-            [multimode.MultimodeSuperposition(ms.coeffs, ms.labels[:, l : l + 1]) for l in range(2)]
-        )
+        fact = multimode.FactorizedSuperposition(ms)
         ideal = protocol.LineSuperposition(alpha=0.3 + 0.4j, beta=0j, coeffs=[1.0])
         rep = multimode.leakage_report(ms, ideal, fact)
         assert rep.per_mode_mean_phonon[0] == pytest.approx(0.25, abs=1e-12)
@@ -236,6 +236,40 @@ class TestFactorizedOverlap:
         assert abs(rep.factorization_gap - tensor_product_gap(ms, fact)) <= 1e-12
 
 
+class TestAgainstGramForm:
+    @pytest.mark.parametrize("integrated", [False, True])
+    @pytest.mark.parametrize(
+        "n_ions, n_cycles",
+        [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (2, 8)],
+    )
+    def test_lag_sums_match_dense_grams(self, n_ions, n_cycles, integrated):
+        rng = np.random.default_rng(100 * n_ions + n_cycles)
+        modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
+        weights = rng.normal(0, 0.5, (n_cycles, n_ions)) + 0.5j * rng.normal(size=(n_cycles, n_ions))
+        plan = protocol.ProtocolPlan(
+            params=params_for(n_ions),
+            alpha=0.3 - 0.2j,
+            cycles=tuple(protocol.Cycle(duration=80.0, weights=w) for w in weights),
+        )
+        ms, p = multimode.run_conditional_exact(plan, modes, integrated)
+        fact = multimode.run_conditional_factorized(plan, modes, integrated)
+        entry = multimode.cycle_displacements(modes, plan.params, 80.0, integrated)
+        ideal = protocol.LineSuperposition(
+            plan.alpha, entry.betas[0, 0], protocol.forward_coeffs(plan.all_weights)
+        )
+        ref, ref_p = gram_leakage_report(ms, ideal, fact)
+        rep_analyzed, p_analyzed = multimode.analyze_plan(plan, modes, integrated)
+        rep_direct = multimode.leakage_report(ms, ideal, fact)
+        for rep, prob in ((rep_direct, p), (rep_analyzed, p_analyzed)):
+            assert abs(prob - ref_p) <= 1e-12
+            assert np.allclose(
+                rep.per_mode_mean_phonon, ref.per_mode_mean_phonon, rtol=1e-12, atol=1e-12
+            )
+            assert abs(rep.com_fidelity_vs_ideal - ref.com_fidelity_vs_ideal) <= 1e-12
+            assert abs(rep.com_purity - ref.com_purity) <= 1e-12
+            assert abs(rep.factorization_gap - ref.factorization_gap) <= 1e-12
+
+
 # Rows are cycles, columns ions.
 CYCLE_WEIGHTS = np.array([
     [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5],
@@ -263,12 +297,11 @@ class TestFactorsAgainstPerModeWalk:
         entry = multimode.cycle_displacements(modes, plan.params, 80.0, integrated)
         fact = multimode.run_conditional_factorized(plan, modes, integrated)
         reference = per_mode_walk(table, entry.betas, plan.alpha)
-        assert fact.n_modes == len(reference) == n_ions
-        for f, (rc, rg) in zip(fact.factors, reference):
-            fg = f.labels[:, 0]
-            f_nsq = product_overlap(f.coeffs, fg, f.coeffs, fg).real
+        assert len(fact.expand()) == len(reference) == n_ions
+        for (fc, fg), (rc, rg) in zip(fact.expand(), reference):
+            f_nsq = product_overlap(fc, fg, fc, fg).real
             r_nsq = product_overlap(rc, rg, rc, rg).real
-            cross = abs(product_overlap(f.coeffs, fg, rc, rg)) ** 2
+            cross = abs(product_overlap(fc, fg, rc, rg)) ** 2
             assert cross / (f_nsq * r_nsq) >= 1 - 1e-12
             assert abs(f_nsq - r_nsq) <= 1e-12 * r_nsq
 
@@ -321,8 +354,10 @@ class TestLeakageAnalysis:
     def test_mismatched_inputs_rejected(self, mode_tables):
         plan = one_cycle_plan([0.1, 0.2])
         ms, _ = multimode.run_conditional_exact(plan, mode_tables[2], False)
-        fact3 = multimode.MultimodeSuperposition(
-            coeffs=np.array([1.0 + 0j]), labels=np.zeros((1, 3), dtype=complex)
+        fact3 = multimode.FactorizedSuperposition(
+            multimode.MultimodeSuperposition(
+                alpha=0j, betas=np.zeros((1, 3), dtype=complex), amps=np.ones((1, 1))
+            )
         )
         ideal = protocol.run_ideal(plan).state
         with pytest.raises(ValueError):
