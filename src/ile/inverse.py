@@ -31,13 +31,15 @@ regularized coherent Gram matrix.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .fock import FockVector, coherent_fock, coherent_gram, inner, norm
+from .fock import FockVector, TruncationWarning, coherent_fock, coherent_gram, inner, norm
 from .protocol import LineSuperposition, forward_coeffs, success_probability_nominal
 
 __all__ = [
@@ -52,6 +54,13 @@ __all__ = [
 _ZERO_TOL = 1e-14  # entry treated as an exact zero after max-normalization
 _POLE_GUARD_TOL = 1e-9  # rejection radius around the x = 1 pole of the weight map
 _RESIDUAL_TOL = 1e-9  # largest accepted relative forward-reconstruction error
+# Memory of one solve, refused up front past the budget, in complex n x n
+# arrays alive at once (tracemalloc peaks at n = 500 and 1000): 6.1 for the
+# companion pencil, its LAPACK copies and workspace; 3.0 for fit_target's
+# (n + 1)-square Gram, its phase product and eigenvectors.
+_MEMORY_BUDGET_BYTES = 1 << 30
+_LIVE_PENCILS = 7
+_LIVE_GRAMS = 4
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,13 @@ def _projective_normalize(c: np.ndarray) -> np.ndarray:
     return c / scale
 
 
+def _check_memory(live: int, size: int, what: str) -> None:
+    need = 16 * live * int(size) ** 2
+    if need > _MEMORY_BUDGET_BYTES:
+        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
+        raise SolverError(f"{size}-square {what} needs {gib:.3g} GiB (budget 1 GiB)")
+
+
 def handle_degenerate(target: TargetCoefficients) -> DegenerateReport:
     """Strip the forced weights implied by vanishing edge coefficients.
 
@@ -154,10 +170,12 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
 
     The solved weights are sorted by (real, imag), the forced edge weights
     follow.  A root at the x = 1 pole, or a relative forward-reconstruction
-    error above 1e-9, raises :class:`SolverError`.
+    error above 1e-9, raises :class:`SolverError`, and so does a target whose
+    pencil would pass the 1 GiB memory budget, before it is built.
     """
     if target.n < 1:
         raise ValueError("need at least two coefficients (one weight to solve for)")
+    _check_memory(_LIVE_PENCILS, target.n, "companion pencil")
     normalized = _projective_normalize(np.asarray(target.coeffs, dtype=np.complex128))
 
     report = handle_degenerate(target)
@@ -179,6 +197,7 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     weights = np.concatenate([np.sort_complex((den + num) / (den - num)), report.forced])
 
     recon = forward_coeffs(weights)
+    recon = recon * 2.0 ** -math.frexp(np.abs(recon).max())[1]  # exact; keeps |recon|^2 finite
     s = np.vdot(recon, normalized) / np.vdot(recon, recon)
     residual = float(np.linalg.norm(s * recon - normalized) / np.linalg.norm(normalized))
     if not residual <= _RESIDUAL_TOL:
@@ -199,7 +218,9 @@ def fit_target(
 
     Returns the coefficients and the achieved fidelity, which is invariant
     under global phase and scale of the target and never decreases when the
-    grid is enlarged from n to n + 2 (the component set then nests).
+    grid is enlarged from n to n + 2 (the component set then nests).  A grid
+    whose arrays would pass the 1 GiB memory budget raises
+    :class:`SolverError` before any is built.
     """
     if int(n) != n or n < 0:
         raise ValueError("n must be a non-negative integer")
@@ -210,6 +231,7 @@ def fit_target(
     tn = norm(target)
     if tn == 0.0:
         raise ValueError("target must be nonzero")
+    _check_memory(_LIVE_GRAMS, n + 1, "component Gram")
 
     grid = LineSuperposition(alpha, beta, np.ones(n + 1))
     labels = grid.labels()
@@ -220,13 +242,17 @@ def fit_target(
     if not np.all(np.isfinite(gram)):
         raise SolverError("component Gram matrix is not finite; the grid lies past float range")
     gram *= np.conj(phases)[:, None] * phases[None, :]
-    v = np.array(
-        [
-            np.conj(ph) * inner(coherent_fock(g, target.cutoff), target)
-            for ph, g in zip(phases, labels)
-        ],
-        dtype=np.complex128,
-    )
+    with warnings.catch_warnings():
+        # A far component's truncated state still gives the exact overlap:
+        # the target has no amplitude above its cutoff.
+        warnings.simplefilter("ignore", TruncationWarning)
+        v = np.array(
+            [
+                np.conj(ph) * inner(coherent_fock(g, target.cutoff), target)
+                for ph, g in zip(phases, labels)
+            ],
+            dtype=np.complex128,
+        )
 
     evals, evecs = np.linalg.eigh(gram)
     top = evals[-1]

@@ -97,6 +97,13 @@ class TestPlanCommand:
         assert run(["plan", "--input", target]) == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_oversized_target_exits_3(self, tmp_path):
+        # a 20,000-square companion pencil; refused before it is allocated
+        target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0]] * 20001})
+        out = tmp_path / "sol.json"
+        assert run_capped(["plan", "--input", target, "--output", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_single_ion_single_cycle(self, tmp_path):
@@ -362,6 +369,27 @@ class TestFitCommand:
         ]) == 0
         assert json.loads(out.read_text())["fidelity"] >= 1 - 1e-10
 
+    def test_far_grid_leaves_stderr_empty(self, tmp_path, capsys):
+        target = fock.coherent_fock(0.5 + 0.2j, 8)
+        path = write_json(tmp_path / "t.json", target.to_json())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--input", path, "--n", "8", "--beta", "0.6"]) == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        coeffs, fidelity = inverse.fit_target(target, 8, 0j, 0.6)
+        doc = json.loads(got.out)
+        assert doc["coeffs"] == cli._pairs(coeffs.coeffs)
+        assert doc["fidelity"] == fidelity
+
+    def test_oversized_grid_exits_3(self, tmp_path):
+        # a 20,001-square component Gram; refused before it is allocated
+        path = write_json(tmp_path / "t.json", fock.coherent_fock(0.3, 8).to_json())
+        out = tmp_path / "f.json"
+        argv = ["fit", "--input", path, "--output", str(out), "--n", "20000", "--beta", "0.5"]
+        assert run_capped(argv) == 3
+        assert not out.exists()
+
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
             raise MemoryError("Unable to allocate 298. GiB")
@@ -376,6 +404,18 @@ class TestFitCommand:
 
 
 class TestValidateCommand:
+    @pytest.mark.parametrize("t", ["20", "1e-300"])
+    def test_exact_resonance_is_healthy(self, tmp_path, t):
+        # at delta = 1 the one-ion midpoint step is exact: the step-halving
+        # probe sees rounding noise only, which is no integrator failure
+        out = tmp_path / "v.json"
+        assert run([
+            "validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1", "--t", t,
+            "--output", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+        assert doc["step_halving_ratio"] == 4.0
+
     def test_report_fields(self, tmp_path):
         out = tmp_path / "v.json"
         assert run([

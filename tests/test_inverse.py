@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,6 +151,17 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             inverse.solve_weights(inverse.TargetCoefficients([1.0]))
 
+    def test_large_reconstruction_keeps_a_finite_residual(self):
+        # The solved weights' forward coefficients are finite but the sum of
+        # their squares overflows; the residual must still be a number, with
+        # no RuntimeWarning on the way.
+        rng = np.random.default_rng(501)
+        target = inverse.TargetCoefficients(rng.normal(size=501) + 1j * rng.normal(size=501))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"residual 9\.998e-01"):
+                inverse.solve_weights(target)
+
     def test_imaginary_weights_from_unit_circle_roots(self):
         # roots on the unit circle map to purely imaginary weights
         sols = inverse.solve_weights(inverse.TargetCoefficients([1.0, -2.0 * np.cos(0.7), 1.0]))
@@ -203,3 +216,47 @@ class TestFitTarget:
         target = fock.coherent_fock(0.1, 48)
         _, fid = inverse.fit_target(target, 6, 0j, 0.05)
         assert 0.9 <= fid <= 1.0
+
+    def test_far_grid_is_silent_and_exact(self):
+        # Components past sqrt(cutoff / 2) raise no TruncationWarning here:
+        # their overlaps with the target are exact, since the target has no
+        # amplitude above its cutoff.  Padding the target with zeros, so that
+        # no component is past it, gives the same fit.
+        target = fock.coherent_fock(0.5 + 0.2j, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, fid = inverse.fit_target(target, 8, 0j, 0.6)  # grid out to |4.8|
+        padded = fock.FockVector(np.concatenate([target.amps, np.zeros(120)]))
+        ref, ref_fid = inverse.fit_target(padded, 8, 0j, 0.6)
+        assert fid == pytest.approx(ref_fid, abs=1e-14)
+        np.testing.assert_allclose(coeffs.coeffs, ref.coeffs, rtol=0, atol=1e-14)
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _stop(*args, **kwargs):
+    raise _Admitted
+
+
+class TestMemoryBudget:
+    """Solves whose arrays would pass 1 GiB are refused before the large
+    allocation; one size less is admitted."""
+
+    @pytest.mark.parametrize("n, admitted", [(4095, True), (4096, False)])
+    def test_fit_refused_before_the_gram(self, monkeypatch, n, admitted):
+        monkeypatch.setattr(inverse, "coherent_gram", _stop)
+        refused = pytest.raises(SolverError, match="needs 1 GiB")
+        with pytest.raises(_Admitted) if admitted else refused:
+            inverse.fit_target(fock.coherent_fock(0.3, 8), n, 0j, 0.5)
+
+    @pytest.mark.parametrize("n, admitted", [(3096, True), (3097, False)])
+    def test_plan_refused_before_the_pencil(self, monkeypatch, n, admitted):
+        monkeypatch.setattr(inverse.scipy.linalg, "eigvals", _stop)
+        # Every weight of this target is forced, so an admitted call reaches
+        # the eigen-solve with an empty pencil and allocates nothing large.
+        target = inverse.TargetCoefficients([1.0, 1.0] + [0.0] * (n - 1))
+        refused = pytest.raises(SolverError, match="needs 1 GiB")
+        with pytest.raises(_Admitted) if admitted else refused:
+            inverse.solve_weights(target)

@@ -91,6 +91,19 @@ def test_non_finite_weights_refused(mode_tables):
             multimode.trotter_validate(params, mode_tables[1], 100.0, cfg, weights=[bad])
 
 
+@pytest.mark.parametrize("cutoff", [8, 16, 40])
+@pytest.mark.parametrize("steps", [10, 40, 160])
+def test_exact_step_at_resonance_is_healthy(mode_tables, cutoff, steps):
+    """At delta = 1 one ion's Hamiltonian is constant, so the midpoint rule is
+    exact and both deviations are rounding noise (1-4 eps per step, just
+    above 1e-13 at 40 base steps): no ratio is taken from them."""
+    params = protocol.PhysicalParams(eta=0.05, omega=0.01, delta=1.0, n_ions=1)
+    cfg = multimode.TrotterConfig(cutoff=cutoff, steps=steps)
+    rep = multimode.trotter_validate(params, mode_tables[1], 20.0, cfg)
+    assert rep.step_halving_ratio == 4.0
+    assert rep.fidelity_integrated >= 1 - 1e-9
+
+
 class _Admitted(Exception):
     pass
 
@@ -123,6 +136,13 @@ _ORACLE_CASES = [
     (2, 0.08, 0.01, 0.98, 50.0, 8, 12, [0.5, -0.5j], 0.4 - 0.1j, True),
     (2, 0.05, 0.05, 0.99, 20.0, 8, 10, None, 0j, True),
     (2, 0.05, 0.005, 0.99, 100.0, 8, 10, None, 0.2j, False),
+    # the benchmark's shapes: its largest two-ion full-terms run, and both
+    # ends of its detuning ranges (one ion near resonance, two ions at 0.6)
+    (2, 0.05, 0.02, 0.8, 6.0, 14, 30, [0.4 + 0.2j, -0.3j], 0.2 - 0.1j, True),
+    (1, 0.05, 0.0005, 0.999, 1000.0, 12, 20, [0.5], 0j, True),
+    (1, 0.05, 0.0005, 0.999, 1000.0, 12, 20, [0.5 - 0.5j], 0.1j, False),
+    (2, 0.05, 0.03, 0.6, 3.0, 10, 20, [0.2, 0.3 + 0.3j], 0j, False),
+    (2, 0.05, 0.03, 0.6, 3.0, 10, 20, None, 0.3, True),
 ]
 
 
