@@ -23,6 +23,8 @@ __all__ = [
     "DisplacementMatrix",
     "recommended_cutoff",
     "coherent_fock",
+    "coherent_table",
+    "coherent_rows",
     "displacement_matrix",
     "apply_displacement",
     "coherent_overlap",
@@ -33,6 +35,10 @@ __all__ = [
     "norm",
     "fidelity_pure",
 ]
+
+
+# Amplitudes per block of ``coherent_rows``; two blocks make 2^20.
+_ROW_BLOCK = 1 << 19
 
 
 class TruncationWarning(UserWarning):
@@ -150,8 +156,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     # complex-by-real division computes, so the amplitudes equal bitwise
     # those of amps[n] = amps[n - 1] * alpha / np.sqrt(n) on a complex array
     # (up to the sign of a part that is exactly zero).
-    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
-    a = complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
+    a = _coherent_seed(mag)
     amps = [a]
     for n in range(1, cutoff + 1):
         a = a * alpha
@@ -159,6 +164,68 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
         a = complex(a.real * s, a.imag * s)
         amps.append(a)
     return FockVector(np.array(amps, dtype=np.complex128))
+
+
+def _coherent_seed(mag: float) -> complex:
+    """Vacuum amplitude exp(-|alpha|^2 / 2) of a coherent state of modulus ``mag``."""
+    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
+    return complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
+
+
+def coherent_table(labels, cutoff: int) -> np.ndarray:
+    """Coherent states |labels[j]> truncated at ``cutoff`` phonons, one per
+    row of a (len(labels), cutoff + 1) array.
+
+    Row j equals ``coherent_fock(labels[j], cutoff).amps`` bitwise, signs of
+    zero included: the same ratio recurrence runs down the levels for all
+    rows at once, on separate real and imaginary parts, as
+    re gr - im gi and im gr + re gi, each then times 1/sqrt(n), from the
+    same per-row seed exp(-|g|^2/2).  (A complex-array multiply is not
+    bitwise equal to the scalar product.)  Unlike :func:`coherent_fock` it
+    issues no :class:`TruncationWarning`; a caller whose labels may crowd
+    the cutoff checks the tail weight of what it builds.
+    """
+    labels = np.asarray(labels, dtype=np.complex128)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence")
+    if not np.all(np.isfinite(labels)):
+        raise ValueError("labels must be finite")
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    rows = labels.size
+    table = np.empty((rows, cutoff + 1, 2))  # (re, im) of row j at level n
+    # z holds (re, im, re) of the current level, so that its first 2 rows
+    # entries are the parts and its last 2 rows the swapped parts, both
+    # contiguous: the next level is parts (gr, gr) + swapped (-gi, gi).
+    z = np.zeros(3 * rows)
+    z[:rows] = [_coherent_seed(abs(g)).real for g in labels.tolist()]
+    z[2 * rows :] = z[:rows]
+    parts, swapped, head, tail = z[: 2 * rows], z[rows:], z[:rows], z[2 * rows :]
+    by_parts = np.concatenate([labels.real, labels.real])
+    by_swapped = np.concatenate([-labels.imag, labels.imag])
+    left = np.empty(2 * rows)
+    right = np.empty(2 * rows)
+    level = parts.reshape(2, rows).T
+    table[:, 0] = level
+    for n in range(1, cutoff + 1):
+        np.multiply(parts, by_parts, out=left)
+        np.multiply(swapped, by_swapped, out=right)
+        np.add(left, right, out=parts)
+        parts *= 1.0 / math.sqrt(n)
+        tail[:] = head
+        table[:, n] = level
+    return table.view(np.complex128).reshape(rows, cutoff + 1)
+
+
+def coherent_rows(labels, cutoff: int):
+    """The rows of ``coherent_table(labels, cutoff)`` in order, built in
+    blocks of at most ``_ROW_BLOCK`` amplitudes: a caller holding the last
+    row of one block while the next is built keeps two blocks alive at most,
+    however long the grid and large the cutoff."""
+    labels = np.asarray(labels, dtype=np.complex128)
+    step = max(1, _ROW_BLOCK // (cutoff + 1))
+    for start in range(0, labels.size, step):
+        yield from coherent_table(labels[start : start + step], cutoff)
 
 
 def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:

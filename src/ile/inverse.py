@@ -32,14 +32,13 @@ regularized coherent Gram matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .fock import FockVector, TruncationWarning, coherent_fock, coherent_gram, inner, norm
+from .fock import FockVector, coherent_gram, coherent_rows, norm
 from .protocol import LineSuperposition, forward_coeffs, success_probability_nominal
 
 __all__ = [
@@ -205,6 +204,21 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     return [WeightSolution(weights, success_probability_nominal(weights), residual)]
 
 
+def _component_overlaps(target: FockVector, labels, phases) -> np.ndarray:
+    """<phases[k] |labels[k]> | target> for every grid component k, each the
+    dot product of one row of :func:`ile.fock.coherent_rows` with the target
+    (bitwise that of the component's ``coherent_fock``).  A far component's
+    truncated state still gives the exact overlap: the target has no
+    amplitude above its cutoff."""
+    return np.array(
+        [
+            np.conj(ph) * complex(np.vdot(row, target.amps))
+            for ph, row in zip(phases, coherent_rows(labels, target.cutoff))
+        ],
+        dtype=np.complex128,
+    )
+
+
 def fit_target(
     target: FockVector, n: int, alpha: complex, beta: complex
 ) -> tuple[TargetCoefficients, float]:
@@ -242,17 +256,7 @@ def fit_target(
     if not np.all(np.isfinite(gram)):
         raise SolverError("component Gram matrix is not finite; the grid lies past float range")
     gram *= np.conj(phases)[:, None] * phases[None, :]
-    with warnings.catch_warnings():
-        # A far component's truncated state still gives the exact overlap:
-        # the target has no amplitude above its cutoff.
-        warnings.simplefilter("ignore", TruncationWarning)
-        v = np.array(
-            [
-                np.conj(ph) * inner(coherent_fock(g, target.cutoff), target)
-                for ph, g in zip(phases, labels)
-            ],
-            dtype=np.complex128,
-        )
+    v = _component_overlaps(target, labels, phases)
 
     evals, evecs = np.linalg.eigh(gram)
     top = evals[-1]

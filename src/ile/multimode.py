@@ -626,5 +626,5 @@ def trotter_validate(
         fidelity_endpoint=fid_end,
         step_halving_ratio=ratio,
         fast_terms_effect=effect,
-        conditional_weight=cond_nsq,
+        conditional_weight=min(cond_nsq, 1.0),  # a probability; rounding can pass 1
     )

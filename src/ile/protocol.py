@@ -29,6 +29,7 @@ computations apply; the stored C^k themselves stay phase-free.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .errors import SolverError
 from .fock import (
     FockVector,
     TruncationWarning,
-    coherent_fock,
+    coherent_rows,
     displacement_phase,
     fidelity_pure,
     line_overlaps,
@@ -67,6 +68,7 @@ __all__ = [
 # summed terms reach ||c||_1^2, and rounding then leaves the norm fewer than
 # about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
+_LN2 = math.log(2.0)
 
 
 class RegimeWarning(UserWarning):
@@ -241,10 +243,14 @@ class LineSuperposition:
         autocorrelation of the phase-free coefficients: O(n^2) products and
         2n + 1 exponentials.  A sum cancelled past float precision raises
         :class:`SolverError`."""
-        c = self.coeffs
-        lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
-        nsq = float(np.real(lags @ line_overlaps(self.alpha, 2.0 * self.beta, self.n)))
-        return checked_norm_sq(nsq, c)
+        return _lag_norm_sq(self.coeffs, line_overlaps(self.alpha, 2.0 * self.beta, self.n))
+
+
+def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:
+    """Squared norm of a line with phase-free coefficients ``c`` and lag
+    overlaps ``overlaps`` (lags -n..n), gated by :func:`checked_norm_sq`."""
+    lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
+    return checked_norm_sq(float(np.real(lags @ overlaps)), c)
 
 
 def checked_norm_sq(nsq: float, *factors) -> float:
@@ -287,16 +293,31 @@ def forward_coeffs(weights) -> np.ndarray:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    c = np.array([1.0 + 0.0j])
+    c = _slot_steps(np.array([1.0 + 0.0j]), w)
+    if not np.all(np.isfinite(c)):
+        raise SolverError(f"line coefficients overflow at {w.size} slots")
+    return c
+
+
+def _slot_steps(c: np.ndarray, weights) -> np.ndarray:
+    """The recurrence of :func:`forward_coeffs`, one step per weight, applied
+    to the coefficients ``c`` of a prefix of the slots.  Scaling ``c`` by a
+    power of two scales the result by the same power, bitwise, while no
+    value is subnormal or past the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in w:
+        for p in weights:
             nxt = np.zeros(c.size + 1, dtype=np.complex128)
             nxt[:-1] += (1 + p) * c
             nxt[1:] += (1 - p) * c
             c = nxt
-    if not np.all(np.isfinite(c)):
-        raise SolverError(f"line coefficients overflow at {w.size} slots")
     return c
+
+
+def _ldexp(c: np.ndarray, e: int) -> np.ndarray:
+    """c * 2**e on the real and imaginary parts separately: exact, signs of
+    zero kept, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(c.view(np.float64), e).view(np.complex128)
 
 
 def success_probability_nominal(weights) -> float:
@@ -321,37 +342,68 @@ def log_slot_nominal(weights) -> np.ndarray:
     return np.log(0.25) - 2.0 * np.log(np.hypot(1.0, np.abs(weights)))
 
 
+def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
+    """One pass of the slot recurrence over the whole plan.
+
+    Returns (c, e, per_cycle): the line coefficients are c * 2**e, and
+    per_cycle[j] is cycle j's post-selection probability, read off the
+    prefix of the recurrence that ends with that cycle.  The prefix is
+    carried divided by an exact power of two, its largest modulus in
+    [0.5, 1) at every cycle boundary, so it neither over- nor underflows
+    and c * 2**e equals :func:`forward_coeffs` of all weights bitwise while
+    that is finite and no coefficient is subnormal.
+
+    With the prefix after cycle j equal to c_j 2**e_j, its state has squared
+    norm 4**e_j N_j, N_j the lag sum of the normalized c_j, and
+
+        per_cycle[j] = aleph_j^2 4**(e_j - e_{j-1}) N_j / N_{j-1},
+
+    aleph_j^2 the product of the cycle's slot factors 1/(4 (1 + |p|^2)).  Its
+    log is summed from quantities of order one per cycle (the log of aleph_j^2,
+    the exponent step times log 2 and the logs of N_j and N_{j-1}), never
+    from running totals that grow with the plan and cancel.
+    """
+    weights = plan.all_weights
+    n = weights.size
+    # lag overlaps of the whole line; the prefix of m slots reads the middle 2m + 1
+    overlaps = line_overlaps(plan.alpha, 2.0 * beta_of(plan.params, plan.cycles[0].duration), n)
+    by_cycle = weights.reshape(len(plan.cycles), -1)
+    c = np.array([1.0 + 0.0j])
+    exp2 = 0
+    log_prev = 0.0
+    per_cycle = np.empty(len(plan.cycles))
+    for j, (w, log_a) in enumerate(zip(by_cycle, log_slot_nominal(by_cycle).sum(axis=1))):
+        c = _slot_steps(c, w)
+        if not np.all(np.isfinite(c)):
+            raise SolverError(f"line coefficients overflow at {n} slots")
+        step = math.frexp(float(np.max(np.abs(c))))[1]
+        c = _ldexp(c, -step)
+        exp2 += step
+        m = c.size - 1
+        log_cur = math.log(_lag_norm_sq(c, overlaps[n - m : n + m + 1]))
+        # exp(min(x, 0)) = min(exp(x), 1), a NaN stays NaN
+        per_cycle[j] = math.exp(min(log_a + 2.0 * step * _LN2 + log_cur - log_prev, 0.0))
+        log_prev = log_cur
+    return c, exp2, per_cycle
+
+
 def success_probability_exact(plan: ProtocolPlan) -> tuple[float, np.ndarray]:
     """True probability of the all-no-fluorescence record, cycle by cycle.
 
     Each cycle applies the conditional operator
     prod_i [(1 - p_i) D(beta) + (1 + p_i) D(-beta)] / (2 sqrt(1 + |p_i|^2));
-    the cycle's probability is the squared-norm ratio before/after, each
-    norm a sum over lags (``LineSuperposition.norm_sq``).  Coinciding
-    components (beta = 0) reduce to the scalar case automatically since the
-    lag overlaps are then all ones.
-
-    The coefficients are rescaled to unit maximum modulus every cycle and
-    log(aleph^2 scale^2) is carried, so long plans neither under- nor overflow.
+    the cycle's probability is the squared-norm ratio after/before, each
+    norm a sum over lags (``LineSuperposition.norm_sq``) of a prefix of the
+    one coefficient recurrence.  Coinciding components (beta = 0) reduce to
+    the scalar case automatically since the lag overlaps are then all ones.
+    The prefixes are carried scaled by powers of two, so long plans neither
+    under- nor overflow, past the slot count where the coefficients
+    themselves leave the float range too.
 
     Returns (total, per-cycle array); the total is the product of the
     per-cycle values.
     """
-    beta = beta_of(plan.params, plan.cycles[0].duration)
-    log_aleph_sq = log_slot_nominal(plan.all_weights).reshape(len(plan.cycles), -1).sum(axis=1)
-    coeffs = np.array([1.0 + 0.0j])
-    log_weight = 0.0
-    prev = 0.0
-    per_cycle = []
-    for cyc, log_a in zip(plan.cycles, log_aleph_sq):
-        coeffs = np.convolve(coeffs, forward_coeffs(cyc.weights))
-        scale = np.max(np.abs(coeffs))
-        coeffs = coeffs / scale
-        log_weight += 2.0 * np.log(scale) + log_a
-        cur = log_weight + np.log(LineSuperposition(plan.alpha, beta, coeffs).norm_sq())
-        per_cycle.append(min(float(np.exp(cur - prev)), 1.0))  # a NaN stays NaN
-        prev = cur
-    per_cycle = np.array(per_cycle)
+    per_cycle = _line_pass(plan)[2]
     return float(np.prod(per_cycle)), per_cycle
 
 
@@ -361,21 +413,23 @@ def run_ideal(plan: ProtocolPlan) -> ProtocolResult:
     The weights of all cycles concatenate into one sequence of length
     n = (ions) x (cycles); a plan with one ion and 2m cycles therefore
     produces exactly the same coefficients as two ions and m cycles carrying
-    the same sequence.  Coefficients past the float range raise
-    :class:`SolverError` (see :func:`forward_coeffs`).
+    the same sequence.  One pass of the recurrence gives the coefficients
+    (those of :func:`forward_coeffs`) and, at each cycle boundary, that
+    cycle's ``p_exact`` (see :func:`success_probability_exact`).
+    Coefficients past the float range raise :class:`SolverError`.
     """
-    weights = plan.all_weights
-    coeffs = forward_coeffs(weights)
-    state = LineSuperposition(
-        alpha=plan.alpha,
-        beta=beta_of(plan.params, plan.cycles[0].duration),
-        coeffs=coeffs,
-    )
-    p_exact, per_cycle = success_probability_exact(plan)
+    c, exp2, per_cycle = _line_pass(plan)
+    coeffs = _ldexp(c, exp2)
+    if not np.all(np.isfinite(coeffs)):
+        raise SolverError(f"line coefficients overflow at {c.size - 1} slots")
     return ProtocolResult(
-        state=state,
-        p_nominal=success_probability_nominal(weights),
-        p_exact=p_exact,
+        state=LineSuperposition(
+            alpha=plan.alpha,
+            beta=beta_of(plan.params, plan.cycles[0].duration),
+            coeffs=coeffs,
+        ),
+        p_nominal=success_probability_nominal(plan.all_weights),
+        p_exact=float(np.prod(per_cycle)),
         per_cycle_p_exact=per_cycle,
     )
 
@@ -383,17 +437,17 @@ def run_ideal(plan: ProtocolPlan) -> ProtocolResult:
 def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     """Expand the line superposition on the truncated number basis.
 
-    Each component enters as phased_coeffs()[k] |labels()[k]>.  If the
+    Each component enters as phased_coeffs()[k] |labels()[k]>, its number
+    amplitudes a row of :func:`ile.fock.coherent_rows` (bitwise those of
+    :func:`ile.fock.coherent_fock`), added in the order of k.  If the
     resulting tail weight is not negligible against the norm, a
     TruncationWarning reports it; pick the cutoff with
     :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.
     """
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for c, g in zip(state.phased_coeffs(), state.labels()):
-            if c != 0:
-                amps += c * coherent_fock(g, cutoff).amps
+    for c, row in zip(state.phased_coeffs(), coherent_rows(state.labels(), cutoff)):
+        if c != 0:
+            amps += c * row
     out = FockVector(amps)
     nsq = float(np.real(np.vdot(amps, amps)))
     if out.tail_weight > 1e-8 * max(nsq, 1e-300):

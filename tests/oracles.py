@@ -7,6 +7,8 @@ code paths it is used to certify.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
@@ -16,7 +18,7 @@ from ile.chain import ModeTable, lamb_dicke
 from ile.errors import IntegratorError
 from ile.fock import coherent_fock
 from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, run_conditional_exact
-from ile.protocol import Cycle, PhysicalParams, ProtocolPlan, checked_norm_sq
+from ile.protocol import Cycle, PhysicalParams, ProtocolPlan, beta_of, checked_norm_sq
 
 
 def conditional_operator(p: complex, d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
@@ -34,6 +36,75 @@ def coherent_fock_array(alpha: complex, cutoff: int) -> np.ndarray:
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     return amps
+
+
+def line_fock_per_component(state, cutoff: int) -> np.ndarray:
+    """Number amplitudes of a line superposition, one ``coherent_fock`` per
+    component: the loop ``protocol.to_fock`` must reproduce bitwise."""
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for c, g in zip(state.phased_coeffs(), state.labels()):
+            if c != 0:
+                amps += c * coherent_fock(g, cutoff).amps
+    return amps
+
+
+def fit_overlaps_per_component(target, labels, phases) -> np.ndarray:
+    """Overlaps of the phased grid components with the target, one
+    ``coherent_fock`` per component: the loop ``inverse.fit_target`` must
+    reproduce bitwise."""
+    with warnings.catch_warnings():
+        # A far component's truncated state still gives the exact overlap:
+        # the target has no amplitude above its cutoff.
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        v = np.array(
+            [
+                np.conj(ph) * fock.inner(coherent_fock(g, target.cutoff), target)
+                for ph, g in zip(phases, labels)
+            ],
+            dtype=np.complex128,
+        )
+    return v
+
+
+def dyadic_p_exact(plan, dps: int = 50) -> float:
+    """``p_exact`` of a plan whose weights have dyadic real and imaginary
+    parts: the line coefficients in exact Gaussian-integer arithmetic (scaled
+    by a power of two), the lag sum against <alpha|D(2 d beta)|alpha> at
+    ``dps`` digits.  The total telescopes to aleph^2 ||psi_n||^2, so no
+    per-cycle norm is needed."""
+    import mpmath
+
+    w = plan.all_weights.tolist()
+    scale = max(max(x.as_integer_ratio()[1] for x in (p.real, p.imag)) for p in w)
+    re = np.array([1], dtype=object)
+    im = np.array([0], dtype=object)
+    num, den = 1, 1
+    for p in w:
+        a, b = int(p.real * scale), int(p.imag * scale)
+        assert complex(a, b) / scale == p, "weights must be dyadic"
+        nre = np.zeros(re.size + 1, dtype=object)
+        nim = np.zeros(re.size + 1, dtype=object)
+        nre[:-1] += (scale + a) * re - b * im
+        nim[:-1] += (scale + a) * im + b * re
+        nre[1:] += (scale - a) * re + b * im
+        nim[1:] += (scale - a) * im - b * re
+        re, im = nre, nim
+        num *= scale * scale
+        den *= 4 * (scale * scale + a * a + b * b)
+    n = re.size - 1
+    # lag_re + i lag_im at n + d: sum_k conj(c[k]) c[k + d]
+    lag_re = np.convolve(re[::-1], re) + np.convolve(im[::-1], im)
+    lag_im = np.convolve(re[::-1], im) - np.convolve(im[::-1], re)
+    with mpmath.workdps(dps):
+        step = 2 * mpmath.mpc(beta_of(plan.params, plan.cycles[0].duration))
+        h = (mpmath.conj(mpmath.mpc(plan.alpha)) * step).imag
+        total = mpmath.fsum(
+            (mpmath.mpc(x, y) * mpmath.exp(-(d * d) * abs(step) ** 2 / 2 + 2j * d * h)).real
+            for d, x, y in zip(range(-n, n + 1), lag_re, lag_im)
+        )
+        return float(total * num / den / mpmath.mpf(scale) ** (2 * n))
 
 
 def single_mode_conditional(weights, beta: complex, alpha: complex, cutoff: int) -> np.ndarray:

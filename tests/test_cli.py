@@ -416,6 +416,17 @@ class TestValidateCommand:
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
         assert doc["step_halving_ratio"] == 4.0
 
+    def test_conditional_weight_is_a_probability(self, tmp_path):
+        # an identity evolution at t = 1e-300 leaves rounding noise that
+        # summed to 1 + 2.3e-13 before the weight was clipped
+        out = tmp_path / "v.json"
+        assert run([
+            "validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1", "--t", "1e-300",
+            "--output", str(out),
+        ]) == 0
+        weight = json.loads(out.read_text())["conditional_weight"]
+        assert 1 - 1e-12 <= weight <= 1.0
+
     def test_report_fields(self, tmp_path):
         out = tmp_path / "v.json"
         assert run([

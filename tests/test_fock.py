@@ -46,8 +46,55 @@ def test_coherent_fock_bitwise_matches_array_recurrence(rng):
         warnings.simplefilter("ignore", fock.TruncationWarning)
         for alpha in amplitudes:
             for cutoff in (1, 2, int(rng.integers(3, 80)), 80):
-                got = fock.coherent_fock(alpha, cutoff).amps
-                assert np.array_equal(got, oracles.coherent_fock_array(alpha, cutoff))
+                want = oracles.coherent_fock_array(alpha, cutoff)
+                assert np.array_equal(fock.coherent_fock(alpha, cutoff).amps, want)
+                assert np.array_equal(fock.coherent_table([alpha], cutoff)[0], want)
+        table = fock.coherent_table(amplitudes, 80)
+        for alpha, row in zip(amplitudes, table):
+            assert np.array_equal(row, oracles.coherent_fock_array(alpha, 80))
+
+
+def _grid_labels(rng, size):
+    """Random labels: zero, signed-zero parts, components far past
+    sqrt(cutoff / 2), and moduli past 1e150 where every amplitude is 0."""
+    labels = rng.uniform(0, 9, size) * np.exp(2j * np.pi * rng.random(size))
+    labels[: size // 8] = 0j
+    labels[size // 8 : size // 4] = [complex(-0.0, y) for y in rng.uniform(-3, 3, size // 4 - size // 8)]
+    labels[size // 4 : size // 4 + 3] = [complex(0.0, -0.0), 1e160, -2e200j]
+    return rng.permutation(labels)
+
+
+def test_coherent_table_rows_are_coherent_fock_bitwise(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for trial in range(30):
+            labels = _grid_labels(rng, int(rng.integers(8, 70)))
+            cutoff = int(rng.integers(1, 90))
+            table = fock.coherent_table(labels, cutoff)
+            assert table.shape == (labels.size, cutoff + 1)
+            for g, row in zip(labels, table):
+                # tobytes: signs of zero count too
+                assert row.tobytes() == fock.coherent_fock(g, cutoff).amps.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 1, 100])
+def test_coherent_rows_match_the_table_across_blocks(rng, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(fock, "_ROW_BLOCK", block)
+    labels = _grid_labels(rng, 41)
+    for cutoff in (1, 9, 30):
+        rows = np.array(list(fock.coherent_rows(labels, cutoff)))
+        assert rows.tobytes() == fock.coherent_table(labels, cutoff).tobytes()
+
+
+def test_coherent_table_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="finite"):
+        fock.coherent_table([0.5, complex(np.inf, 0)], 4)
+    with pytest.raises(ValueError, match="cutoff"):
+        fock.coherent_table([0.5], 0)
+    with pytest.raises(ValueError, match="1-D"):
+        fock.coherent_table([[0.5]], 4)
+    assert fock.coherent_table([], 4).shape == (0, 5)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ile import fock, inverse, protocol
 from ile.errors import SolverError
 from conftest import complexes
-from oracles import polynomial_all_roots_weights
+from oracles import fit_overlaps_per_component, polynomial_all_roots_weights
 
 
 def coeff_arrays(n_min=1, n_max=6):
@@ -230,6 +230,35 @@ class TestFitTarget:
         ref, ref_fid = inverse.fit_target(padded, 8, 0j, 0.6)
         assert fid == pytest.approx(ref_fid, abs=1e-14)
         np.testing.assert_allclose(coeffs.coeffs, ref.coeffs, rtol=0, atol=1e-14)
+
+
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_component_overlaps_match_per_component_oracle(self, rng, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(fock, "_ROW_BLOCK", block)
+        for trial in range(25):
+            n = int(rng.integers(0, 65))
+            cutoff = int(rng.integers(1, 61))
+            amps = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+            amps[rng.random(cutoff + 1) < 0.3] = 0.0
+            target = fock.FockVector(amps)
+            # most grids reach past sqrt(cutoff / 2)
+            grid = protocol.LineSuperposition(
+                complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.4, 2)), np.ones(n + 1)
+            )
+            labels, phases = grid.labels(), grid.phased_coeffs()
+            got = inverse._component_overlaps(target, labels, phases)
+            want = fit_overlaps_per_component(target, labels, phases)
+            assert got.tobytes() == want.tobytes()
+
+    def test_grid_of_several_row_blocks_matches_oracle(self, rng):
+        # 700 components x 801 levels: two blocks of 654 rows at most
+        target = fock.FockVector(rng.normal(size=801) + 1j * rng.normal(size=801))
+        grid = protocol.LineSuperposition(0.3, 0.03 - 0.01j, np.ones(700))
+        assert grid.coeffs.size * (target.cutoff + 1) > fock._ROW_BLOCK
+        labels, phases = grid.labels(), grid.phased_coeffs()
+        got = inverse._component_overlaps(target, labels, phases)
+        assert got.tobytes() == fit_overlaps_per_component(target, labels, phases).tobytes()
 
 
 class _Admitted(Exception):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ile import fock, protocol
 from ile.errors import SolverError
 from conftest import complexes
-from oracles import single_mode_conditional
+from oracles import dyadic_p_exact, line_fock_per_component, single_mode_conditional
 
 
 def make_plan(weights_per_cycle, eta=0.1, omega=0.02, delta=0.99, t=100.0, alpha=0j):
@@ -221,6 +221,27 @@ class TestExactProbability:
         assert np.isfinite(p_exact) and 0 < p_exact <= 1
         assert p_exact == pytest.approx(np.prod(per_cycle), rel=1e-12)
 
+    def test_single_pass_runs_past_the_coefficient_overflow(self):
+        # 1,100 slots at p = 0: the coefficients (binomials up to ~2^1096)
+        # leave the float range, the per-cycle prefixes carried by a power of
+        # two do not; the value is that of the per-cycle rebuild of the line
+        plan = make_plan(
+            [[0.0]] * 1100, eta=0.05, omega=0.01, delta=0.99, t=80.0, alpha=0.3 + 0.1j
+        )
+        p_exact, per_cycle = protocol.success_probability_exact(plan)
+        assert p_exact == pytest.approx(0.41598863585834184, rel=1e-12, abs=0)
+        assert per_cycle.shape == (1100,)
+        with pytest.raises(SolverError, match="^line coefficients overflow at 1100 slots$"):
+            protocol.run_ideal(plan)
+
+    def test_fifty_digit_lag_sum(self):
+        # 300 cycles of one ion, dyadic weights: the reference line is exact
+        rng = np.random.default_rng(7)
+        weights = (rng.integers(-3, 4, (300, 1)) + 1j * rng.integers(-3, 4, (300, 1))) / 4
+        plan = make_plan(list(weights), eta=0.05, omega=0.01, delta=0.99, t=80.0, alpha=0.3 + 0.1j)
+        want = dyadic_p_exact(plan)
+        assert abs(protocol.run_ideal(plan).p_exact - want) <= 1e-13 * want
+
     @pytest.mark.parametrize("n_ions, n_cycles", [(1, 40), (2, 100), (5, 8), (10, 20), (20, 10)])
     def test_rescaled_per_cycle_matches_dense_formula(self, rng, n_ions, n_cycles):
         weights = rng.uniform(-1, 1, (n_cycles, n_ions)) + 1j * rng.uniform(-1, 1, (n_cycles, n_ions))
@@ -262,6 +283,16 @@ class TestRunIdeal:
         res = protocol.run_ideal(plan)
         assert np.max(np.abs(res.state.coeffs - np.array([2.0, 0.0, 2.0]))) <= 1e-12
         assert res.p_nominal == 1 / 64
+
+    def test_coeffs_are_forward_coeffs_bitwise(self, rng):
+        # the single pass carries its prefix scaled by powers of two, which
+        # must not move a bit of the coefficients
+        for n_ions, n_cycles in [(1, 1), (1, 60), (2, 30), (5, 12), (20, 20), (3, 300)]:
+            weights = rng.normal(0, 0.7, (n_cycles, n_ions)) + 1j * rng.normal(0, 0.7, (n_cycles, n_ions))
+            weights[rng.random(weights.shape) < 0.1] = 0.0
+            plan = make_plan(list(weights), t=80.0, alpha=0.2 - 0.1j)
+            got = protocol.run_ideal(plan).state.coeffs
+            assert got.tobytes() == protocol.forward_coeffs(plan.all_weights).tobytes()
 
     def test_plan_validation(self):
         params = protocol.PhysicalParams(eta=0.1, omega=0.02, delta=0.99, n_ions=1)
@@ -311,6 +342,35 @@ class TestToFock:
         aleph = np.prod([0.5 / np.sqrt(1 + abs(p) ** 2) for p in weights])
         via_line = aleph * protocol.to_fock(res.state, cutoff).amps
         assert np.max(np.abs(via_line - direct)) <= 1e-10
+
+    @pytest.mark.parametrize("block", [None, 50])
+    def test_matches_per_component_oracle(self, rng, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(fock, "_ROW_BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            for trial in range(25):
+                n = int(rng.integers(0, 40))
+                coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+                coeffs[rng.random(n + 1) < 0.3] = 0.0  # skipped components
+                coeffs[0] = 1.0
+                # the grid reaches past sqrt(cutoff / 2) on most trials
+                state = protocol.LineSuperposition(
+                    alpha=complex(*rng.normal(0, 1.0, 2)),
+                    beta=complex(*rng.normal(0, 0.4, 2)),
+                    coeffs=coeffs,
+                )
+                cutoff = int(rng.integers(1, 70))
+                got = protocol.to_fock(state, cutoff).amps
+                assert got.tobytes() == line_fock_per_component(state, cutoff).tobytes()
+
+    def test_grid_of_several_row_blocks_matches_oracle(self, rng):
+        # 521 components x 1,201 levels: two blocks of 436 rows at most
+        coeffs = rng.normal(size=521) + 1j * rng.normal(size=521)
+        state = protocol.LineSuperposition(alpha=0.5j, beta=0.04 + 0.01j, coeffs=coeffs)
+        assert state.coeffs.size * 1201 > fock._ROW_BLOCK
+        got = protocol.to_fock(state, 1200).amps
+        assert got.tobytes() == line_fock_per_component(state, 1200).tobytes()
 
     def test_small_cutoff_warns(self):
         state = protocol.LineSuperposition(alpha=0j, beta=2.0, coeffs=[1.0, 0.0, 1.0])
