@@ -8,9 +8,10 @@ parameter set plus the library version, so no default is hidden.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure,
 running out of memory included.  A leakage plan too large for the multimode
-memory budget, whose Gram sums cancel past float precision, or whose line
-coefficients overflow, is a solver failure: exit 3 for JSON output, a
-complete=false row in CSV output.
+memory budget, whose Gram sums cancel past float precision, whose line
+coefficients overflow, or whose fields are not finite (displacements past
+about 1e154) is a solver failure: exit 3 for JSON output, a complete=false
+row in CSV output.
 """
 
 from __future__ import annotations

@@ -309,7 +309,11 @@ def line_overlaps(alpha: complex, step: complex, n: int) -> np.ndarray:
     alpha = _finite_complex(alpha, "alpha")
     step = _finite_complex(step, "step")
     d = np.arange(-n, n + 1, dtype=float)
-    return np.exp(d * (-0.5 * abs(step) ** 2 * d + 2j * (alpha.conjugate() * step).imag))
+    try:
+        half_sq = -0.5 * abs(step) ** 2
+    except OverflowError:  # |step|^2 past float range: the exact limit, 1 at lag 0, else 0
+        return (d == 0).astype(np.complex128)
+    return np.exp(d * (half_sq * d + 2j * (alpha.conjugate() * step).imag))
 
 
 def displacement_phase(beta, alpha: complex) -> np.ndarray:

@@ -395,16 +395,23 @@ def analyze_plan(
     reference is the single-mode state built with the *same* displacement
     variant's COM amplitude (for the endpoint variant the two coincide), so
     ``com_fidelity_vs_ideal`` isolates what the spectators did to the COM
-    mode; its coefficients are scaled by a power of two to unit order."""
-    entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
-    coeffs = forward_coeffs(plan.all_weights)
-    ideal = LineSuperposition(
-        alpha=plan.alpha,
-        beta=complex(entry.betas[0, 0]),
-        coeffs=coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1],
-    )
-    report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
-    return report, float(np.clip(nsq, 0.0, 1.0))
+    mode; its coefficients are scaled by a power of two to unit order.  A
+    field that is not finite, as when displacements past about 1e154 square
+    out of float range, raises :class:`SolverError`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
+        entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
+        coeffs = forward_coeffs(plan.all_weights)
+        ideal = LineSuperposition(
+            alpha=plan.alpha,
+            beta=complex(entry.betas[0, 0]),
+            coeffs=coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1],
+        )
+        report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
+    p_exact = float(np.clip(nsq, 0.0, 1.0))
+    fields = [report.com_fidelity_vs_ideal, report.com_purity, report.factorization_gap, p_exact]
+    if not np.all(np.isfinite(fields + list(report.per_mode_mean_phonon))):
+        raise SolverError("a leakage field is not finite; the displacements lie past float range")
+    return report, p_exact
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,62 @@ class TestHugeCoherentAmplitudes:
         assert doc["fock"] == [[0.0, 0.0]] * 11  # nothing of |1e200> below n = 11
 
 
+def _strict_json(path):
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestHugeDisplacements:
+    """A line step |2 beta| whose square overflows a float (past about
+    1.3e154) ends in exit 0 with strict output or in exit 3, never in an
+    OverflowError traceback."""
+
+    @pytest.fixture(params=[1e160, 1e300])
+    def plan(self, request, tmp_path):
+        doc = dict(PLAN, n_ions=1, cycles=[{"t": request.param, "p": [[0.5, 0.0]]}])
+        return write_json(tmp_path / "p.json", doc)
+
+    @pytest.mark.parametrize("fock_args", [[], ["--fock", "10"]])
+    def test_simulate(self, plan, tmp_path, fock_args):
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--input", plan, "--output", str(out)] + fock_args) == 0
+        doc = _strict_json(out)
+        # the two components are orthogonal: half of each surviving weight
+        assert doc["p_exact"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_paper_beta_leakage_json(self, plan, tmp_path, capsys):
+        out = tmp_path / "l.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["leakage", "--paper-beta", "--format", "json", "--input", plan]
+            code = run(argv + ["--output", str(out)])
+        if code == 0:
+            _strict_json(out)
+        else:
+            assert code == 3 and not out.exists()
+            assert "not finite" in capsys.readouterr().err
+
+    def test_paper_beta_leakage_sweep(self, plan, tmp_path):
+        out = tmp_path / "l.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["leakage", "--paper-beta", "--sweep", "delta=0.9:0.99:3", "--input", plan]
+            assert run(argv + ["--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 4
+        complete = rows[0].index("complete")
+        for row in rows[1:]:
+            fields = row[complete + 1:]
+            if row[complete] == "true":
+                assert all(np.isfinite(float(x)) for x in fields)
+            else:
+                assert row[complete] == "false" and fields == [""] * len(fields)
+
+
 class TestParser:
     def test_built_once_across_calls(self, tmp_path, monkeypatch):
         built = []

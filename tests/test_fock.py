@@ -107,6 +107,14 @@ def test_line_overlaps_are_displaced_overlaps(alpha, step):
         assert abs(value - want) <= 1e-13
 
 
+@pytest.mark.parametrize("step", [2e154, 1e160, 1e300j])
+def test_line_overlaps_past_the_squared_step_range(step):
+    # |step|^2 overflows a Python float past about 1.3e154; the values are
+    # then the exact limit: 1 at lag 0, 0 elsewhere
+    got = fock.line_overlaps(0.3 + 0.1j, step, 2)
+    assert np.array_equal(got, [0, 0, 1, 0, 0])
+
+
 def test_displacement_identity_at_zero():
     d = fock.displacement_matrix(0j, 16)
     assert np.array_equal(d.entries, np.eye(17))
