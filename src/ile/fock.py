@@ -28,7 +28,6 @@ __all__ = [
     "displacement_matrix",
     "apply_displacement",
     "coherent_overlap",
-    "coherent_gram",
     "line_overlaps",
     "displacement_phase",
     "inner",
@@ -285,16 +284,6 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     g1 = _finite_complex(g1, "g1")
     g2 = _finite_complex(g2, "g2")
     return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
-
-
-def coherent_gram(a, b=None) -> np.ndarray:
-    """Matrix <a[i]|b[j]> of coherent states (``b`` defaults to ``a``),
-    vectorized :func:`coherent_overlap` over every pair."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = a if b is None else np.asarray(b, dtype=np.complex128)
-    ha = np.abs(a) ** 2
-    hb = np.abs(b) ** 2
-    return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(a)[:, None] * b[None, :])
 
 
 def line_overlaps(alpha: complex, step: complex, n: int) -> np.ndarray:

@@ -25,8 +25,10 @@ that the roots lose accuracy: 3 of 30 targets fail at n = 128, 11 of 30 at
 n = 144.
 
 Also here: ``fit_target``, the least-squares fit of an arbitrary number-basis
-state by a line superposition over a fixed component grid, via the
-regularized coherent Gram matrix.
+state by a line superposition over a fixed component grid.  The grid's Gram
+matrix depends on the lag between components alone, and up to a diagonal
+phase it is the real Gaussian Toeplitz matrix exp(-2 d^2 |beta|^2), so the
+regularized solve is one real symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError
-from .fock import FockVector, coherent_gram, coherent_rows, norm
+from .fock import FockVector, coherent_rows, norm
 from .protocol import LineSuperposition, forward_coeffs, success_probability_nominal
 
 __all__ = [
@@ -50,13 +52,15 @@ __all__ = [
 
 _POLE_GUARD_TOL = 1e-9  # rejection radius around the x = 1 pole of the weight map
 _RESIDUAL_TOL = 1e-9  # largest accepted relative forward-reconstruction error
-# Memory of one solve, refused up front past the budget, in complex n x n
-# arrays alive at once (tracemalloc peaks at n = 500 and 1000): 6.1 for the
-# companion pencil, its LAPACK copies and workspace; 3.0 for fit_target's
-# (n + 1)-square Gram, its phase product and eigenvectors.
+# Memory of one solve, refused up front past the budget, in n x n arrays
+# alive at once: 6.1 complex ones for the companion pencil, its LAPACK copies
+# and workspace (tracemalloc peaks at n = 500 and 1000); 5.1 real ones for
+# fit_target's (n + 1)-square Toeplitz kernel, LAPACK's copy and workspace
+# and the eigenvectors (peak RSS at n = 1000-3000; tracemalloc, which does
+# not see LAPACK's buffers, counts 3.0).
 _MEMORY_BUDGET_BYTES = 1 << 30
 _LIVE_PENCILS = 7
-_LIVE_GRAMS = 4
+_LIVE_GRAMS = 6
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ def _projective_normalize(c: np.ndarray) -> np.ndarray:
     return c / scale
 
 
-def _check_memory(live: int, size: int, what: str) -> None:
-    need = 16 * live * int(size) ** 2
+def _check_memory(entry_bytes: int, size: int, what: str) -> None:
+    need = entry_bytes * int(size) ** 2
     if need > _MEMORY_BUDGET_BYTES:
         gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
         raise SolverError(f"{size}-square {what} needs {gib:.3g} GiB (budget 1 GiB)")
@@ -134,7 +138,7 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     """
     if target.n < 1:
         raise ValueError("need at least two coefficients (one weight to solve for)")
-    _check_memory(_LIVE_PENCILS, target.n, "companion pencil")
+    _check_memory(16 * _LIVE_PENCILS, target.n, "companion pencil")
     c = _projective_normalize(np.asarray(target.coeffs, dtype=np.complex128))
 
     # Roots x = a/b of the pencil A - x B: A has first row -c[1:] and ones
@@ -183,15 +187,21 @@ def fit_target(
     """Best line-superposition approximation of a number-basis target.
 
     Components sit on the fixed grid alpha + (2k - n) beta, k = 0..n.  The
-    optimal coefficients are c = S^+ v with S the analytic coherent Gram
-    matrix of the components and v their overlaps with the target; S is
-    regularized by flooring its eigenvalues at 1e-12 of the largest, which
-    is what makes tightly spaced grids (|beta| small) usable at all.
+    optimal coefficients are c = T^+ v with T the Gram matrix of the phased
+    components D((2k - n) beta)|alpha> and v their overlaps with the target.
+    T[j, k] = line_overlaps(alpha, 2 beta, n)[n + k - j] is Toeplitz and
+    factors as Q^H K Q: K[j, k] = exp(-2 (j - k)^2 |beta|^2) is real, and
+    Q = diag(q) holds the unit phases e^{i (2k - n) theta / 2},
+    theta = 4 Im(conj(alpha) beta).  So the pseudo-inverse comes from one
+    real symmetric eigensolve of K, with its eigenvalues floored at 1e-12 of
+    the largest, which is what makes tightly spaced grids (|beta| small)
+    usable at all.
 
-    Returns the coefficients and the achieved fidelity, which is invariant
-    under global phase and scale of the target and never decreases when the
-    grid is enlarged from n to n + 2 (the component set then nests).  A grid
-    whose arrays would pass the 1 GiB memory budget raises
+    Returns the coefficients and the fidelity of the line superposition they
+    define, taken from the same eigen-decomposition.  It is invariant under
+    global phase and scale of the target and never decreases, up to the
+    floor, when the grid is enlarged from n to n + 2 (the component set then
+    nests).  A grid whose arrays would pass the 1 GiB memory budget raises
     :class:`SolverError` before any is built.
     """
     if int(n) != n or n < 0:
@@ -203,29 +213,29 @@ def fit_target(
     tn = norm(target)
     if tn == 0.0:
         raise ValueError("target must be nonzero")
-    _check_memory(_LIVE_GRAMS, n + 1, "component Gram")
+    _check_memory(8 * _LIVE_GRAMS, n + 1, "component Gram")
 
     grid = LineSuperposition(alpha, beta, np.ones(n + 1))
-    labels = grid.labels()
-    phases = grid.phased_coeffs()
-
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = coherent_gram(labels)
-    if not np.all(np.isfinite(gram)):
-        raise SolverError("component Gram matrix is not finite; the grid lies past float range")
-    gram *= np.conj(phases)[:, None] * phases[None, :]
-    v = _component_overlaps(target, labels, phases)
+        labels = grid.labels()
+        if not np.all(np.isfinite(np.abs(labels) ** 2)):
+            raise SolverError("component |label|^2 is not finite; the grid lies past float range")
+        lags = np.exp(-2.0 * (np.arange(n + 1) * abs(beta)) ** 2)  # past float range: 0
+    phases = grid.phased_coeffs()  # q = phases^2
 
-    evals, evecs = np.linalg.eigh(gram)
-    top = evals[-1]
-    if not (np.isfinite(top) and top > 0):
+    evals, evecs = np.linalg.eigh(scipy.linalg.toeplitz(lags))
+    if not (np.isfinite(evals[-1]) and evals[-1] > 0):
         raise SolverError("component Gram matrix is numerically void; increase |beta|")
-    floor = 1e-12 * top
-    inv = np.where(evals > floor, 1.0 / np.maximum(evals, floor), 1.0 / floor)
-    c = evecs @ (inv * (np.conj(evecs.T) @ v))
+    inv = 1.0 / np.maximum(evals, 1e-12 * evals[-1])
+    w = evecs.T @ (phases**2 * _component_overlaps(target, labels, phases))  # U^T Q v
+    c = np.conj(phases) ** 2 * (evecs @ (inv * w))
     if not np.all(np.isfinite(c)):
         raise SolverError("regularized Gram solve overflowed; increase |beta|")
     if not np.any(c != 0):
         raise SolverError("target is orthogonal to every grid component; move the grid")
-    fidelity = float(np.clip(np.real(np.vdot(v, c)) / tn**2, 0.0, 1.0))
+    # <fit|target> = sum inv |w|^2 and <fit|fit> = sum evals inv^2 |w|^2,
+    # both in units of |target|^2; they differ only where the floor acts.
+    a = np.abs(w / tn) ** 2
+    overlap, fit_sq = np.sum(inv * a), np.sum(evals * inv**2 * a)
+    fidelity = float(np.clip(overlap**2 / fit_sq, 0.0, 1.0)) if fit_sq > 0 else 0.0
     return TargetCoefficients(c), fidelity

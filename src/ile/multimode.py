@@ -50,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError
-from .fock import coherent_fock, coherent_gram, displacement_phase, line_overlaps
+from .fock import coherent_fock, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
     LineSuperposition,
@@ -297,8 +297,10 @@ def _class_matrix(spectators: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return np.fft.ifft(sums, axis=0)[m[:, None], m - m[:, None] + nc]
 
 
-def _report(state: MultimodeSuperposition, ideal: LineSuperposition) -> tuple[LeakageReport, float]:
-    """The leakage report and the squared norm of ``state``, as lag sums."""
+def _report(state: MultimodeSuperposition, ideal: np.ndarray) -> tuple[LeakageReport, float]:
+    """The leakage report and the squared norm of ``state``, as lag sums,
+    against the ideal line with phase-free coefficients ``ideal`` on the
+    state's own COM line (Nc + 1 of them)."""
     n, size = state.amps.shape
     nc, w = n * (size - 1), 2 * size - 1
     beta0 = state.betas[0, 0]
@@ -332,13 +334,14 @@ def _report(state: MultimodeSuperposition, ideal: LineSuperposition) -> tuple[Le
 
     r = _class_matrix(spectators, lines)
     m = np.arange(nc + 1)
-    rs = r.T @ line_overlaps(state.alpha, 2.0 * beta0, nc)[m - m[:, None] + nc]
+    # s[m, m'] = <class m|class m'> for the COM states D((2m - nc) beta0)|alpha>,
+    # the components of the ideal line too
+    s = line_overlaps(state.alpha, 2.0 * beta0, nc)[m - m[:, None] + nc]
+    rs = r.T @ s
     purity = float(np.clip(np.real(np.sum(rs * rs.T)) / nsq**2, 0.0, 1.0))
-    shifts = (2 * m - nc) * beta0  # class m's COM state is D(shifts[m]) |alpha>
-    o = np.conj(displacement_phase(shifts, state.alpha)) * (
-        coherent_gram(state.alpha + shifts, ideal.labels()) @ ideal.phased_coeffs()
-    )
-    fid = float(np.clip(np.real(o @ r @ np.conj(o)) / (nsq * ideal.norm_sq()), 0.0, 1.0))
+    o = s @ ideal  # o[m] = <class m|ideal>
+    ideal_nsq = checked_norm_sq(float(np.real(np.vdot(ideal, o))), ideal)
+    fid = float(np.clip(np.real(o @ r @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
     gap = float(np.clip(1.0 - abs(np.sum(cross)) ** 2 / (fact_nsq * nsq), 0.0, 1.0))
     return LeakageReport(mean_phonon, fid, purity, gap), nsq * float(np.prod(norms**2))
 
@@ -375,7 +378,10 @@ def leakage_report(
     """How much the spectator modes corrupted the COM-mode preparation, as
     exact lag sums: per-mode mean phonon numbers, the fidelity of the reduced
     COM state against ``ideal``, its purity, and the infidelity between the
-    exact state and its mode-factorized form (read from ``ms_exact``)."""
+    exact state and its mode-factorized form (read from ``ms_exact``).
+    ``ideal`` lies on the state's own COM line: the same alpha, the COM
+    displacement beta_0 of every ion, and N c + 1 coefficients (ValueError
+    otherwise), so its components are the COM classes of the state."""
     other = getattr(factorized, "exact", None)
     if not isinstance(other, MultimodeSuperposition) or not (
         other.alpha == ms_exact.alpha
@@ -383,7 +389,11 @@ def leakage_report(
         and np.array_equal(other.amps, ms_exact.amps)
     ):
         raise ValueError("the factorized state is not read from this exact state")
-    return _report(ms_exact, ideal)[0]
+    beta0, (n, size) = ms_exact.betas[0, 0], ms_exact.amps.shape
+    on_line = ideal.alpha == ms_exact.alpha and abs(ideal.beta - beta0) <= _COLLINEAR_TOL * abs(beta0)
+    if not (on_line and ideal.n == n * (size - 1)):
+        raise ValueError("ideal must be a line of N c + 1 coefficients on the state's COM line")
+    return _report(ms_exact, ideal.coeffs)[0]
 
 
 def analyze_plan(
@@ -401,11 +411,7 @@ def analyze_plan(
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
         entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
         coeffs = forward_coeffs(plan.all_weights)
-        ideal = LineSuperposition(
-            alpha=plan.alpha,
-            beta=complex(entry.betas[0, 0]),
-            coeffs=coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1],
-        )
+        ideal = coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1]
         report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
     p_exact = float(np.clip(nsq, 0.0, 1.0))
     fields = [report.com_fidelity_vs_ideal, report.com_purity, report.factorization_gap, p_exact]

@@ -18,7 +18,14 @@ from ile.chain import ModeTable, lamb_dicke
 from ile.errors import IntegratorError
 from ile.fock import coherent_fock
 from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, run_conditional_exact
-from ile.protocol import Cycle, PhysicalParams, ProtocolPlan, beta_of, checked_norm_sq
+from ile.protocol import (
+    Cycle,
+    LineSuperposition,
+    PhysicalParams,
+    ProtocolPlan,
+    beta_of,
+    checked_norm_sq,
+)
 
 
 def conditional_operator(p: complex, d_plus: np.ndarray, d_minus: np.ndarray) -> np.ndarray:
@@ -50,6 +57,16 @@ def line_fock_per_component(state, cutoff: int) -> np.ndarray:
     return amps
 
 
+def coherent_gram(a, b=None) -> np.ndarray:
+    """Matrix <a[i]|b[j]> of coherent states (``b`` defaults to ``a``),
+    vectorized ``fock.coherent_overlap`` over every pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = a if b is None else np.asarray(b, dtype=np.complex128)
+    ha = np.abs(a) ** 2
+    hb = np.abs(b) ** 2
+    return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(a)[:, None] * b[None, :])
+
+
 def fit_overlaps_per_component(target, labels, phases) -> np.ndarray:
     """Overlaps of the phased grid components with the target, one
     ``coherent_fock`` per component: the loop ``inverse.fit_target`` must
@@ -66,6 +83,23 @@ def fit_overlaps_per_component(target, labels, phases) -> np.ndarray:
             dtype=np.complex128,
         )
     return v
+
+
+def dense_gram_fit(target, n: int, alpha: complex, beta: complex):
+    """``inverse.fit_target`` in the dense form it had before the Toeplitz
+    one: the phased Gram T of the grid from :func:`coherent_gram`, its
+    pseudo-inverse with eigenvalues floored at 1e-12 of the largest, and the
+    fidelity |c^H v|^2 / (c^H T c |t|^2) of the coefficients c it returns.
+    Returns (c, T, fidelity)."""
+    grid = LineSuperposition(alpha, beta, np.ones(n + 1))
+    labels, phases = grid.labels(), grid.phased_coeffs()
+    gram = coherent_gram(labels) * np.conj(phases)[:, None] * phases[None, :]
+    v = fit_overlaps_per_component(target, labels, phases)
+    evals, evecs = np.linalg.eigh(gram)
+    inv = 1.0 / np.maximum(evals, 1e-12 * evals[-1])
+    c = evecs @ (inv * (np.conj(evecs.T) @ v))
+    fit_sq = np.real(np.vdot(c, gram @ c))
+    return c, gram, float(abs(np.vdot(c, v)) ** 2 / (fit_sq * fock.norm(target) ** 2))
 
 
 def dyadic_p_exact(plan, dps: int = 50) -> float:
@@ -262,7 +296,7 @@ def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, flo
     w = np.conj(c)[:, None] * c[None, :]
     if rest.shape[1]:
         w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
-    s_com = fock.coherent_gram(com)
+    s_com = coherent_gram(com)
     full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
     nsq = checked_norm_sq(float(np.real(np.sum(full))), c)
     if nsq <= 0:
@@ -273,7 +307,7 @@ def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, flo
     a = w.T @ s_com
     purity = float(np.clip(np.real(np.sum(a * a.T)) / nsq**2, 0.0, 1.0))
 
-    o = fock.coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
+    o = coherent_gram(com, ideal.labels()) @ ideal.phased_coeffs()  # o[t] = <com[t]|ideal>
     ideal_nsq = ideal.norm_sq()
     fid = float(np.clip(np.real(o @ w @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
 
@@ -281,8 +315,8 @@ def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, flo
     amps = np.ones(c.size, dtype=np.complex128)
     fact_nsq = 1.0
     for (fc, fg), column in zip(factors, labels.T):
-        amps *= np.conj(fc) @ fock.coherent_gram(fg, column)
-        fact_nsq *= float(np.real(np.conj(fc) @ fock.coherent_gram(fg) @ fc))
+        amps *= np.conj(fc) @ coherent_gram(fg, column)
+        fact_nsq *= float(np.real(np.conj(fc) @ coherent_gram(fg) @ fc))
     cross = abs(complex(amps @ c)) ** 2
     gap = float(np.clip(1.0 - cross / (fact_nsq * nsq), 0.0, 1.0))
 

@@ -190,7 +190,8 @@ class TestFactorized:
             alpha=0.3 + 0.4j, betas=np.array([[0.0, -0.2j]]), amps=np.array([[0.0, 0.7j]])
         )
         fact = multimode.FactorizedSuperposition(ms)
-        ideal = protocol.LineSuperposition(alpha=0.3 + 0.4j, beta=0j, coeffs=[1.0])
+        # the ideal shares the state's COM line: beta_0 = 0, one slot
+        ideal = protocol.LineSuperposition(alpha=0.3 + 0.4j, beta=0j, coeffs=[0.0, 1.0])
         rep = multimode.leakage_report(ms, ideal, fact)
         assert rep.per_mode_mean_phonon[0] == pytest.approx(0.25, abs=1e-12)
         assert rep.per_mode_mean_phonon[1] == pytest.approx(0.04, abs=1e-12)
@@ -362,3 +363,19 @@ class TestLeakageAnalysis:
         ideal = protocol.run_ideal(plan).state
         with pytest.raises(ValueError):
             multimode.leakage_report(ms, ideal, fact3)
+
+    def test_ideal_off_the_com_line_rejected(self, mode_tables):
+        # the fidelity pairs the ideal's coefficients with the COM classes of
+        # the exact state, so the ideal must share their line
+        plan = one_cycle_plan([0.1, 0.2], alpha=0.3)
+        ms, _ = multimode.run_conditional_exact(plan, mode_tables[2], False)
+        fact = multimode.run_conditional_factorized(plan, mode_tables[2], False)
+        ideal = protocol.run_ideal(plan).state
+        multimode.leakage_report(ms, ideal, fact)  # on the line: accepted
+        for off in (
+            protocol.LineSuperposition(0.3j, ideal.beta, ideal.coeffs),
+            protocol.LineSuperposition(ideal.alpha, 1.01 * ideal.beta, ideal.coeffs),
+            protocol.LineSuperposition(ideal.alpha, ideal.beta, ideal.coeffs[1:]),
+        ):
+            with pytest.raises(ValueError, match="COM line"):
+                multimode.leakage_report(ms, off, fact)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ile import fock, protocol
 from ile.errors import SolverError
 from conftest import complexes
-from oracles import dyadic_p_exact, line_fock_per_component, single_mode_conditional
+from oracles import coherent_gram, dyadic_p_exact, line_fock_per_component, single_mode_conditional
 
 
 def make_plan(weights_per_cycle, eta=0.1, omega=0.02, delta=0.99, t=100.0, alpha=0j):
@@ -89,7 +89,7 @@ class TestLineNorm:
     @staticmethod
     def gram_form(state):
         a = state.phased_coeffs()
-        return float(np.real(np.conj(a) @ fock.coherent_gram(state.labels()) @ a))
+        return float(np.real(np.conj(a) @ coherent_gram(state.labels()) @ a))
 
     def test_lag_sum_matches_gram_form(self, rng):
         for trial in range(60):
