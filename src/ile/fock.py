@@ -296,11 +296,15 @@ def line_overlaps(alpha: complex, step: complex, n: int) -> np.ndarray:
     step = 2 beta, the squared norm is the lag sum of these values against
     the autocorrelation np.correlate(c, c, "full")."""
     alpha = _finite_complex(alpha, "alpha")
-    step = _finite_complex(step, "step")
+    step = complex(step)
+    if np.isnan(step):
+        raise ValueError(f"step must not be NaN, got {step!r}")
     d = np.arange(-n, n + 1, dtype=float)
     try:
         half_sq = -0.5 * abs(step) ** 2
-    except OverflowError:  # |step|^2 past float range: the exact limit, 1 at lag 0, else 0
+    except OverflowError:
+        half_sq = -math.inf
+    if half_sq == -math.inf:  # |step|^2 past float range: the exact limit, 1 at lag 0, else 0
         return (d == 0).astype(np.complex128)
     return np.exp(d * (half_sq * d + 2j * (alpha.conjugate() * step).imag))
 

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chain import ModeTable, lamb_dicke
-from .errors import IntegratorError, SolverError
+from .errors import IntegratorError, SolverError, check_memory
 from .fock import coherent_fock, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
@@ -57,8 +57,8 @@ from .protocol import (
     PhysicalParams,
     ProtocolPlan,
     checked_norm_sq,
-    forward_coeffs,
     log_slot_nominal,
+    scaled_coeffs,
 )
 
 __all__ = [
@@ -77,11 +77,10 @@ __all__ = [
 ]
 
 _COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
-# Memory of one report, refused up front past the budget: complex arrays of
-# the (2c + 1)^N lags (at most 6.5 alive at once, counted and measured at 9 x 2
-# and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class sums (at most 3) and two
+# Memory of one report, refused up front past the 1 GiB budget: complex arrays
+# of the (2c + 1)^N lags (at most 6.5 alive at once, counted and measured at
+# 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class sums (at most 3) and two
 # blocks of _class_matrix.
-_LATTICE_BUDGET_BYTES = 1 << 30
 _LIVE_LATTICES = 7
 _LIVE_CLASSES = 4
 _BLOCK_ENTRIES = 1 << 20
@@ -211,9 +210,12 @@ def cycle_displacements(
 
 def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
     """The conditional state as a product over ions: ion i contributes
-    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)), the
-    root taken in logs, since it underflows long before a_i does.  A state
-    whose report would exceed the memory budget is refused up front."""
+    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)).  Its
+    line comes as c * 2**e from :func:`ile.protocol.scaled_coeffs`, so a_i is
+    c times the exponential of e log 2 plus half the log of the nominal
+    probability, which underflows long before a_i does, and no line
+    overflows.  A state whose report would exceed the memory budget is
+    refused up front."""
     if modes.n_ions != plan.params.n_ions:
         raise ValueError("plan and mode table disagree on the ion count")
     entry = betas if betas is not None else cycle_displacements(
@@ -224,14 +226,11 @@ def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
     n, c = plan.params.n_ions, len(plan.cycles)
     lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
     need = 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _BLOCK_ENTRIES)
-    if need > _LATTICE_BUDGET_BYTES:
-        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
-        raise SolverError(f"{2 * c + 1}^{n} lag terms need {gib:.3g} GiB (budget 1 GiB)")
+    check_memory(need, f"{2 * c + 1}^{n} lag terms need")
     amps = []
     for w in plan.all_weights.reshape(len(plan.cycles), -1).T:
-        line = forward_coeffs(w)
-        scale = np.max(np.abs(line))
-        amps.append(line / scale * np.exp(np.log(scale) + 0.5 * np.sum(log_slot_nominal(w))))
+        line, exp2 = scaled_coeffs(w)
+        amps.append(line * np.exp(exp2 * np.log(2.0) + 0.5 * np.sum(log_slot_nominal(w))))
     return MultimodeSuperposition(plan.alpha, entry.betas, amps)
 
 
@@ -405,13 +404,13 @@ def analyze_plan(
     reference is the single-mode state built with the *same* displacement
     variant's COM amplitude (for the endpoint variant the two coincide), so
     ``com_fidelity_vs_ideal`` isolates what the spectators did to the COM
-    mode; its coefficients are scaled by a power of two to unit order.  A
-    field that is not finite, as when displacements past about 1e154 square
-    out of float range, raises :class:`SolverError`."""
+    mode; its coefficients are those of :func:`ile.protocol.scaled_coeffs`,
+    in range at any slot count.  A field that is not finite, as when
+    displacements past about 1e154 square out of float range, raises
+    :class:`SolverError`."""
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
         entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
-        coeffs = forward_coeffs(plan.all_weights)
-        ideal = coeffs * 2.0 ** -np.frexp(np.max(np.abs(coeffs)))[1]
+        ideal = scaled_coeffs(plan.all_weights)[0]
         report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
     p_exact = float(np.clip(nsq, 0.0, 1.0))
     fields = [report.com_fidelity_vs_ideal, report.com_purity, report.factorization_gap, p_exact]

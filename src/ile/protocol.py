@@ -54,6 +54,7 @@ __all__ = [
     "ProtocolResult",
     "beta_of",
     "forward_coeffs",
+    "scaled_coeffs",
     "success_probability_nominal",
     "log_slot_nominal",
     "success_probability_exact",
@@ -69,6 +70,11 @@ __all__ = [
 # about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
 _LN2 = math.log(2.0)
+# Slots between two rescalings of the recurrence, where the caller sets no
+# block (simulate rescales once per cycle): 64 slots of |p| below about 3e4
+# stay in the float range, and rescaling after every slot slows a planner
+# pass by about 8%.
+_BLOCK_SLOTS = 64
 
 
 class RegimeWarning(UserWarning):
@@ -285,39 +291,57 @@ def forward_coeffs(weights) -> np.ndarray:
 
     starting from C_0^0 = 1; O(m^2) and exact for the all-zero row (binomial
     coefficients).  The result is symmetric under permutations of the weights.
-    Coefficients past the float range (about 1,030 zero weights) raise
-    :class:`SolverError`.
+    It is ``c * 2**e`` of :func:`scaled_coeffs`, so coefficients past the
+    float range (about 1,030 zero weights) raise :class:`SolverError`.
     """
+    return _ldexp(*scaled_coeffs(weights))
+
+
+def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
+    """The line coefficients of ``weights`` as (c, e): forward_coeffs is
+    c * 2**e, and the largest |c| lies in [0.5, 1).  The recurrence is
+    rescaled every 64 slots, so c stays in range past the slot count where
+    the coefficients themselves overflow."""
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    c = _slot_steps(np.array([1.0 + 0.0j]), w)
-    if not np.all(np.isfinite(c)):
-        raise SolverError(f"line coefficients overflow at {w.size} slots")
-    return c
+    for c, e in _recurrence(w, _BLOCK_SLOTS):
+        pass
+    return c, e
 
 
-def _slot_steps(c: np.ndarray, weights) -> np.ndarray:
-    """The recurrence of :func:`forward_coeffs`, one step per weight, applied
-    to the coefficients ``c`` of a prefix of the slots.  Scaling ``c`` by a
-    power of two scales the result by the same power, bitwise, while no
-    value is subnormal or past the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in weights:
-            nxt = np.zeros(c.size + 1, dtype=np.complex128)
-            nxt[:-1] += (1 + p) * c
-            nxt[1:] += (1 - p) * c
-            c = nxt
-    return c
+def _recurrence(weights: np.ndarray, block: int):
+    """The recurrence of :func:`forward_coeffs`, the package's one loop over
+    the slots.  After every ``block`` slots it divides the prefix by the
+    exact power of two of its largest modulus and yields (c, e), the
+    prefix's coefficients being c * 2**e.  Scaling by a power of two is
+    exact, so c * 2**e is bitwise the unscaled recurrence while no value is
+    subnormal or past the float range.  A block that overflows raises
+    :class:`SolverError`."""
+    c, e = np.array([1.0 + 0.0j]), 0
+    for lo in range(0, weights.size, block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in weights[lo : lo + block]:
+                nxt = np.zeros(c.size + 1, dtype=np.complex128)
+                nxt[:-1] += (1 + p) * c
+                nxt[1:] += (1 - p) * c
+                c = nxt
+        # frexp of inf or NaN has exponent 0, so _ldexp sees the overflow
+        step = math.frexp(float(np.max(np.abs(c))))[1]
+        c, e = _ldexp(c, -step), e + step
+        yield c, e
 
 
 def _ldexp(c: np.ndarray, e: int) -> np.ndarray:
     """c * 2**e on the real and imaginary parts separately: exact, signs of
-    zero kept, inf past the float range."""
+    zero kept; a result past the float range raises :class:`SolverError`."""
     with np.errstate(over="ignore"):
-        return np.ldexp(c.view(np.float64), e).view(np.complex128)
+        out = np.ldexp(c.view(np.float64), e).view(np.complex128)
+    if not np.all(np.isfinite(out)):
+        raise SolverError(f"line coefficients overflow at {c.size - 1} slots")
+    return out
 
 
 def success_probability_nominal(weights) -> float:
@@ -343,18 +367,19 @@ def log_slot_nominal(weights) -> np.ndarray:
 
 
 def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
-    """One pass of the slot recurrence over the whole plan.
+    """One pass of the slot recurrence over the whole plan, rescaled once
+    per cycle.
 
     Returns (c, e, per_cycle): the line coefficients are c * 2**e, and
     per_cycle[j] is cycle j's post-selection probability, read off the
-    prefix of the recurrence that ends with that cycle.  The prefix is
-    carried divided by an exact power of two, its largest modulus in
-    [0.5, 1) at every cycle boundary, so it neither over- nor underflows
-    and c * 2**e equals :func:`forward_coeffs` of all weights bitwise while
-    that is finite and no coefficient is subnormal.
+    prefix of the recurrence that ends with that cycle.  At every cycle
+    boundary the prefix is c_j 2**e_j with the largest |c_j| in [0.5, 1)
+    (see :func:`scaled_coeffs`), so it neither over- nor underflows, and
+    c * 2**e equals :func:`forward_coeffs` of all weights bitwise while that
+    is finite and no coefficient is subnormal.
 
-    With the prefix after cycle j equal to c_j 2**e_j, its state has squared
-    norm 4**e_j N_j, N_j the lag sum of the normalized c_j, and
+    The prefix's state has squared norm 4**e_j N_j, N_j the lag sum of c_j,
+    and
 
         per_cycle[j] = aleph_j^2 4**(e_j - e_{j-1}) N_j / N_{j-1},
 
@@ -367,23 +392,15 @@ def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
     n = weights.size
     # lag overlaps of the whole line; the prefix of m slots reads the middle 2m + 1
     overlaps = line_overlaps(plan.alpha, 2.0 * beta_of(plan.params, plan.cycles[0].duration), n)
-    by_cycle = weights.reshape(len(plan.cycles), -1)
-    c = np.array([1.0 + 0.0j])
-    exp2 = 0
-    log_prev = 0.0
+    log_a = log_slot_nominal(weights.reshape(len(plan.cycles), -1)).sum(axis=1)
+    exp2, log_prev = 0, 0.0
     per_cycle = np.empty(len(plan.cycles))
-    for j, (w, log_a) in enumerate(zip(by_cycle, log_slot_nominal(by_cycle).sum(axis=1))):
-        c = _slot_steps(c, w)
-        if not np.all(np.isfinite(c)):
-            raise SolverError(f"line coefficients overflow at {n} slots")
-        step = math.frexp(float(np.max(np.abs(c))))[1]
-        c = _ldexp(c, -step)
-        exp2 += step
+    for j, (c, e) in enumerate(_recurrence(weights, plan.params.n_ions)):
         m = c.size - 1
         log_cur = math.log(_lag_norm_sq(c, overlaps[n - m : n + m + 1]))
         # exp(min(x, 0)) = min(exp(x), 1), a NaN stays NaN
-        per_cycle[j] = math.exp(min(log_a + 2.0 * step * _LN2 + log_cur - log_prev, 0.0))
-        log_prev = log_cur
+        per_cycle[j] = math.exp(min(log_a[j] + 2.0 * (e - exp2) * _LN2 + log_cur - log_prev, 0.0))
+        exp2, log_prev = e, log_cur
     return c, exp2, per_cycle
 
 
@@ -419,14 +436,11 @@ def run_ideal(plan: ProtocolPlan) -> ProtocolResult:
     Coefficients past the float range raise :class:`SolverError`.
     """
     c, exp2, per_cycle = _line_pass(plan)
-    coeffs = _ldexp(c, exp2)
-    if not np.all(np.isfinite(coeffs)):
-        raise SolverError(f"line coefficients overflow at {c.size - 1} slots")
     return ProtocolResult(
         state=LineSuperposition(
             alpha=plan.alpha,
             beta=beta_of(plan.params, plan.cycles[0].duration),
-            coeffs=coeffs,
+            coeffs=_ldexp(c, exp2),
         ),
         p_nominal=success_probability_nominal(plan.all_weights),
         p_exact=float(np.prod(per_cycle)),

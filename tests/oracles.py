@@ -33,6 +33,20 @@ def conditional_operator(p: complex, d_plus: np.ndarray, d_minus: np.ndarray) ->
     return ((1 - p) * d_plus + (1 + p) * d_minus) / (2.0 * np.sqrt(1.0 + abs(p) ** 2))
 
 
+def unscaled_forward_coeffs(weights) -> np.ndarray:
+    """Line coefficients by the slot recurrence without any rescaling, the
+    loop ``protocol.forward_coeffs`` must reproduce bitwise while it stays
+    in the float range."""
+    c = np.array([1.0 + 0.0j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in np.asarray(weights, dtype=np.complex128):
+            nxt = np.zeros(c.size + 1, dtype=np.complex128)
+            nxt[:-1] += (1 + p) * c
+            nxt[1:] += (1 - p) * c
+            c = nxt
+    return c
+
+
 def coherent_fock_array(alpha: complex, cutoff: int) -> np.ndarray:
     """Coherent amplitudes by the ratio recurrence on numpy complex scalars,
     amps[n] = amps[n - 1] * alpha / sqrt(n), the loop ``fock.coherent_fock``

@@ -241,21 +241,24 @@ class TestLeakageCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[1][rows[0].index("complete")] == "false"
 
-    def test_coefficient_overflow_exits_3_or_marks_row_incomplete(self, tmp_path, capsys):
-        # 1 ion x 1,100 cycles at p = 0: the binomial line coefficients
-        # overflow the float range, a numerical limit and not bad input
+    def test_long_binomial_line_runs_past_the_coefficient_overflow(self, tmp_path):
+        # 1 ion x 1,100 cycles at p = 0: the binomial line coefficients leave
+        # the float range, the lines leakage carries scaled by powers of two
+        # do not; the endpoint variant's p_exact is that of the COM mode alone
         plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0.0, 0.0]]}] * 1100)
         path = write_json(tmp_path / "p.json", plan)
         out = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 3
-            assert not out.exists()
-            assert "overflow" in capsys.readouterr().err
+            argv = ["leakage", "--input", path, "--output", str(out), "--format", "json"]
+            assert run(argv + ["--paper-beta"]) == 0
+            doc = json.loads(out.read_text(), parse_constant=pytest.fail)
             out = tmp_path / "r.csv"
             assert run(["leakage", "--input", path, "--output", str(out)]) == 0
+        p_exact = protocol.success_probability_exact(cli._plan_from_json(plan))[0]
+        assert abs(doc["p_exact"] - p_exact) <= 1e-10
         rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[1][rows[0].index("complete")] == "false"
+        assert rows[1][rows[0].index("complete")] == "true"
 
     def test_long_single_ion_plan_matches_simulate(self, tmp_path):
         # 1 ion x 200 cycles at p = 10: line coefficients near 1e208, whose

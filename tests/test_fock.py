@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from ile import fock
+from ile import fock, protocol
 from conftest import complexes
 
 
@@ -113,6 +113,16 @@ def test_line_overlaps_past_the_squared_step_range(step):
     # then the exact limit: 1 at lag 0, 0 elsewhere
     got = fock.line_overlaps(0.3 + 0.1j, step, 2)
     assert np.array_equal(got, [0, 0, 1, 0, 0])
+
+
+def test_line_overlaps_at_an_infinite_step():
+    # a finite beta past 9e307 doubles to an infinite step; the limit stays
+    # exact, and a NaN step is still refused
+    got = fock.line_overlaps(0.3 + 0.1j, complex("inf"), 2)
+    assert np.array_equal(got, [0, 0, 1, 0, 0])
+    assert protocol.LineSuperposition(0.1, 1e308, [1.0]).norm_sq() == 1.0
+    with pytest.raises(ValueError, match="step"):
+        fock.line_overlaps(0.3, complex("nan"), 2)
 
 
 def test_displacement_identity_at_zero():

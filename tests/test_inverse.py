@@ -1,7 +1,9 @@
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from ile import fock, inverse, protocol
@@ -189,6 +191,18 @@ class TestEdgeCases:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"residual 9\.998e-01"):
                 inverse.solve_weights(target)
+
+    def test_residual_past_the_coefficient_overflow(self, monkeypatch):
+        # 1,100 binomial coefficients, of 1,099 zero weights, whose unscaled
+        # line leaves the float range; the eigen-solve is replaced by its
+        # exact roots x = -1, so only the residual check runs at full length
+        n = 1099
+        target = inverse.TargetCoefficients([comb(n, k) / 2**n for k in range(n + 1)])
+        roots = (-np.ones(n, dtype=complex), np.ones(n, dtype=complex))
+        monkeypatch.setattr(scipy.linalg, "eigvals", lambda *args, **kwargs: roots)
+        (sol,) = inverse.solve_weights(target)
+        assert np.array_equal(sol.weights, np.zeros(n))
+        assert sol.residual <= 1e-9
 
     def test_imaginary_weights_from_unit_circle_roots(self):
         # roots on the unit circle map to purely imaginary weights

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from ile import fock, protocol
 from ile.errors import SolverError
 from conftest import complexes
-from oracles import coherent_gram, dyadic_p_exact, line_fock_per_component, single_mode_conditional
+from oracles import (
+    coherent_gram,
+    dyadic_p_exact,
+    line_fock_per_component,
+    single_mode_conditional,
+    unscaled_forward_coeffs,
+)
 
 
 def make_plan(weights_per_cycle, eta=0.1, omega=0.02, delta=0.99, t=100.0, alpha=0j):
@@ -76,6 +82,25 @@ class TestForwardCoeffs:
         a = protocol.forward_coeffs(weights)
         b = protocol.forward_coeffs(shuffled)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+
+    def test_matches_the_unscaled_recurrence_bitwise(self, rng):
+        # the recurrence is rescaled by powers of two every 64 slots, which
+        # must not move a bit while the unscaled one stays in range
+        for n in [1, 2, 63, 64, 65, 200, 700]:
+            weights = rng.normal(0, 0.7, n) + 1j * rng.normal(0, 0.7, n)
+            weights[rng.random(n) < 0.1] = 0.0
+            want = unscaled_forward_coeffs(weights)
+            assert protocol.forward_coeffs(weights).tobytes() == want.tobytes()
+
+    def test_scaled_binomials_past_the_float_range(self):
+        # 2,080 zero weights: binomials up to about 2^2074, twice the float range
+        n = 2080
+        c, e = protocol.scaled_coeffs(np.zeros(n))
+        assert 0.5 <= np.max(np.abs(c)) < 1 and not np.any(c.imag)
+        want = np.array([comb(n, k) / 2**e for k in range(n + 1)])  # exact, then rounded
+        normal = want >= 2.0**-1000
+        assert np.max(np.abs(c.real[normal] / want[normal] - 1)) <= 1e-12
+        assert np.max(np.abs(c.real - want)) <= 1e-12 * np.max(want)
 
     def test_overflow_is_a_solver_error(self):
         with warnings.catch_warnings():
