@@ -2,9 +2,12 @@
 
 Subcommands: plan, simulate, leakage, modes, fit, validate.  Inputs and
 outputs are JSON (CSV for tables); identical inputs produce byte-identical
-outputs.  Floats are written with Python's shortest round-trip repr (at most
-17 significant digits) and every JSON document embeds the fully resolved
-parameter set plus the library version, so no default is hidden.
+outputs.  JSON documents have the layout of ``json.dumps(indent=2)``, written
+by this module's own encoder, which emits runs of floats and of [re, im]
+pairs in one join.  Floats are written with ``float.__repr__``, Python's
+shortest round-trip repr (at most 17 significant digits), and every JSON
+document embeds the fully resolved parameter set plus the library version,
+so no default is hidden.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure,
 running out of memory included.  A leakage plan too large for the multimode
@@ -20,7 +23,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,15 +44,21 @@ def _pair(z: complex) -> list[float]:
 
 
 def _pairs(seq) -> list[list[float]]:
-    return [_pair(complex(z)) for z in seq]
+    return np.ascontiguousarray(seq, np.complex128).view(np.float64).reshape(-1, 2).tolist()
+
+
+_JSON_NUMBERS = frozenset((int, float))  # what json.load gives a number; bool is apart
 
 
 def _complex_from_pair(obj, name: str) -> complex:
-    try:
-        re, im = obj
-        return complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a [re, im] pair") from exc
+    """A JSON [re, im] pair: a list of exactly two numbers, booleans excluded."""
+    if (type(obj) is list and len(obj) == 2
+            and type(obj[0]) in _JSON_NUMBERS and type(obj[1]) in _JSON_NUMBERS):
+        try:
+            return complex(obj[0], obj[1])
+        except OverflowError:  # an integer literal past the float range
+            pass
+    raise ValueError(f"{name} must be a [re, im] pair")
 
 
 def _parse_complex_arg(text: str, name: str) -> complex:
@@ -83,12 +94,59 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+_scalar = json.JSONEncoder(allow_nan=False).encode
+_float = float.__repr__
+
+
 def _json_text(document: dict) -> str:
-    """Strict JSON; a non-finite number is a numerical failure, not output."""
+    """Strict JSON; a non-finite number is a numerical failure, not output.
+
+    The bytes are those of ``json.dumps(document, indent=2, allow_nan=False)``
+    plus a newline, whose encoder is the pure-Python one once an indent is
+    set.  :func:`_write` builds the same text from joins over whole lists.
+    """
     try:
-        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+        return _write(document, "\n") + "\n"
     except ValueError as exc:
         raise SolverError(f"result is not finite ({exc})") from exc
+
+
+def _finite(text: str, values) -> str:
+    """``text`` holds the reprs of ``values``; a finite float's has no 'n'."""
+    if "n" in text:
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return text
+
+
+def _write(obj, nl: str) -> str:
+    """``obj`` as indented JSON, nested where newline-plus-indent is ``nl``."""
+    if isinstance(obj, float):
+        return _finite(_float(obj), (obj,))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            # Other keys (int, float, bool, None) are json's to convert.
+            return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
+        inner = nl + "  "
+        items = (_scalar(key) + ": " + _write(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _scalar(obj)  # str, int, bool, None; TypeError for anything else
+    if not obj:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return "[" + inner + _finite(sep.join(map(_float, obj)), obj) + nl + "]"
+    if kinds == {list} and set(map(len, obj)) == {2}:
+        flat = tuple(itertools.chain.from_iterable(obj))
+        if set(map(type, flat)) == {float}:
+            pair = "[" + inner + "  %r," + inner + "  %r" + inner + "]"
+            return "[" + inner + _finite(sep.join([pair] * len(obj)) % flat, flat) + nl + "]"
+    return "[" + inner + sep.join([_write(item, inner) for item in obj]) + nl + "]"
 
 
 def _plan_from_json(doc) -> ProtocolPlan:
@@ -159,7 +217,7 @@ def cmd_simulate(args) -> int:
         "coeffs": _pairs(result.state.coeffs),
         "p_nominal": result.p_nominal,
         "p_exact": result.p_exact,
-        "per_cycle": [float(p) for p in result.per_cycle_p_exact],
+        "per_cycle": result.per_cycle_p_exact.tolist(),
     }
     if args.fock is not None:
         out["fock"] = protocol.to_fock(result.state, args.fock).to_json()
@@ -181,6 +239,9 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
         raise ValueError(f"sweep parameter must be 'delta' or 't', got {name!r}")
     if count < 2:
         raise ValueError("sweep count must be at least 2")
+    # Also catches a span past the float range, which numpy would warn about.
+    if not math.isfinite(stop - start):
+        raise ValueError(f"sweep bounds and their span must be finite, got {spec!r}")
     return name, np.linspace(start, stop, count)
 
 
@@ -210,7 +271,7 @@ def cmd_leakage(args) -> int:
         out = {
             "version": __version__,
             "params": {**_plan_params_doc(plan), "variant": variant},
-            "mean_phonon": [float(m) for m in report.per_mode_mean_phonon],
+            "mean_phonon": report.per_mode_mean_phonon.tolist(),
             "com_fidelity": report.com_fidelity_vs_ideal,
             "com_purity": report.com_purity,
             "factorization_gap": report.factorization_gap,
@@ -276,9 +337,9 @@ def cmd_modes(args) -> int:
         out = {
             "version": __version__,
             "params": {"n_ions": args.n_ions},
-            "mu": [float(m) for m in table.frequencies],
-            "b": [[float(x) for x in table.vectors[:, l]] for l in range(table.n_ions)],
-            "positions": [float(u) for u in geometry.positions],
+            "mu": table.frequencies.tolist(),
+            "b": table.vectors.T.tolist(),
+            "positions": geometry.positions.tolist(),
         }
         _emit(_json_text(out), args.output)
     else:
@@ -301,7 +362,7 @@ def cmd_fit(args) -> int:
     pairs = doc["amplitudes"] if isinstance(doc, dict) and "amplitudes" in doc else doc
     if not isinstance(pairs, list):
         raise ValueError("fit target must be a JSON list of [re, im] pairs")
-    target = FockVector.from_json(pairs)
+    target = FockVector([_complex_from_pair(p, f"amplitude {k}") for k, p in enumerate(pairs)])
     alpha = _parse_complex_arg(args.alpha, "--alpha")
     beta = _parse_complex_arg(args.beta, "--beta")
     coeffs, fidelity = inverse.fit_target(target, args.n, alpha, beta)

@@ -95,7 +95,7 @@ class FockVector:
 
     def to_json(self) -> list[list[float]]:
         """Serialize as a JSON-ready list of [re, im] pairs."""
-        return [[float(a.real), float(a.imag)] for a in self.amps]
+        return self.amps.view(np.float64).reshape(-1, 2).tolist()
 
     @classmethod
     def from_json(cls, pairs) -> "FockVector":

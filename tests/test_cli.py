@@ -2,10 +2,14 @@ import csv
 import json
 import warnings
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ile import cli, fock, inverse, protocol
+from ile.errors import SolverError
 
 PLAN = {
     "eta": 0.1,
@@ -39,6 +43,11 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_layout(text):
+    """JSON output is laid out exactly as ``json.dumps(indent=2)`` lays it out."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def run_capped(argv, address_space=2 << 30):
     """Exit code of ``python -m ile.cli argv`` in a fresh process whose
     address space is capped (2 GiB by default)."""
@@ -62,6 +71,7 @@ class TestPlanCommand:
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0, 0], [1, 0]]})
         out = tmp_path / "sol.json"
         assert run(["plan", "--input", target, "--output", str(out)]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         weights = [complex(re, im) for re, im in doc["weights"]]
         assert sorted(w.imag for w in weights) == [-1.0, 1.0]
@@ -81,6 +91,7 @@ class TestPlanCommand:
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0, 0], [1, 0]]})
         out = tmp_path / "sol.json"
         assert run(["plan", "--input", target, "--output", str(out), "--all"]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         assert "solutions" in doc and len(doc["solutions"]) >= 1
 
@@ -134,6 +145,7 @@ class TestSimulateCommand:
         path = write_json(tmp_path / "p.json", PLAN)
         out = tmp_path / "r.json"
         assert run(["simulate", "--input", path, "--output", str(out), "--fock", "64"]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         vec = fock.FockVector.from_json(doc["fock"])
         plan = cli._plan_from_json(PLAN)
@@ -279,10 +291,23 @@ class TestLeakageCommand:
         assert run(["leakage", "--input", path, "--sweep", "delta=0:1:1"]) == 2
         assert run(["leakage", "--input", path, "--sweep", "omega=0:1:3"]) == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["delta=0.9:inf:3", "t=1:-inf:2", "t=nan:90:2", "t=-1e308:1.7e308:3"]
+    )
+    def test_non_finite_sweep_bounds_exit_2(self, tmp_path, capsys, spec):
+        # refused before np.linspace, which warns on each of these
+        path = write_json(tmp_path / "p.json", PLAN)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["leakage", "--input", path, "--sweep", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep bounds") and err.count("\n") == 1
+
     def test_json_single_point(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)
         out = tmp_path / "r.json"
         assert run(["leakage", "--input", path, "--output", str(out), "--format", "json"]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         for key in ("mean_phonon", "com_fidelity", "com_purity", "factorization_gap", "p_exact"):
             assert key in doc
@@ -331,6 +356,7 @@ class TestModesCommand:
     def test_json_two_ions(self, tmp_path):
         out = tmp_path / "m.json"
         assert run(["modes", "2", "--output", str(out)]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         assert doc["mu"][0] == 1.0
         assert abs(doc["mu"][1] - np.sqrt(3)) < 1e-8
@@ -359,6 +385,7 @@ class TestFitCommand:
             "fit", "--input", path, "--output", str(out),
             "--n", "2", "--alpha", "0.3", "--beta", "0.9",
         ]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         assert doc["fidelity"] >= 1 - 1e-10
 
@@ -437,6 +464,7 @@ class TestValidateCommand:
             "--t", "100", "--steps", "10", "--cutoff", "12", "--weights", "1",
             "--output", str(out),
         ]) == 0
+        assert_layout(out.read_text())
         doc = json.loads(out.read_text())
         assert doc["fidelity_integrated"] >= doc["fidelity_endpoint"]
         assert 3.0 <= doc["step_halving_ratio"] <= 5.0
@@ -549,6 +577,130 @@ class TestHugeDisplacements:
                 assert all(np.isfinite(float(x)) for x in fields)
             else:
                 assert row[complete] == "false" and fields == [""] * len(fields)
+
+
+class TestStrictPairs:
+    """Complex inputs are lists of exactly two JSON numbers, booleans excluded."""
+
+    BAD = [["12", "34"], [True, False], [1, 2, 3], [1], 1.5, None, {"re": 1, "im": 0},
+           [1, "0"], [None, 0]]
+
+    @pytest.mark.parametrize("pair", BAD)
+    def test_plan_coefficient(self, tmp_path, capsys, pair):
+        target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], pair, [1, 0]]})
+        assert run(["plan", "--input", target]) == 2
+        assert "coefficient must be a [re, im] pair" in capsys.readouterr().err
+
+    def test_plan_string_coefficients(self, tmp_path, capsys):
+        # each string unpacked into two characters once solved for 1+2j, 3+4j
+        target = write_json(tmp_path / "t.json", {"coeffs": ["12", "34"]})
+        assert run(["plan", "--input", target]) == 2
+        assert "coefficient must be a [re, im] pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", BAD)
+    def test_plan_weight_and_alpha(self, tmp_path, capsys, pair):
+        weights = dict(PLAN, cycles=[{"t": 80.0, "p": [[0.3, 0.2], pair]}])
+        assert run(["simulate", "--input", write_json(tmp_path / "w.json", weights)]) == 2
+        assert "cycle 0 weight must be a [re, im] pair" in capsys.readouterr().err
+        alpha = dict(PLAN, alpha=pair)
+        assert run(["leakage", "--input", write_json(tmp_path / "a.json", alpha)]) == 2
+        assert "alpha must be a [re, im] pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", BAD + [[[1, 0], [0, 1]]])
+    def test_fit_amplitude(self, tmp_path, capsys, pair):
+        path = write_json(tmp_path / "t.json", [[0.6, 0], pair, [0.5, 0]])
+        assert run(["fit", "--input", path, "--n", "4", "--beta", "0.3"]) == 2
+        assert "amplitude 1 must be a [re, im] pair" in capsys.readouterr().err
+
+    def test_fit_bare_numbers(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", [1, 2])
+        assert run(["fit", "--input", path, "--n", "4", "--beta", "0.3"]) == 2
+        assert "amplitude 0 must be a [re, im] pair" in capsys.readouterr().err
+
+    def test_integer_past_float_range(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"coeffs": [[1, 0], [1' + "0" * 400 + ', 0]]}')
+        assert run(["plan", "--input", str(path)]) == 2
+        assert "coefficient must be a [re, im] pair" in capsys.readouterr().err
+
+    def test_integer_pairs_stay_valid(self, tmp_path):
+        plan = dict(PLAN, alpha=[1, 0], cycles=[{"t": 80.0, "p": [[1, 0], [0, -1]]}])
+        assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 0
+        path = write_json(tmp_path / "t.json", [[1, 0], [0, 0], [1, 0]])
+        assert run(["fit", "--input", path, "--n", "4", "--beta", "0.3"]) == 0
+
+
+def _float_items():
+    """Python floats and np.float64 that json.dumps writes with float.__repr__."""
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1.0]
+    )
+    return finite | finite.map(np.float64)
+
+
+def _documents():
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    numbers = floats | st.integers(-(2**70), 2**70)
+    scalars = (
+        st.none() | st.booleans() | st.integers() | _float_items()
+        | st.text() | st.sampled_from(["é\u2028\x00\x1f\"\\", "\U0001f600", ""])
+    )
+    leaves = (
+        scalars
+        | st.lists(_float_items(), max_size=8)
+        | st.lists(st.lists(floats, min_size=2, max_size=2), max_size=6)
+        | st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=6)
+        | st.lists(st.lists(floats, min_size=3, max_size=3), max_size=4)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    def test_bytes_match_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def test_non_string_keys_and_tuples(self):
+        doc = {"a": {1: [0.5, 0.25], None: (1.0, 2.0), 2.5: True}, "b": ((0.1, 0.2),)}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), np.float64("nan")])
+    def test_non_finite_raises_solver_error(self, bad):
+        docs = [
+            bad,
+            {"p_exact": bad},
+            {"per_cycle": [0.5, bad, 0.25]},
+            {"coeffs": [[1.0, 0.0], [0.0, bad]]},
+            {"coeffs": [[bad, 0]]},
+            {"b": [[0.5, 0.5, bad]]},
+            [{"x": [{"y": bad}]}],
+        ]
+        for doc in docs:
+            with pytest.raises(SolverError, match="result is not finite"):
+                cli._json_text(doc)
+
+    def test_unknown_type_raises_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"n": [np.int64(3)]})
+
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = protocol.run_ideal
+
+        def nan_cycle(plan):
+            result = real(plan)
+            return dataclasses.replace(result, per_cycle_p_exact=np.array([np.nan]))
+
+        monkeypatch.setattr(protocol, "run_ideal", nan_cycle)
+        out = tmp_path / "r.json"
+        assert run(["simulate", "--input", write_json(tmp_path / "p.json", PLAN),
+                    "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "result is not finite" in capsys.readouterr().err
 
 
 class TestParser:
