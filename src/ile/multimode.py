@@ -86,6 +86,14 @@ _LIVE_CLASSES = 4
 _BLOCK_ENTRIES = 1 << 20
 # Multiply-adds of one referee step's change of motional basis, 2^n size^(n+1).
 _STEP_BUDGET = 4_000_000
+# Multiply-adds of one whole referee call (see _run_cost), and each step's
+# fixed cost in the same unit: fitted so that the slowest admitted call takes
+# about a minute.
+_RUN_BUDGET = 36_000_000_000
+_SECTOR_STEP_OVERHEAD = 3_000
+_FULL_STEP_OVERHEAD = 30_000
+# Rotation entries the fast-terms run takes per block of steps.
+_ROTATION_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +468,17 @@ class TrotterReport:
     conditional_weight: float
 
 
+def _run_cost(n: int, size: int, steps: int, fast: bool) -> int:
+    """Work of one referee call in multiply-adds, each step counted with its
+    fixed cost on top: 7 x steps rotating-wave steps over the three
+    resolutions, n 2^n size^2 each, and with the fast terms 4 x steps
+    full-state steps, n 2^n size^(n + 1) each."""
+    cost = 7 * steps * (n * 2**n * size**2 + _SECTOR_STEP_OVERHEAD)
+    if fast:
+        cost += 4 * steps * (n * 2**n * size ** (n + 1) + _FULL_STEP_OVERHEAD)
+    return cost
+
+
 def trotter_validate(
     params: PhysicalParams,
     modes: ModeTable,
@@ -489,18 +508,33 @@ def trotter_validate(
     e^{-i w_l tau N} the step is a product R of closed-form 2 x 2 rotations
     generated by (a_{k,i} Z + c Y') / 2, a_{k,i} = rho sum_l eta[i, l]
     lam_{k_l}, at each motional eigen-index k.  Consecutive midpoints' frames
-    differ by the constant W = (x)_l V^T e^{-i w_l dt N} V, so
-    psi_K = P(tau_K)^+ R_K W ... W R_1 P(tau_1) psi_0: one change of motional
-    basis per step, and without the fast terms one fixed diagonal R.
-    Against two changes per step, the results move in the last digits.
+    differ by the constant W = (x)_l W_l, W_l = V^T e^{-i w_l dt N} V, so
+    psi_K = P(tau_K)^+ R_K W ... W R_1 P(tau_1) psi_0.
 
-    One step costs about 2^n (cutoff + 1)^(n + 1) multiply-adds per mode;
-    above 4e6 (cutoff 99 at two ions, 1413 at one) a ValueError refuses the
-    call before any allocation.  Three resolutions (steps, 2x, 4x) are
-    always run; a Richardson limit from the two finest certifies second
-    order (deviation ratio near 4), an :class:`IntegratorError` flags
-    anything far off that, and deviations below 64 eps per finest step
-    (rounding noise, as where the step is exact) read as 4.
+    Without the fast terms nothing mixes the sigma_y sectors.  In the sector
+    with signs s_i = +-1, R = prod_l diag(r_l), r_l = exp(-i dt drive g_l
+    lam / 2) with g_l = sum_i s_i eta[i, l]; W and the initial spin (x)
+    coherent (x) vacuum state are products over modes too.  So the sector
+    holds its initial spin amplitude times (x)_l v_l, each v_l a
+    (cutoff + 1)-vector that takes K steps of diag(r_l) W_l on its own: the
+    n 2^n vectors step together, one batched product and one multiply per
+    step at n 2^n (cutoff + 1)^2 multiply-adds, and the 2^n (cutoff + 1)^n
+    state is built once per resolution, for the step-halving probe and the
+    projection.  With the fast terms the carrier mixes the sectors and the
+    whole state steps: a change of motional basis, n 2^n (cutoff + 1)^(n + 1)
+    multiply-adds, and n spin rotations, whose entries are taken for a block
+    of steps at once (at most 2^18 of them, so memory does not grow with the
+    step count).
+
+    Two guards refuse a call as bad input (ValueError) before anything is
+    allocated: a full-state step past 2^n (cutoff + 1)^(n + 1) = 4e6
+    multiply-adds (cutoff 99 at two ions, 1413 at one), and a whole run past
+    3.6e10 (:func:`_run_cost`, about a minute at a desk).  Three resolutions
+    (steps, 2x, 4x) are always run; a Richardson limit from the two finest
+    certifies second order (deviation ratio near 4), an
+    :class:`IntegratorError` flags anything far off that, and deviations
+    below 64 eps per finest step (rounding noise, as where the step is
+    exact) read as 4.
     """
     n = modes.n_ions
     if params.n_ions != n:
@@ -510,6 +544,11 @@ def trotter_validate(
     size = cfg.cutoff + 1
     if 2**n * size ** (n + 1) > _STEP_BUDGET:
         raise ValueError("one integrator step beyond desk scale; lower the cutoff")
+    # in Python integers, so that a numpy step count cannot wrap round under the budget
+    if _run_cost(n, size, int(cfg.steps), cfg.include_fast_terms) > _RUN_BUDGET:
+        raise ValueError(
+            "the whole integrator run beyond desk scale; lower the steps or the cutoff"
+        )
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
     weights = np.zeros(n, dtype=np.complex128) if weights is None else np.asarray(
@@ -521,65 +560,84 @@ def trotter_validate(
         raise ValueError("weights must be finite")
 
     lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
-    number = np.indices((size,) * n).reshape(n, -1)  # number[l, k]: N_l at the motional index k
-    unit = lamb_dicke(modes, params.eta).entries @ lam[number]  # a_{k,i} per unit envelope
+    coupling = lamb_dicke(modes, params.eta).entries  # [i, l]
     drive = -2.0 * np.sqrt(2.0) * params.omega
+    motion = np.array([coherent_fock(alpha if l == 0 else 0j, cfg.cutoff).amps for l in range(n)])
 
     # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis
     # spin onto (|+y>, |-y>), and <1| in the z basis reads (i, -i) / sqrt 2.
+    # Ion 0's spin is the slowest index, and index 0 is +y (s_i = 1).
     to_y = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
-    spin0, bra = np.array([1.0]), np.array([1.0])
-    for p in weights:
-        spin0 = np.kron(spin0, to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)))
-        bra = np.kron(bra, np.array([1.0j, -1.0j]) / np.sqrt(2.0))
-    motion0 = np.array([1.0])
-    for l in range(n):
-        motion0 = np.kron(motion0, coherent_fock(alpha if l == 0 else 0j, cfg.cutoff).amps)
-    psi0 = np.outer(spin0, motion0)
+    spin0 = reduce(np.multiply.outer, [
+        to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)) for p in weights
+    ]).ravel()
+    bra = reduce(np.multiply.outer, [np.array([1.0j, -1.0j]) / np.sqrt(2.0)] * n).ravel()
+    signs = 1 - 2 * np.indices((2,) * n).reshape(n, -1)  # signs[i, sector]
 
-    def change_modes(psi: np.ndarray, mats) -> np.ndarray:
-        for l in range(n):
-            psi = mats[l] @ psi.reshape(2**n * size**l, size, -1)
-        return psi.reshape(2**n, -1)
-
-    def evolve(steps: int, fast: bool) -> np.ndarray:
-        dt = t / steps
-        w = modes.frequencies - (0.0 if fast else params.delta)
-        phase = dt * (w @ number)  # sum_l w_l N_l dt at each motional index
+    def frame(w: np.ndarray, dt: float):
+        """Per mode the turns w_l dt N and W_l, each from two real products
+        (half the work of one complex product)."""
         turns = dt * np.multiply.outer(w, np.arange(size))
-        # V^T e^{-i w_l dt N} V, the frame of one midpoint in that of the previous,
-        # from two real products (half the work of one complex product)
-        shift = [((vecs.T * np.cos(a)) @ vecs).astype(complex) for a in turns]
-        for mat, a in zip(shift, turns):
-            mat.imag = -((vecs.T * np.sin(a)) @ vecs)
+        shift = ((vecs.T * np.cos(turns)[:, None]) @ vecs).astype(complex)
+        shift.imag = -((vecs.T * np.sin(turns)[:, None]) @ vecs)
+        return turns, shift
 
-        def rotation(rho: float, c: float):  # per ion and spin (+y, -y): diagonal, off-diagonal
-            a = rho * unit
+    def evolve(steps: int) -> np.ndarray:
+        """The rotating-wave run, mode by mode in each sector."""
+        dt = t / steps
+        turns, shift = frame(modes.frequencies - params.delta, dt)
+        # v[l, :, sector] is v_l in the eigenbasis of x, r likewise r_l
+        r = np.exp((-0.5j * dt * drive) * lam[:, None] * (coupling.T @ signs)[:, None])
+        v = r * (vecs.T @ (motion * np.exp(-0.5j * turns))[:, :, None])
+        for _ in range(steps - 1):
+            v = shift @ v
+            v *= r
+        v = (vecs @ v) * np.exp(1j * (steps - 0.5) * turns)[:, :, None]
+        # psi[sector] = spin0[sector] (x)_l v[l, :, sector], mode 0 slowest
+        return reduce(
+            lambda x, f: (x[:, :, None] * f[:, None]).reshape(2**n, -1),
+            np.swapaxes(v, 1, 2),
+            spin0[:, None],
+        ).reshape(-1)
+
+    def evolve_fast(steps: int) -> np.ndarray:
+        """The run with the fast terms, on the whole state."""
+        dt = t / steps
+        turns, shift = frame(modes.frequencies, dt)
+        number = np.indices((size,) * n).reshape(n, -1)  # number[l, k]: N_l at the motional index k
+        phase = dt * (modes.frequencies @ number)  # sum_l w_l N_l dt at each motional index
+        unit = coupling @ lam[number]  # a_{k,i} per unit envelope
+
+        def change_modes(psi: np.ndarray, mats) -> np.ndarray:
+            for l in range(n - 1):
+                psi = mats[l] @ psi.reshape(2**n * size**l, size, -1)
+            # the last mode's index runs fastest: one product from the right
+            return (psi.reshape(-1, size) @ mats[n - 1].T).reshape(2**n, -1)
+
+        psi0 = np.multiply.outer(spin0, reduce(np.multiply.outer, motion).ravel())
+        psi = change_modes(psi0 * np.exp(-0.5j * phase), [vecs.T] * n)
+        block = max(1, _ROTATION_BLOCK // unit.size)
+        for lo in range(0, steps, block):
+            cos = np.cos(params.delta * (np.arange(lo, min(lo + block, steps)) + 0.5) * dt)
+            a = (2.0 * drive * cos)[:, None, None] * unit
+            c = (4.0 * params.omega * cos)[:, None, None]
             r = np.hypot(a, c)
             sin = np.sin(0.5 * dt * r) / np.where(r > 0, r, 1.0)
             diag = np.cos(0.5 * dt * r) - 1j * sin * a
-            return np.stack([diag, np.conj(diag)], axis=1), np.stack([sin * c, -sin * c], axis=1)
-
-        if not fast:
-            diags, _ = rotation(drive, 0.0)
-            rot = reduce(lambda r, d: (r[:, None] * d).reshape(-1, size**n), diags, np.ones(1))
-        psi = change_modes(psi0 * np.exp(-0.5j * phase), [vecs.T] * n)
-        for k in range(steps):
-            if k:
-                psi = change_modes(psi, shift)
-            if not fast:
-                psi = rot * psi
-                continue
-            cos = np.cos(params.delta * (k + 0.5) * dt)
-            diags, offs = rotation(2.0 * drive * cos, 4.0 * params.omega * cos)
-            for i in range(n):
-                spins = psi.reshape(2**i, 2, -1, size**n)
-                psi = diags[i][:, None] * spins - offs[i][:, None] * spins[:, ::-1]
+            # per step, ion and spin (+y, -y): the rotation's diagonal and off-diagonal
+            diags = np.stack([diag, np.conj(diag)], axis=2)
+            offs = np.stack([sin * c, -sin * c], axis=2)
+            for k, (d, o) in enumerate(zip(diags, offs), lo):
+                if k:
+                    psi = change_modes(psi, shift)
+                for i in range(n):
+                    spins = psi.reshape(2**i, 2, -1, size**n)
+                    psi = d[i][:, None] * spins - o[i][:, None] * spins[:, ::-1]
         return (change_modes(psi, [vecs] * n) * np.exp(1j * (steps - 0.5) * phase)).reshape(-1)
 
-    psi_1 = evolve(cfg.steps, False)
-    psi_2 = evolve(2 * cfg.steps, False)
-    psi_4 = evolve(4 * cfg.steps, False)
+    psi_1 = evolve(cfg.steps)
+    psi_2 = evolve(2 * cfg.steps)
+    psi_4 = evolve(4 * cfg.steps)
     richardson = psi_4 + (psi_4 - psi_2) / 3.0
     dev_1 = np.linalg.norm(psi_1 - richardson)
     dev_2 = np.linalg.norm(psi_2 - richardson)
@@ -612,10 +670,8 @@ def trotter_validate(
     def predicted(integrated: bool) -> np.ndarray:
         vec = np.zeros(size**n, dtype=np.complex128)
         for c, row in zip(*_exact_state(plan, modes, integrated, None).expand()):
-            term = np.array([c])
-            for g in row:
-                term = np.kron(term, coherent_fock(g, cfg.cutoff).amps)
-            vec += term
+            amps = [coherent_fock(g, cfg.cutoff).amps for g in row]
+            vec += reduce(np.multiply.outer, amps, c).ravel()
         return vec
 
     def fid(u: np.ndarray, v: np.ndarray) -> float:
@@ -630,7 +686,7 @@ def trotter_validate(
 
     effect = None
     if cfg.include_fast_terms:
-        cond_fast = conditional(evolve(4 * cfg.steps, True))
+        cond_fast = conditional(evolve_fast(4 * cfg.steps))
         effect = float(np.clip(1.0 - fid(cond, cond_fast), 0.0, 1.0))
 
     return TrotterReport(

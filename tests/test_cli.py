@@ -496,6 +496,20 @@ class TestValidateCommand:
         assert not out.exists()
         assert "desk scale" in capsys.readouterr().err
 
+    def test_overlong_run_refused_quickly(self, tmp_path, capsys):
+        import time
+
+        out = tmp_path / "v.json"
+        start = time.perf_counter()
+        code = run([
+            "validate", "--eta", "0.05", "--omega", "0.01", "--delta", "0.99",
+            "--t", "20", "--steps", "100000000", "--output", str(out),
+        ])
+        assert code == 2
+        assert time.perf_counter() - start < 0.5
+        assert not out.exists()
+        assert "whole integrator run beyond desk scale" in capsys.readouterr().err
+
 
 class TestHugeCoherentAmplitudes:
     """|alpha| whose square overflows a float ends in a documented exit

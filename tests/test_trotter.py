@@ -4,7 +4,7 @@ import pytest
 from ile import multimode, protocol
 from ile.errors import IntegratorError
 
-from oracles import sparse_trotter_validate
+from oracles import sparse_trotter_validate, stepped_trotter_validate
 
 
 def test_config_validation():
@@ -127,6 +127,35 @@ def test_step_cost_guard_edge(mode_tables, monkeypatch, n_ions, cutoff, admitted
         multimode.trotter_validate(params, mode_tables[n_ions], 100.0, cfg)
 
 
+@pytest.mark.parametrize(
+    "n_ions, cutoff, steps, fast, admitted",
+    [
+        (1, 1413, 815, True, True),
+        (1, 1413, 816, True, False),
+        (2, 99, 61962, False, True),
+        (2, 99, 61963, False, False),
+        (1, 16, 1437355, False, True),
+        (1, 16, 1437356, False, False),
+        (1, 16, np.int64(2**61), False, False),  # wraps round to a negative cost in int64
+    ],
+)
+def test_run_cost_guard_edge(mode_tables, monkeypatch, n_ions, cutoff, steps, fast, admitted):
+    """A whole run of at most 3.6e10 multiply-adds, each step counted with its
+    fixed cost, is admitted and one step more is not, at the largest step,
+    at two ions and at the default cutoff, and a numpy step count is costed
+    without wrapping; a refused call stops before the eigen-decomposition."""
+
+    def stop(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(multimode, "eigh_tridiagonal", stop)
+    params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=n_ions)
+    cfg = multimode.TrotterConfig(cutoff=cutoff, steps=steps, include_fast_terms=fast)
+    expected = pytest.raises(_Admitted) if admitted else pytest.raises(ValueError, match="desk scale")
+    with expected:
+        multimode.trotter_validate(params, mode_tables[n_ions], 100.0, cfg)
+
+
 # (n_ions, eta, omega, delta, t, cutoff, steps, weights, alpha, fast terms)
 _ORACLE_CASES = [
     (1, 0.05, 0.005, 0.99, 100.0, 16, 20, [1.0], 0j, False),
@@ -159,5 +188,43 @@ def test_structured_step_matches_sparse_krylov_referee(mode_tables, case):
     assert got.conditional_weight == pytest.approx(ref.conditional_weight, rel=1e-11, abs=0)
     if fast:
         assert got.fast_terms_effect == pytest.approx(ref.fast_terms_effect, rel=0, abs=1e-12)
+    else:
+        assert got.fast_terms_effect is None and ref.fast_terms_effect is None
+
+
+def _stepped_case(seed: int):
+    """Random referee inputs in the benchmark's healthy ranges: nonzero weights,
+    alpha != 0, cutoffs 4-30, steps 10-41; odd seeds take two ions, and
+    seeds 2-3 mod 4 reinstate the fast terms."""
+    rng = np.random.default_rng([20261018, seed])
+    n, fast = 1 + seed % 2, seed % 4 >= 2
+    lo, hi = (0.95, 0.999) if n == 1 else (0.6, 0.9)
+    delta = rng.uniform(lo, hi)
+    t = rng.uniform(0.5, 2.0) / (1.0 - delta)
+    omega = min(0.05, rng.uniform(0.05, 0.3) / (0.05 * t))
+    weights = rng.normal(0.0, 0.5, n) + 1j * rng.normal(0.0, 0.5, n)
+    alpha = complex(*rng.uniform(-0.5, 0.5, 2))
+    params = protocol.PhysicalParams(eta=0.05, omega=omega, delta=delta, n_ions=n)
+    cfg = multimode.TrotterConfig(
+        cutoff=int(rng.integers(4, 31)), steps=int(rng.integers(10, 42)), include_fast_terms=fast
+    )
+    return params, t, cfg, weights, alpha
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sector_run_matches_stepped_full_state_referee(mode_tables, seed):
+    """The per-sector, per-mode rotating-wave run and the blocked fast-terms
+    rotations against the referee that stepped the whole state one rotation
+    at a time."""
+    params, t, cfg, weights, alpha = _stepped_case(seed)
+    modes = mode_tables[params.n_ions]
+    got = multimode.trotter_validate(params, modes, t, cfg, weights=weights, alpha=alpha)
+    ref = stepped_trotter_validate(params, modes, t, cfg, weights=weights, alpha=alpha)
+    assert got.fidelity_integrated == pytest.approx(ref.fidelity_integrated, rel=0, abs=1e-13)
+    assert got.fidelity_endpoint == pytest.approx(ref.fidelity_endpoint, rel=0, abs=1e-13)
+    assert got.conditional_weight == pytest.approx(ref.conditional_weight, rel=0, abs=1e-12)
+    assert got.step_halving_ratio == pytest.approx(ref.step_halving_ratio, rel=1e-7, abs=0)
+    if cfg.include_fast_terms:
+        assert got.fast_terms_effect == pytest.approx(ref.fast_terms_effect, rel=0, abs=1e-13)
     else:
         assert got.fast_terms_effect is None and ref.fast_terms_effect is None
