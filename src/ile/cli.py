@@ -9,12 +9,12 @@ shortest round-trip repr (at most 17 significant digits), and every JSON
 document embeds the fully resolved parameter set plus the library version,
 so no default is hidden.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical or solver failure,
-running out of memory included.  A leakage plan too large for the multimode
-memory budget, whose Gram sums cancel past float precision, whose line
-coefficients overflow, or whose fields are not finite (displacements past
-about 1e154) is a solver failure: exit 3 for JSON output, a complete=false
-row in CSV output.
+Exit codes: 0 success, 2 invalid input (an unwritable --output included),
+3 numerical or solver failure, running out of memory included.  A leakage
+plan too large for the multimode memory budget, whose Gram sums cancel past
+float precision, or whose fields are not finite (displacements past about
+1e154) is a solver failure: exit 3 for JSON output, a complete=false row in
+CSV output.
 """
 
 from __future__ import annotations
@@ -50,15 +50,23 @@ def _pairs(seq) -> list[list[float]]:
 _JSON_NUMBERS = frozenset((int, float))  # what json.load gives a number; bool is apart
 
 
-def _complex_from_pair(obj, name: str) -> complex:
-    """A JSON [re, im] pair: a list of exactly two numbers, booleans excluded."""
-    if (type(obj) is list and len(obj) == 2
-            and type(obj[0]) in _JSON_NUMBERS and type(obj[1]) in _JSON_NUMBERS):
+def _real(obj, name: str, kind: str = "a number") -> float:
+    """A JSON number as a float, booleans excluded; anything else, an integer
+    literal past the float range included, raises "<name> must be <kind>"."""
+    if type(obj) in _JSON_NUMBERS:
         try:
-            return complex(obj[0], obj[1])
-        except OverflowError:  # an integer literal past the float range
+            return float(obj)
+        except OverflowError:
             pass
-    raise ValueError(f"{name} must be a [re, im] pair")
+    raise ValueError(f"{name} must be {kind}")
+
+
+def _complex_from_pair(obj, name: str) -> complex:
+    """A JSON [re, im] pair: a list of exactly two numbers as :func:`_real` reads them."""
+    kind = "a [re, im] pair"
+    if type(obj) is not list or len(obj) != 2:
+        raise ValueError(f"{name} must be {kind}")
+    return complex(_real(obj[0], name, kind), _real(obj[1], name, kind))
 
 
 def _parse_complex_arg(text: str, name: str) -> complex:
@@ -90,8 +98,11 @@ def _emit(text: str, output: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
 _scalar = json.JSONEncoder(allow_nan=False).encode
@@ -159,9 +170,9 @@ def _plan_from_json(doc) -> ProtocolPlan:
     if isinstance(n_ions, bool) or (isinstance(n_ions, float) and not n_ions.is_integer()):
         raise ValueError(f"n_ions must be an integer, got {n_ions!r}")
     params = PhysicalParams(
-        eta=float(doc["eta"]),
-        omega=float(doc["omega"]),
-        delta=float(doc["delta"]),
+        eta=_real(doc["eta"], "eta"),
+        omega=_real(doc["omega"], "omega"),
+        delta=_real(doc["delta"], "delta"),
         n_ions=int(n_ions),
     )
     cycles = []
@@ -171,7 +182,7 @@ def _plan_from_json(doc) -> ProtocolPlan:
         if not isinstance(cyc, dict) or "t" not in cyc or "p" not in cyc:
             raise ValueError(f"cycle {k} must be an object with 't' and 'p'")
         weights = [_complex_from_pair(p, f"cycle {k} weight") for p in cyc["p"]]
-        cycles.append(Cycle(duration=float(cyc["t"]), weights=weights))
+        cycles.append(Cycle(duration=_real(cyc["t"], f"cycle {k} t"), weights=weights))
     return ProtocolPlan(
         params=params,
         alpha=_complex_from_pair(doc["alpha"], "alpha"),

@@ -134,55 +134,44 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated at ``cutoff`` phonons.
 
     amplitude(n) = exp(-|alpha|^2/2) alpha^n / sqrt(n!) via the ratio
-    recurrence, which stays stable far beyond where explicit factorials
-    overflow.  When |alpha|^2 > cutoff/2 the Poisson peak crowds the cutoff
-    and a :class:`TruncationWarning` is issued; the state is still returned,
-    with ``tail_weight`` quantifying the damage.
+    recurrence of :func:`coherent_table`, whose one row it is; the
+    recurrence stays stable far beyond where explicit factorials overflow.
+    When |alpha|^2 > cutoff/2 the Poisson peak crowds the cutoff and a
+    :class:`TruncationWarning` is issued; the state is still returned, with
+    ``tail_weight`` quantifying the damage.
     """
     alpha = _finite_complex(alpha, "alpha")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    mag = abs(alpha)
+    _warn_crowded(abs(alpha), cutoff, stacklevel=3)
+    return FockVector(coherent_table([alpha], cutoff)[0])
+
+
+def _warn_crowded(mag: float, cutoff: int, stacklevel: int) -> None:
+    """:class:`TruncationWarning` when a coherent amplitude of modulus ``mag``
+    passes sqrt(cutoff/2), where the Poisson peak crowds the cutoff."""
     if mag > math.sqrt(cutoff / 2):
         warnings.warn(
             f"|alpha| = {mag:.3g} exceeds sqrt(cutoff/2) = {math.sqrt(cutoff / 2):.3g}; "
             "truncation is unreliable",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    # Python complex scalars, several times faster per step than numpy ones.
-    # Each part is scaled by the reciprocal root, which is what numpy's
-    # complex-by-real division computes, so the amplitudes equal bitwise
-    # those of amps[n] = amps[n - 1] * alpha / np.sqrt(n) on a complex array
-    # (up to the sign of a part that is exactly zero).
-    a = _coherent_seed(mag)
-    amps = [a]
-    for n in range(1, cutoff + 1):
-        a = a * alpha
-        s = 1.0 / math.sqrt(n)
-        a = complex(a.real * s, a.imag * s)
-        amps.append(a)
-    return FockVector(np.array(amps, dtype=np.complex128))
-
-
-def _coherent_seed(mag: float) -> complex:
-    """Vacuum amplitude exp(-|alpha|^2 / 2) of a coherent state of modulus ``mag``."""
-    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
-    return complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
 
 
 def coherent_table(labels, cutoff: int) -> np.ndarray:
     """Coherent states |labels[j]> truncated at ``cutoff`` phonons, one per
     row of a (len(labels), cutoff + 1) array.
 
-    Row j equals ``coherent_fock(labels[j], cutoff).amps`` bitwise, signs of
-    zero included: the same ratio recurrence runs down the levels for all
-    rows at once, on separate real and imaginary parts, as
-    re gr - im gi and im gr + re gi, each then times 1/sqrt(n), from the
-    same per-row seed exp(-|g|^2/2).  (A complex-array multiply is not
-    bitwise equal to the scalar product.)  Unlike :func:`coherent_fock` it
-    issues no :class:`TruncationWarning`; a caller whose labels may crowd
-    the cutoff checks the tail weight of what it builds.
+    The package's one coherent-ket recurrence: amplitude n of row j is
+    amplitude n - 1 times g = labels[j], then times 1/sqrt(n), from the seed
+    exp(-|g|^2/2), run down the levels for all rows at once on separate real
+    and imaginary parts, as re gr - im gi and im gr + re gi.  Each row is
+    therefore bitwise, signs of zero included, the same recurrence on Python
+    complex scalars.  (A complex-array multiply is not bitwise equal to the
+    scalar product.)  Unlike :func:`coherent_fock` it issues no
+    :class:`TruncationWarning`; a caller whose labels may crowd the cutoff
+    checks them, or the tail weight of what it builds.
     """
     labels = np.asarray(labels, dtype=np.complex128)
     if labels.ndim != 1:
@@ -197,7 +186,10 @@ def coherent_table(labels, cutoff: int) -> np.ndarray:
     # entries are the parts and its last 2 rows the swapped parts, both
     # contiguous: the next level is parts (gr, gr) + swapped (-gi, gi).
     z = np.zeros(3 * rows)
-    z[:rows] = [_coherent_seed(abs(g)).real for g in labels.tolist()]
+    # The seed exp(-|g|^2 / 2); past |g| ~ 1e154 the square overflows, and
+    # every amplitude is 0.
+    mags = [abs(g) for g in labels.tolist()]
+    z[:rows] = [float(np.exp(-0.5 * m**2)) if m < 1e150 else 0.0 for m in mags]
     z[2 * rows :] = z[:rows]
     parts, swapped, head, tail = z[: 2 * rows], z[rows:], z[:rows], z[2 * rows :]
     by_parts = np.concatenate([labels.real, labels.real])

@@ -21,8 +21,12 @@ weight sequence produces; such targets are rejected explicitly.
 Measured range: random targets with weights r ~ U(0.2, 2) of random phase
 solve to a forward residual below 1e-9 up to n = 112 (10 targets per n; worst
 residual 4.6e-13 at n = 80, 1.3e-12 at n = 96, 1.6e-12 at n = 112).  Past
-that the roots lose accuracy: 3 of 30 targets fail at n = 128, 11 of 30 at
-n = 144.
+that 3 of 30 targets fail at n = 128, 11 of 30 at n = 144.  The roots are
+still accurate there; the residual check is not.  It rebuilds the line from
+the weights sorted by (real, imag), and the partial products of neighbouring
+factors grow by about 2^n before they cancel, so rounding in the rebuilt
+line, not in the roots, passes 1e-9: x^64 + 1 is refused with residual
+2.5e-4.
 
 Also here: ``fit_target``, the least-squares fit of an arbitrary number-basis
 state by a line superposition over a fixed component grid.  The grid's Gram
@@ -128,7 +132,9 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     1 GiB memory budget, before it is built.  The reconstruction is the
     weights' line as :func:`ile.protocol.scaled_coeffs` carries it; the
     residual is projective, so its power-of-two scale drops out and the
-    check holds at any length.
+    check holds at any length.  Built in the sorted order, its partial
+    products grow by about 2^n before they cancel, which is what refuses
+    accurate roots past n = 112 (see the module docstring).
     """
     if target.n < 1:
         raise ValueError("need at least two coefficients (one weight to solve for)")

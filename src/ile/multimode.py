@@ -50,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError, check_memory
-from .fock import coherent_fock, displacement_phase, line_overlaps
+from .fock import _warn_crowded, coherent_table, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
     LineSuperposition,
@@ -526,6 +526,13 @@ def trotter_validate(
     of steps at once (at most 2^18 of them, so memory does not grow with the
     step count).
 
+    The weights, the window and alpha are checked as the one-cycle
+    :class:`ProtocolPlan` they make.  Both predictions read that plan's one
+    exact state, the endpoint one with its own displacement table (the
+    ions' lines depend on the weights alone), and each mode's kets, the
+    initial one and every term's, are rows of one :func:`coherent_table`;
+    a label past sqrt(cutoff / 2) issues a :class:`TruncationWarning`.
+
     Two guards refuse a call as bad input (ValueError) before anything is
     allocated: a full-state step past 2^n (cutoff + 1)^(n + 1) = 4e6
     multiply-adds (cutoff 99 at two ions, 1413 at one), and a whole run past
@@ -537,8 +544,6 @@ def trotter_validate(
     exact) read as 4.
     """
     n = modes.n_ions
-    if params.n_ions != n:
-        raise ValueError("plan and mode table disagree on the ion count")
     if n > 2:
         raise ValueError("the referee is a desk-scale tool; n_ions <= 2 only")
     size = cfg.cutoff + 1
@@ -549,27 +554,30 @@ def trotter_validate(
         raise ValueError(
             "the whole integrator run beyond desk scale; lower the steps or the cutoff"
         )
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
-    weights = np.zeros(n, dtype=np.complex128) if weights is None else np.asarray(
-        weights, dtype=np.complex128
-    )
-    if weights.shape != (n,):
-        raise ValueError("need one weight per ion")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
+    weights = np.zeros(params.n_ions) if weights is None else weights
+    plan = ProtocolPlan(params, alpha, (Cycle(duration=t, weights=weights),))
+    # The two predictions differ in their displacement tables alone.
+    state = _exact_state(plan, modes, True, None)
+    endpoint = cycle_displacements(modes, params, t, integrated=False).betas
+    coeffs, labels = state.expand()
+    coeffs_end, labels_end = MultimodeSuperposition(plan.alpha, endpoint, state.amps).expand()
+    # Row 0 of each mode's table holds the initial motion, then the terms.
+    labels = np.vstack([np.zeros((1, n), dtype=np.complex128), labels, labels_end])
+    labels[0, 0] = plan.alpha
+    _warn_crowded(float(np.max(np.abs(labels))), cfg.cutoff, stacklevel=2)
+    tables = [coherent_table(column, cfg.cutoff) for column in labels.T]
+    motion = np.array([table[0] for table in tables])
 
     lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
     coupling = lamb_dicke(modes, params.eta).entries  # [i, l]
     drive = -2.0 * np.sqrt(2.0) * params.omega
-    motion = np.array([coherent_fock(alpha if l == 0 else 0j, cfg.cutoff).amps for l in range(n)])
 
     # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis
     # spin onto (|+y>, |-y>), and <1| in the z basis reads (i, -i) / sqrt 2.
     # Ion 0's spin is the slowest index, and index 0 is +y (s_i = 1).
     to_y = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
     spin0 = reduce(np.multiply.outer, [
-        to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)) for p in weights
+        to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)) for p in plan.cycles[0].weights
     ]).ravel()
     bra = reduce(np.multiply.outer, [np.array([1.0j, -1.0j]) / np.sqrt(2.0)] * n).ravel()
     signs = 1 - 2 * np.indices((2,) * n).reshape(n, -1)  # signs[i, sector]
@@ -661,17 +669,10 @@ def trotter_validate(
     cond = conditional(psi_4)
     cond_nsq = float(np.real(np.vdot(cond, cond)))
 
-    plan = ProtocolPlan(
-        params=params,
-        alpha=alpha,
-        cycles=(Cycle(duration=t, weights=weights),),
-    )
-
-    def predicted(integrated: bool) -> np.ndarray:
+    def predicted(coeffs: np.ndarray, first: int) -> np.ndarray:
         vec = np.zeros(size**n, dtype=np.complex128)
-        for c, row in zip(*_exact_state(plan, modes, integrated, None).expand()):
-            amps = [coherent_fock(g, cfg.cutoff).amps for g in row]
-            vec += reduce(np.multiply.outer, amps, c).ravel()
+        for k, c in enumerate(coeffs, first):
+            vec += reduce(np.multiply.outer, [table[k] for table in tables], c).ravel()
         return vec
 
     def fid(u: np.ndarray, v: np.ndarray) -> float:
@@ -681,8 +682,8 @@ def trotter_validate(
             raise IntegratorError("conditional state vanished; nothing to compare")
         return float(min(abs(np.vdot(u, v)) ** 2 / (nu**2 * nv**2), 1.0))
 
-    fid_int = fid(cond, predicted(True))
-    fid_end = fid(cond, predicted(False))
+    fid_int = fid(cond, predicted(coeffs, 1))
+    fid_end = fid(cond, predicted(coeffs_end, 1 + coeffs.size))
 
     effect = None
     if cfg.include_fast_terms:

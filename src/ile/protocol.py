@@ -70,11 +70,12 @@ __all__ = [
 # about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
 _LN2 = math.log(2.0)
-# Slots between two rescalings of the recurrence, where the caller sets no
-# block (simulate rescales once per cycle): 64 slots of |p| below about 3e4
-# stay in the float range, and rescaling after every slot slows a planner
-# pass by about 8%.
+# Most slots between two rescalings of the recurrence: rescaling after every
+# slot slows a planner pass by about 8%.  A slot multiplies the largest
+# coefficient by at most 2 (1 + |p|), so fewer than _RESCALE_BITS / (1 +
+# log2(1 + max |p|)) slots grow it by at most 2^1000, within the float range.
 _BLOCK_SLOTS = 64
+_RESCALE_BITS = 1000
 
 
 class RegimeWarning(UserWarning):
@@ -299,38 +300,43 @@ def forward_coeffs(weights) -> np.ndarray:
 
 def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
     """The line coefficients of ``weights`` as (c, e): forward_coeffs is
-    c * 2**e, and the largest |c| lies in [0.5, 1).  The recurrence is
-    rescaled every 64 slots, so c stays in range past the slot count where
-    the coefficients themselves overflow."""
+    c * 2**e, and the largest |c| lies in [0.5, 1).  The recurrence
+    rescales itself as it runs, so c stays in range past the slot count
+    where the coefficients themselves overflow, for any weights of modulus
+    below 2^1022."""
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    for c, e in _recurrence(w, _BLOCK_SLOTS):
-        pass
-    return c, e
+    return next(_recurrence(w, w.size))
 
 
 def _recurrence(weights: np.ndarray, block: int):
     """The recurrence of :func:`forward_coeffs`, the package's one loop over
-    the slots.  After every ``block`` slots it divides the prefix by the
-    exact power of two of its largest modulus and yields (c, e), the
-    prefix's coefficients being c * 2**e.  Scaling by a power of two is
-    exact, so c * 2**e is bitwise the unscaled recurrence while no value is
-    subnormal or past the float range.  A block that overflows raises
-    :class:`SolverError`."""
+    the slots.  After every ``block`` slots it yields (c, e), the prefix's
+    coefficients being c * 2**e with the largest |c| in [0.5, 1).  It
+    divides the prefix by the exact power of two of its largest modulus
+    there and after every run of slots short enough to stay in the float
+    range (at most 64, fewer for weights past about 2.5e4), whatever the
+    block.  Scaling by a power of two is exact, so c * 2**e is bitwise the
+    unscaled recurrence while no value is subnormal or past the float range.
+    A run that overflows all the same raises :class:`SolverError`."""
+    bits = 1.0 + math.log2(1.0 + float(np.abs(weights).max()))
+    run = max(1, min(_BLOCK_SLOTS, int(_RESCALE_BITS / bits)))
     c, e = np.array([1.0 + 0.0j]), 0
     for lo in range(0, weights.size, block):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p in weights[lo : lo + block]:
-                nxt = np.zeros(c.size + 1, dtype=np.complex128)
-                nxt[:-1] += (1 + p) * c
-                nxt[1:] += (1 - p) * c
-                c = nxt
-        # frexp of inf or NaN has exponent 0, so _ldexp sees the overflow
-        step = math.frexp(float(np.max(np.abs(c))))[1]
-        c, e = _ldexp(c, -step), e + step
+        hi = min(lo + block, weights.size)
+        for start in range(lo, hi, run):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p in weights[start : min(start + run, hi)]:
+                    nxt = np.zeros(c.size + 1, dtype=np.complex128)
+                    nxt[:-1] += (1 + p) * c
+                    nxt[1:] += (1 - p) * c
+                    c = nxt
+            # frexp of inf or NaN has exponent 0, so _ldexp sees the overflow
+            step = math.frexp(float(np.max(np.abs(c))))[1]
+            c, e = _ldexp(c, -step), e + step
         yield c, e
 
 
@@ -367,8 +373,8 @@ def log_slot_nominal(weights) -> np.ndarray:
 
 
 def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
-    """One pass of the slot recurrence over the whole plan, rescaled once
-    per cycle.
+    """One pass of the slot recurrence over the whole plan, read once per
+    cycle.
 
     Returns (c, e, per_cycle): the line coefficients are c * 2**e, and
     per_cycle[j] is cycle j's post-selection probability, read off the
@@ -452,12 +458,14 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     """Expand the line superposition on the truncated number basis.
 
     Each component enters as phased_coeffs()[k] |labels()[k]>, its number
-    amplitudes a row of :func:`ile.fock.coherent_rows` (bitwise those of
-    :func:`ile.fock.coherent_fock`), added in the order of k.  If the
-    resulting tail weight is not negligible against the norm, a
-    TruncationWarning reports it; pick the cutoff with
-    :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.
+    amplitudes a row of :func:`ile.fock.coherent_rows`, added in the order
+    of k.  If the resulting tail weight is not negligible against the norm,
+    a TruncationWarning reports it; pick the cutoff with
+    :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.  A cutoff
+    below 1 raises ValueError before anything is allocated.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     for c, row in zip(state.phased_coeffs(), coherent_rows(state.labels(), cutoff)):
         if c != 0:

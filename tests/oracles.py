@@ -7,6 +7,7 @@ code paths it is used to certify.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import reduce
 
@@ -59,6 +60,27 @@ def coherent_fock_array(alpha: complex, cutoff: int) -> np.ndarray:
     for n in range(1, cutoff + 1):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
     return amps
+
+
+def coherent_fock_scalar(alpha: complex, cutoff: int) -> np.ndarray:
+    """Coherent amplitudes by the ratio recurrence on Python complex scalars,
+    the signed-zero reference ``fock.coherent_table`` must reproduce bitwise.
+
+    Each part is scaled by the reciprocal root, which is what numpy's
+    complex-by-real division computes, so the amplitudes equal bitwise those
+    of :func:`coherent_fock_array` (up to the sign of a part that is exactly
+    zero)."""
+    alpha = complex(alpha)
+    mag = abs(alpha)
+    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
+    a = complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
+    amps = [a]
+    for n in range(1, cutoff + 1):
+        a = a * alpha
+        s = 1.0 / math.sqrt(n)
+        a = complex(a.real * s, a.imag * s)
+        amps.append(a)
+    return np.array(amps, dtype=np.complex128)
 
 
 def line_fock_per_component(state, cutoff: int) -> np.ndarray:

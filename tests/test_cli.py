@@ -175,6 +175,12 @@ class TestSimulateCommand:
         assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
         assert "n_ions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cutoff", ["-1", "-2"])
+    def test_negative_fock_cutoff_exits_2(self, tmp_path, capsys, cutoff):
+        path = write_json(tmp_path / "p.json", PLAN)
+        assert run(["simulate", "--input", path, "--fock", cutoff]) == 2
+        assert "cutoff must be at least 1" in capsys.readouterr().err
+
     def test_unequal_durations_exit_2(self, tmp_path):
         plan = dict(
             PLAN,
@@ -285,6 +291,20 @@ class TestLeakageCommand:
             assert run(["simulate", "--input", path, "--output", str(sim)]) == 0
         p_leak = json.loads(leak.read_text())["p_exact"]
         assert p_leak == pytest.approx(json.loads(sim.read_text())["p_exact"], rel=1e-10)
+
+    @pytest.mark.parametrize("p, n_cycles", [(1e200, 3), (1e300, 2), (1e5, 70)])
+    def test_large_weights_keep_the_lines_in_range(self, tmp_path, p, n_cycles):
+        """A slot of weight p grows the line by up to 2 (1 + |p|), so these
+        lines pass the float range within a few slots or within 64."""
+        plan = {"eta": 0.05, "omega": 0.09, "delta": 0.99, "n_ions": 1, "alpha": [0.0, 0.0],
+                "cycles": [{"t": 200.0, "p": [[p, 0.0]]}] * n_cycles}
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "leak.json"
+        assert run(["leakage", "--input", path, "--format", "json", "--paper-beta",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        ref = protocol.success_probability_exact(cli._plan_from_json(plan))[0]
+        assert doc["p_exact"] == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_bad_sweep_spec(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)
@@ -642,6 +662,32 @@ class TestStrictPairs:
         assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 0
         path = write_json(tmp_path / "t.json", [[1, 0], [0, 0], [1, 0]])
         assert run(["fit", "--input", path, "--n", "4", "--beta", "0.3"]) == 0
+
+
+class TestStrictScalars:
+    """Scalar plan fields are JSON numbers within the float range, booleans
+    and strings excluded, as in a [re, im] pair."""
+
+    @pytest.mark.parametrize("field", ["eta", "omega", "delta", "t"])
+    @pytest.mark.parametrize(
+        "value", ["1" + "0" * 400, '"0.05"', "true"], ids=["past-float-range", "string", "boolean"]
+    )
+    def test_plan_scalar(self, tmp_path, capsys, field, value):
+        doc = dict(PLAN, cycles=[dict(PLAN["cycles"][0])])
+        (doc["cycles"][0] if field == "t" else doc)[field] = "VALUE"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        assert run(["simulate", "--input", str(path)]) == 2
+        name = "cycle 0 t" if field == "t" else field
+        assert f"{name} must be a number" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_missing_directory_and_directory_exit_2(self, tmp_path, capsys):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            assert run(["modes", "2", "--output", str(target)]) == 2
+            assert f"cannot write {target}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 def _float_items():

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from ile import multimode, protocol
+from ile import fock, multimode, protocol
 from ile.errors import IntegratorError
 
 from oracles import sparse_trotter_validate, stepped_trotter_validate
@@ -61,6 +63,23 @@ def test_two_ion_referee(mode_tables):
     assert 3.0 <= rep.step_halving_ratio <= 5.0
     assert rep.fidelity_integrated >= rep.fidelity_endpoint
     assert rep.fidelity_integrated >= 1 - 1e-6
+
+
+def test_predicted_component_past_the_cutoff_warns(mode_tables):
+    """|alpha| = 1.9 stays below sqrt(cutoff / 2) = 2 at cutoff 8, the
+    predicted component alpha + beta at |beta| = 0.2 passes it; at cutoff 9
+    both stay below sqrt(4.5) and nothing warns."""
+    params = protocol.PhysicalParams(eta=0.05, omega=0.01, delta=1.0, n_ions=1)
+    assert abs(protocol.beta_of(params, 400.0)) == pytest.approx(0.2)
+    with pytest.warns(fock.TruncationWarning, match="2.1"):
+        multimode.trotter_validate(
+            params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=8, steps=10), alpha=1.9j
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)
+        multimode.trotter_validate(
+            params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=9, steps=10), alpha=1.9j
+        )
 
 
 def test_desk_scale_guards(mode_tables):
