@@ -2,25 +2,29 @@
 
 Subcommands: plan, simulate, leakage, modes, fit, validate.  Inputs and
 outputs are JSON (CSV for tables); identical inputs produce byte-identical
-outputs.  JSON documents have the layout of ``json.dumps(indent=2)``, written
-by this module's own encoder, which emits runs of floats and of [re, im]
-pairs in one join.  Floats are written with ``float.__repr__``, Python's
-shortest round-trip repr (at most 17 significant digits), and every JSON
-document embeds the fully resolved parameter set plus the library version,
-so no default is hidden.
+outputs.  Each ``cmd_*`` returns its output text and writes nothing;
+:func:`main` writes it to stdout or to ``--output``.  JSON documents have
+the layout of ``json.dumps(indent=2)``, written by this module's own
+encoder, which emits runs of floats and of [re, im] pairs in one join.
+Floats are written with ``float.__repr__``, Python's shortest round-trip
+repr (at most 17 significant digits), and every JSON document embeds the
+fully resolved parameter set plus the library version, so no default is
+hidden.
 
 Exit codes: 0 success, 2 invalid input (an unwritable --output included),
 3 numerical or solver failure, running out of memory included.  A leakage
 plan too large for the multimode memory budget, whose Gram sums cancel past
 float precision, or whose fields are not finite (displacements past about
 1e154) is a solver failure: exit 3 for JSON output, a complete=false row in
-CSV output.
+CSV output.  A sweep whose rows, or a ``--fock`` dump whose levels, would
+pass the same budget is refused before anything is allocated (exit 3).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -31,12 +35,21 @@ import sys
 import numpy as np
 
 from . import __version__, chain, inverse, multimode, protocol
-from .errors import SolverError
+from .errors import SolverError, check_memory
 from .fock import FockVector
 from .protocol import Cycle, PhysicalParams, ProtocolPlan
 
 _EXIT_BAD_INPUT = 2
 _EXIT_SOLVER = 3
+# Memory of one CLI result, refused up front past the 1 GiB budget.  A
+# `simulate --fock` level holds its amplitude, its [re, im] list and its
+# JSON text: 216 B at the peak (tracemalloc at cutoffs 1e5 and 4e5, 2 and 4
+# components).  A `leakage --sweep` row holds its grid value, its row of
+# reprs and its CSV text: 1.37 KB at 1 ion, 1.48 at 2, 2.16 at 8 and 2.85 at
+# 14 (tracemalloc, 2,000-20,000 rows), under 1280 + 128 N bytes for N ions.
+_FOCK_LEVEL_BYTES = 224
+_SWEEP_ROW_BYTES = 1280
+_SWEEP_ION_BYTES = 128
 
 
 def _pair(z: complex) -> list[float]:
@@ -103,6 +116,20 @@ def _emit(text: str, output: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write {output}: {exc}") from exc
+
+
+def _document(fields: dict) -> str:
+    """One command's JSON document: the library version, then ``fields``."""
+    return _json_text({"version": __version__, **fields})
+
+
+def _csv_text(header: list, rows) -> str:
+    """RFC 4180 CSV with CRLF line ends: the header row, then ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 _scalar = json.JSONEncoder(allow_nan=False).encode
@@ -203,7 +230,7 @@ def _plan_params_doc(plan: ProtocolPlan) -> dict:
     }
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> str:
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValueError("target must be a JSON object with a 'coeffs' list")
@@ -211,18 +238,16 @@ def cmd_plan(args) -> int:
     target = inverse.TargetCoefficients(np.array(coeffs))
     sol = inverse.solve_weights(target)[0]
     found = {"weights": _pairs(sol.weights), "p_nominal": sol.p_nominal, "residual": sol.residual}
-    out = {"version": __version__, "params": {"coeffs": _pairs(coeffs)}, **found}
+    out = {"params": {"coeffs": _pairs(coeffs)}, **found}
     if args.all:
         out["solutions"] = [found]
-    _emit(_json_text(out), args.output)
-    return 0
+    return _document(out)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     plan = _plan_from_json(_load_json(args.input))
     result = protocol.run_ideal(plan)
     out = {
-        "version": __version__,
         "params": _plan_params_doc(plan),
         "beta": _pair(result.state.beta),
         "coeffs": _pairs(result.state.coeffs),
@@ -231,12 +256,13 @@ def cmd_simulate(args) -> int:
         "per_cycle": result.per_cycle_p_exact.tolist(),
     }
     if args.fock is not None:
+        levels = args.fock + 1
+        check_memory(_FOCK_LEVEL_BYTES * levels, f"{levels}-level number-basis dump needs")
         out["fock"] = protocol.to_fock(result.state, args.fock).to_json()
-    _emit(_json_text(out), args.output)
-    return 0
+    return _document(out)
 
 
-def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
+def _parse_sweep(spec: str, n_ions: int) -> tuple[str, np.ndarray]:
     try:
         name, rng = spec.split("=", 1)
         start, stop, count = rng.split(":")
@@ -253,23 +279,19 @@ def _parse_sweep(spec: str) -> tuple[str, np.ndarray]:
     # Also catches a span past the float range, which numpy would warn about.
     if not math.isfinite(stop - start):
         raise ValueError(f"sweep bounds and their span must be finite, got {spec!r}")
+    row = _SWEEP_ROW_BYTES + _SWEEP_ION_BYTES * n_ions
+    check_memory(count * row, f"{count}-point sweep needs")
     return name, np.linspace(start, stop, count)
 
 
 def _plan_with(plan: ProtocolPlan, name: str, value: float) -> ProtocolPlan:
     if name == "delta":
-        params = PhysicalParams(
-            eta=plan.params.eta,
-            omega=plan.params.omega,
-            delta=value,
-            n_ions=plan.params.n_ions,
-        )
-        return ProtocolPlan(params=params, alpha=plan.alpha, cycles=plan.cycles)
-    cycles = tuple(Cycle(duration=value, weights=c.weights) for c in plan.cycles)
-    return ProtocolPlan(params=plan.params, alpha=plan.alpha, cycles=cycles)
+        return dataclasses.replace(plan, params=dataclasses.replace(plan.params, delta=value))
+    cycles = tuple(dataclasses.replace(c, duration=value) for c in plan.cycles)
+    return dataclasses.replace(plan, cycles=cycles)
 
 
-def cmd_leakage(args) -> int:
+def cmd_leakage(args) -> str:
     plan = _plan_from_json(_load_json(args.input))
     modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
     integrated = not args.paper_beta
@@ -279,20 +301,17 @@ def cmd_leakage(args) -> int:
         if args.sweep is not None:
             raise ValueError("JSON output is for single points; sweeps emit CSV")
         report, p_exact = multimode.analyze_plan(plan, modes, integrated)
-        out = {
-            "version": __version__,
+        return _document({
             "params": {**_plan_params_doc(plan), "variant": variant},
             "mean_phonon": report.per_mode_mean_phonon.tolist(),
             "com_fidelity": report.com_fidelity_vs_ideal,
             "com_purity": report.com_purity,
             "factorization_gap": report.factorization_gap,
             "p_exact": p_exact,
-        }
-        _emit(_json_text(out), args.output)
-        return 0
+        })
 
     if args.sweep is not None:
-        name, values = _parse_sweep(args.sweep)
+        name, values = _parse_sweep(args.sweep, plan.params.n_ions)
         points = [(name, float(v)) for v in values]
     else:
         points = [(None, None)]
@@ -332,43 +351,30 @@ def cmd_leakage(args) -> int:
             ]
             + [repr(float(m)) for m in report.per_mode_mean_phonon]
         )
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.output)
-    return 0
+    return _csv_text(header, rows)
 
 
-def cmd_modes(args) -> int:
+def cmd_modes(args) -> str:
     geometry = chain.equilibrium_positions(args.n_ions)
     table = chain.normal_modes(geometry)
     if args.format == "json":
-        out = {
-            "version": __version__,
+        return _document({
             "params": {"n_ions": args.n_ions},
             "mu": table.frequencies.tolist(),
             "b": table.vectors.T.tolist(),
             "positions": geometry.positions.tolist(),
-        }
-        _emit(_json_text(out), args.output)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(
-            ["n_ions", "mode", "mu"] + [f"b_{i + 1}" for i in range(table.n_ions)]
-        )
-        for l in range(table.n_ions):
-            writer.writerow(
-                [repr(args.n_ions), repr(l + 1), repr(float(table.frequencies[l]))]
-                + [repr(float(x)) for x in table.vectors[:, l]]
-            )
-        _emit(buf.getvalue(), args.output)
-    return 0
+        })
+    return _csv_text(
+        ["n_ions", "mode", "mu"] + [f"b_{i + 1}" for i in range(table.n_ions)],
+        (
+            [repr(args.n_ions), repr(l + 1), repr(float(table.frequencies[l]))]
+            + [repr(float(x)) for x in table.vectors[:, l]]
+            for l in range(table.n_ions)
+        ),
+    )
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     doc = _load_json(args.input)
     pairs = doc["amplitudes"] if isinstance(doc, dict) and "amplitudes" in doc else doc
     if not isinstance(pairs, list):
@@ -377,8 +383,7 @@ def cmd_fit(args) -> int:
     alpha = _parse_complex_arg(args.alpha, "--alpha")
     beta = _parse_complex_arg(args.beta, "--beta")
     coeffs, fidelity = inverse.fit_target(target, args.n, alpha, beta)
-    out = {
-        "version": __version__,
+    return _document({
         "params": {
             "n": args.n,
             "alpha": _pair(alpha),
@@ -387,12 +392,10 @@ def cmd_fit(args) -> int:
         },
         "coeffs": _pairs(coeffs.coeffs),
         "fidelity": fidelity,
-    }
-    _emit(_json_text(out), args.output)
-    return 0
+    })
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     params = PhysicalParams(
         eta=args.eta, omega=args.omega, delta=args.delta, n_ions=args.n_ions
     )
@@ -404,8 +407,7 @@ def cmd_validate(args) -> int:
     if args.weights is not None:
         weights = [_parse_complex_arg(w, "--weights") for w in args.weights.split(";")]
     report = multimode.trotter_validate(params, modes, args.t, cfg, weights=weights)
-    out = {
-        "version": __version__,
+    return _document({
         "params": {
             "eta": args.eta,
             "omega": args.omega,
@@ -422,9 +424,7 @@ def cmd_validate(args) -> int:
         "step_halving_ratio": report.step_halving_ratio,
         "fast_terms_effect": report.fast_terms_effect,
         "conditional_weight": report.conditional_weight,
-    }
-    _emit(_json_text(out), args.output)
-    return 0
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     # The handler is looked up at call time, so a wrapped cmd_* still runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        _emit(handler(args), args.output)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
@@ -511,6 +511,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"solver error: out of memory ({exc})", file=sys.stderr)
         return _EXIT_SOLVER
+    return 0
 
 
 if __name__ == "__main__":

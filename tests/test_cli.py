@@ -48,9 +48,10 @@ def assert_layout(text):
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def run_capped(argv, address_space=2 << 30):
-    """Exit code of ``python -m ile.cli argv`` in a fresh process whose
-    address space is capped (2 GiB by default)."""
+def run_capped(argv, address_space=2 << 30, timeout=None):
+    """``python -m ile.cli argv`` run to its end, or past ``timeout`` seconds
+    to a TimeoutExpired, in a fresh process whose address space is capped
+    (2 GiB by default); its stderr is kept as text."""
     import resource
     import subprocess
     import sys
@@ -62,8 +63,8 @@ def run_capped(argv, address_space=2 << 30):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     here = Path(ile.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-m", "ile.cli", *argv], cwd=here, preexec_fn=cap)
-    return done.returncode
+    return subprocess.run([sys.executable, "-m", "ile.cli", *argv], cwd=here, preexec_fn=cap,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout)
 
 
 class TestPlanCommand:
@@ -112,7 +113,7 @@ class TestPlanCommand:
         # a 20,000-square companion pencil; refused before it is allocated
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0]] * 20001})
         out = tmp_path / "sol.json"
-        assert run_capped(["plan", "--input", target, "--output", str(out)]) == 3
+        assert run_capped(["plan", "--input", target, "--output", str(out)]).returncode == 3
         assert not out.exists()
 
 
@@ -181,6 +182,17 @@ class TestSimulateCommand:
         assert run(["simulate", "--input", path, "--fock", cutoff]) == 2
         assert "cutoff must be at least 1" in capsys.readouterr().err
 
+    def test_oversized_fock_dump_refused_at_once(self, tmp_path):
+        # 2e7 levels: a 4.2 GiB dump, refused before minutes of recurrence
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0.3, 0.2]]}])
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.json"
+        done = run_capped(["simulate", "--input", path, "--output", str(out), "--fock", "20000000"],
+                          timeout=20)
+        assert done.returncode == 3
+        assert "budget 1 GiB" in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
+
     def test_unequal_durations_exit_2(self, tmp_path):
         plan = dict(
             PLAN,
@@ -243,7 +255,7 @@ class TestLeakageCommand:
         path = write_json(tmp_path / "p.json", plan)
         out = tmp_path / "r.json"
         argv = ["leakage", "--input", path, "--output", str(out), "--format", "json"]
-        assert run_capped(argv) == 0
+        assert run_capped(argv).returncode == 0
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
         assert 0.0 <= doc["factorization_gap"] <= 1.0
         assert len(doc["mean_phonon"]) == n_ions
@@ -305,6 +317,17 @@ class TestLeakageCommand:
         doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
         ref = protocol.success_probability_exact(cli._plan_from_json(plan))[0]
         assert doc["p_exact"] == pytest.approx(ref, rel=1e-10, abs=0)
+
+    def test_oversized_sweep_refused_before_the_grid(self, tmp_path):
+        # a billion-point grid: 7.5 GiB of values, 1.3 TiB of rows
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0.3, 0.2]]}])
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.csv"
+        done = run_capped(["leakage", "--input", path, "--output", str(out),
+                           "--sweep", "t=1:2:1000000000"], timeout=20)
+        assert done.returncode == 3
+        assert "budget 1 GiB" in done.stderr and "Traceback" not in done.stderr
+        assert not out.exists()
 
     def test_bad_sweep_spec(self, tmp_path):
         path = write_json(tmp_path / "p.json", PLAN)
@@ -437,7 +460,7 @@ class TestFitCommand:
         path = write_json(tmp_path / "t.json", fock.coherent_fock(0.3, 8).to_json())
         out = tmp_path / "f.json"
         argv = ["fit", "--input", path, "--output", str(out), "--n", "20000", "--beta", "0.5"]
-        assert run_capped(argv) == 3
+        assert run_capped(argv).returncode == 3
         assert not out.exists()
 
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -763,6 +786,47 @@ class TestJsonWriter:
         assert "result is not finite" in capsys.readouterr().err
 
 
+class TestOutputSinks:
+    """Each command's text reaches stdout and --output byte for byte alike."""
+
+    CASES = {
+        "plan": ("json", ["plan", "--input", "{target}"]),
+        "plan-all": ("json", ["plan", "--input", "{target}", "--all"]),
+        "simulate": ("json", ["simulate", "--input", "{plan}"]),
+        "simulate-fock": ("json", ["simulate", "--input", "{plan}", "--fock", "16"]),
+        "leakage-json": ("json", ["leakage", "--input", "{plan}", "--format", "json"]),
+        "leakage-csv-point": ("csv", ["leakage", "--input", "{plan}"]),
+        "leakage-csv-sweep": ("csv", ["leakage", "--input", "{plan}", "--sweep", "t=60:80:3"]),
+        "modes-json": ("json", ["modes", "3"]),
+        "modes-csv": ("csv", ["modes", "3", "--format", "csv"]),
+        "fit": ("json", ["fit", "--input", "{fock}", "--n", "6", "--beta", "0.3,0.1"]),
+        "validate": ("json", ["validate", "--eta", "0.05", "--omega", "0.05", "--delta", "0.99",
+                              "--t", "20", "--cutoff", "6", "--steps", "10"]),
+    }
+
+    @pytest.mark.parametrize("kind, argv", CASES.values(), ids=CASES)
+    def test_stdout_equals_output_file(self, tmp_path, capsysbinary, kind, argv):
+        files = {
+            "target": write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0.4, 0.3], [0.9, -0.2]]}),
+            "plan": write_json(tmp_path / "p.json", PLAN),
+            "fock": write_json(tmp_path / "f.json", [[0.6, 0], [0, 0.3], [0.5, 0]]),
+        }
+        argv = [arg.format(**files) for arg in argv]
+        assert run(argv) == 0
+        printed = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert run(argv + ["--output", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert out.read_bytes() == printed
+        if kind == "json":
+            assert_layout(printed.decode())
+        else:
+            # RFC 4180: every row ends in CRLF and no bare LF appears
+            assert printed.endswith(b"\r\n") and printed.count(b"\n") == printed.count(b"\r\n")
+            rows = list(csv.reader(printed.decode().splitlines()))
+            assert len(rows) > 1 and len(set(map(len, rows))) == 1
+
+
 class TestParser:
     def test_built_once_across_calls(self, tmp_path, monkeypatch):
         built = []
@@ -784,7 +848,7 @@ class TestParser:
     def test_handler_resolved_at_call_time(self, monkeypatch):
         run(["modes", "1", "--format", "csv"])  # the parser is built by now
         seen = []
-        monkeypatch.setattr(cli, "cmd_modes", lambda args: seen.append(args.n_ions) or 0)
+        monkeypatch.setattr(cli, "cmd_modes", lambda args: seen.append(args.n_ions) or "")
         assert run(["modes", "4"]) == 0
         assert seen == [4]
 
