@@ -44,9 +44,10 @@ _EXIT_SOLVER = 3
 # Memory of one CLI result, refused up front past the 1 GiB budget.  A
 # `simulate --fock` level holds its amplitude, its [re, im] list and its
 # JSON text: 216 B at the peak (tracemalloc at cutoffs 1e5 and 4e5, 2 and 4
-# components).  A `leakage --sweep` row holds its grid value, its row of
-# reprs and its CSV text: 1.37 KB at 1 ion, 1.48 at 2, 2.16 at 8 and 2.85 at
-# 14 (tracemalloc, 2,000-20,000 rows), under 1280 + 128 N bytes for N ions.
+# components).  A `leakage --sweep` row is counted as 1280 + 128 N bytes for
+# N ions, an upper bound: the rows go into the CSV text a block of points at
+# a time, so a row holds its grid value and its CSV text, 0.35 KB at 1 ion
+# and 0.44 KB at 2 (tracemalloc, 20,000 rows).
 _FOCK_LEVEL_BYTES = 224
 _SWEEP_ROW_BYTES = 1280
 _SWEEP_ION_BYTES = 128
@@ -296,11 +297,24 @@ def cmd_leakage(args) -> str:
     modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
     integrated = not args.paper_beta
     variant = "integrated" if integrated else "paper"
+    if args.format == "json" and args.sweep is not None:
+        raise ValueError("JSON output is for single points; sweeps emit CSV")
+
+    n = plan.params.n_ions
+    if args.sweep is None:
+        plans = [plan]
+    else:
+        name, values = _parse_sweep(args.sweep, n)
+        plans = (_plan_with(plan, name, value) for value in values.tolist())
+    # analyze_points reads the plans a block ahead of the rows
+    plans, points = itertools.tee(plans)
+    results = multimode.analyze_points(plans, modes, integrated)
 
     if args.format == "json":
-        if args.sweep is not None:
-            raise ValueError("JSON output is for single points; sweeps emit CSV")
-        report, p_exact = multimode.analyze_plan(plan, modes, integrated)
+        (result,) = results
+        if isinstance(result, SolverError):
+            raise result
+        report, p_exact = result
         return _document({
             "params": {**_plan_params_doc(plan), "variant": variant},
             "mean_phonon": report.per_mode_mean_phonon.tolist(),
@@ -310,21 +324,7 @@ def cmd_leakage(args) -> str:
             "p_exact": p_exact,
         })
 
-    if args.sweep is not None:
-        name, values = _parse_sweep(args.sweep, plan.params.n_ions)
-        points = [(name, float(v)) for v in values]
-    else:
-        points = [(None, None)]
-
-    n = plan.params.n_ions
-    header = (
-        ["delta", "t", "eta", "omega", "n_ions", "alpha_re", "alpha_im", "variant", "complete"]
-        + ["p_exact", "com_fidelity", "com_purity", "gap"]
-        + [f"mean_phonon_{l + 1}" for l in range(n)]
-    )
-    rows = []
-    for name, value in points:
-        point_plan = plan if name is None else _plan_with(plan, name, value)
+    def row(point_plan: ProtocolPlan, result) -> list:
         base = [
             repr(point_plan.params.delta),
             repr(point_plan.cycles[0].duration),
@@ -335,12 +335,10 @@ def cmd_leakage(args) -> str:
             repr(point_plan.alpha.imag),
             variant,
         ]
-        try:
-            report, p_exact = multimode.analyze_plan(point_plan, modes, integrated)
-        except SolverError:
-            rows.append(base + ["false"] + [""] * (4 + n))
-            continue
-        rows.append(
+        if isinstance(result, SolverError):
+            return base + ["false"] + [""] * (4 + n)
+        report, p_exact = result
+        return (
             base
             + ["true"]
             + [
@@ -351,7 +349,13 @@ def cmd_leakage(args) -> str:
             ]
             + [repr(float(m)) for m in report.per_mode_mean_phonon]
         )
-    return _csv_text(header, rows)
+
+    header = (
+        ["delta", "t", "eta", "omega", "n_ions", "alpha_re", "alpha_im", "variant", "complete"]
+        + ["p_exact", "com_fidelity", "com_purity", "gap"]
+        + [f"mean_phonon_{l + 1}" for l in range(n)]
+    )
+    return _csv_text(header, map(row, points, results))
 
 
 def cmd_modes(args) -> str:

@@ -1,8 +1,14 @@
 """Failure types shared across the package, and the memory refusal that
 raises one."""
 
+import decimal
+
 # Largest allocation a command plans for, checked before it allocates.
 MEMORY_BUDGET_BYTES = 1 << 30
+
+# Three significant digits, rounded up: a need just past the budget must not
+# print as the budget itself.
+_GIB_DIGITS = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
 
 
 class SolverError(RuntimeError):
@@ -15,7 +21,8 @@ class IntegratorError(SolverError):
 
 def check_memory(need: int, what: str) -> None:
     """Raise :class:`SolverError` "<what> <GiB> GiB (budget 1 GiB)" when
-    ``need`` bytes pass the budget; ``what`` names the arrays and its verb."""
+    ``need`` bytes pass the budget; ``what`` names the arrays and its verb.
+    The GiB are rounded up to three significant digits."""
     if need > MEMORY_BUDGET_BYTES:
-        gib = need / 2**30 if need.bit_length() < 1000 else float("inf")
+        gib = float(_GIB_DIGITS.divide(need, 1 << 30)) if need.bit_length() < 1000 else float("inf")
         raise SolverError(f"{what} {gib:.3g} GiB (budget 1 GiB)")

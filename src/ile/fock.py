@@ -278,27 +278,36 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
 
 
-def line_overlaps(alpha: complex, step: complex, n: int) -> np.ndarray:
+def line_overlaps(alpha: complex, step, n: int) -> np.ndarray:
     """<alpha|D(d step)|alpha> = exp(-d^2 |step|^2 / 2 + 2i d Im(conj(alpha) step))
-    for the lags d = -n..n, in that order.
+    for the lags d = -n..n, in that order; for an array of steps, one such
+    row per step (shape ``step.shape + (2n + 1,)``).
 
     Every component of a line superposition sum_k c[k] D((2k - n) beta)|alpha>
     is a multiple of one step, and collinear displacements compose without a
     phase, so its Gram entries depend on the lag k' - k alone: with
     step = 2 beta, the squared norm is the lag sum of these values against
-    the autocorrelation np.correlate(c, c, "full")."""
+    the autocorrelation np.correlate(c, c, "full").  Each step's |step|^2
+    and phase are taken in Python complex arithmetic, so a row does not
+    depend on the other steps beside it."""
     alpha = _finite_complex(alpha, "alpha")
-    step = complex(step)
-    if np.isnan(step):
+    steps = np.asarray(step, dtype=np.complex128)
+    if np.isnan(steps).any():
         raise ValueError(f"step must not be NaN, got {step!r}")
     d = np.arange(-n, n + 1, dtype=float)
-    try:
-        half_sq = -0.5 * abs(step) ** 2
-    except OverflowError:
-        half_sq = -math.inf
-    if half_sq == -math.inf:  # |step|^2 past float range: the exact limit, 1 at lag 0, else 0
-        return (d == 0).astype(np.complex128)
-    return np.exp(d * (half_sq * d + 2j * (alpha.conjugate() * step).imag))
+    half_sq, turn = [], []
+    for s in steps.ravel().tolist():
+        try:
+            half_sq.append(-0.5 * abs(s) ** 2)
+        except OverflowError:
+            half_sq.append(-math.inf)
+        turn.append(2j * (alpha.conjugate() * s).imag)
+    half_sq = np.array(half_sq)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past the range are replaced
+        out = np.exp(d * (half_sq * d + np.array(turn)[:, None]))
+    # |step|^2 past float range: the exact limit, 1 at lag 0, else 0
+    out[half_sq[:, 0] == -math.inf] = d == 0
+    return out.reshape(steps.shape + d.shape)
 
 
 def displacement_phase(beta, alpha: complex) -> np.ndarray:

@@ -38,16 +38,35 @@ The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
 mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
 same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
 alone; ``leakage_report`` raises ValueError for a non-uniform COM column.
+
+Sweeps: the points of a sweep share their weights, alpha, eta, omega and
+ion and cycle counts, and differ in the window t or the detuning delta,
+which enter the displacement tables alone.  ``analyze_points`` therefore
+takes from the weights once per sweep what every point reads: the ions'
+lines and the ideal line, the autocorrelation tables of the moments, the
+class DFTs and the memory check.  It evaluates the points in blocks, every
+lattice, table and COM-class matrix carrying the point on a leading axis,
+with as many points per block as the 1 GiB budget holds at one point's
+need (``_LIVE_LATTICES``) and the block's lattices stay within
+``_BLOCK_LAGS`` lags; at the frontier shapes a block is one point.
+Each point's arithmetic is the one it has alone: matrix products run per
+point over the batch and every per-point matrix is C-contiguous, so a row
+of a sweep carries the bits of ``analyze_plan`` on its point, which is the
+batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import errors
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError, check_memory
 from .fock import _warn_crowded, coherent_table, displacement_phase, line_overlaps
@@ -56,6 +75,7 @@ from .protocol import (
     LineSuperposition,
     PhysicalParams,
     ProtocolPlan,
+    cancellation_errors,
     checked_norm_sq,
     log_slot_nominal,
     scaled_coeffs,
@@ -73,17 +93,26 @@ __all__ = [
     "run_conditional_factorized",
     "leakage_report",
     "analyze_plan",
+    "analyze_points",
     "trotter_validate",
 ]
 
 _COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
-# Memory of one report, refused up front past the 1 GiB budget: complex arrays
-# of the (2c + 1)^N lags (at most 6.5 alive at once, counted and measured at
-# 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class sums (at most 3) and two
-# blocks of _class_matrix.
+# Memory of one point's report, refused up front past the 1 GiB budget:
+# complex arrays of the (2c + 1)^N lags (at most 6.5 alive at once, counted
+# and measured at 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class
+# sums (at most 3) and two blocks of _class_matrix.  A block of points holds
+# that per point, so the budget sets the points per block.
 _LIVE_LATTICES = 7
 _LIVE_CLASSES = 4
 _BLOCK_ENTRIES = 1 << 20
+# Lags a block of sweep points spans at most, 0.5 MB per complex lattice, so
+# that the few lattices alive at once stay near one core's 2 MB L2 cache.
+# Blocks as large as the memory budget allows ran 13% slower per point than
+# single points at 6 x 2 (30 points of 15,625 lags) and 38% slower at 8 x 2
+# (13 points of 390,625); under this bound no shape from 3 x 4 to 8 x 2 ran
+# slower than its points one by one (CPU time, one BLAS thread).
+_BLOCK_LAGS = 1 << 15
 # Multiply-adds of one referee step's change of motional basis, 2^n size^(n+1).
 _STEP_BUDGET = 4_000_000
 # Multiply-adds of one whole referee call (see _run_cost), and each step's
@@ -133,7 +162,9 @@ class MultimodeSuperposition:
 
     def norm_sq(self) -> float:
         """Squared norm as a lag sum (:class:`SolverError` if it cancelled)."""
-        nsq = _moments(reduce(np.multiply, _mode_overlaps(self)), self.amps)[-1, -1]
+        c = self.amps.shape[1] - 1
+        overlaps = reduce(np.multiply, _mode_overlaps(self.alpha, self.betas[None], c))
+        nsq = _moments(overlaps, _moment_tables(self.amps))[0, -1, -1]
         return checked_norm_sq(float(np.real(nsq)), *self.amps)
 
 
@@ -168,12 +199,7 @@ class DisplacementPlanEntry:
         b = np.asarray(self.betas, dtype=np.complex128)
         if b.ndim != 2:
             raise ValueError("betas must be a 2-D (ions x modes) table")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("betas must be finite")
-        ref = b[np.argmax(np.abs(b), axis=0), np.arange(b.shape[1])]
-        skew = np.abs(np.imag(b * np.conj(ref)))
-        if np.any(skew > _COLLINEAR_TOL * np.abs(ref) ** 2):
-            raise ValueError("each mode's displacements must be real multiples of one amplitude")
+        _check_tables(b)
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "betas", b)
@@ -207,23 +233,60 @@ def cycle_displacements(
         )
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
-    detune = modes.frequencies - params.delta
+    return DisplacementPlanEntry(_displacements(modes, params, [params.delta], [t], integrated)[0])
+
+
+def _displacements(modes: ModeTable, params: PhysicalParams, deltas, ts, integrated: bool):
+    """The tables of :func:`cycle_displacements` at the detunings ``deltas``
+    and windows ``ts``, one (ions x modes) table per point, unchecked."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    detune = modes.frequencies - np.asarray(deltas, dtype=float)[:, None]
     if integrated:
-        window = t * np.exp(0.5j * detune * t) * np.sinc(detune * t / (2.0 * np.pi))
+        window = ts * np.exp(0.5j * detune * ts) * np.sinc(detune * ts / (2.0 * np.pi))
     else:
-        window = t * np.exp(1j * detune * t)
-    betas = 1j * params.omega * lamb_dicke(modes, params.eta).entries * window[None, :]
-    return DisplacementPlanEntry(betas)
+        window = ts * np.exp(1j * detune * ts)
+    return 1j * params.omega * lamb_dicke(modes, params.eta).entries * window[:, None, :]
+
+
+def _check_tables(betas: np.ndarray) -> None:
+    """ValueError unless every (ions x modes) table of ``betas`` is finite and
+    each of its columns holds real multiples of one amplitude."""
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("betas must be finite")
+    ref = np.take_along_axis(betas, np.argmax(np.abs(betas), axis=-2)[..., None, :], axis=-2)
+    skew = np.abs(np.imag(betas * np.conj(ref)))
+    if np.any(skew > _COLLINEAR_TOL * np.abs(ref) ** 2):
+        raise ValueError("each mode's displacements must be real multiples of one amplitude")
+
+
+def _lattice_need(n: int, c: int) -> int:
+    """Bytes one point's report may hold at once (see _LIVE_LATTICES)."""
+    lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
+    return 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _BLOCK_ENTRIES)
+
+
+def _check_lattice(n: int, c: int) -> None:
+    """Refuse a report of N = ``n`` ions and ``c`` cycles past the budget."""
+    check_memory(_lattice_need(n, c), f"{2 * c + 1}^{n} lag terms need")
+
+
+def _ion_lines(plan: ProtocolPlan) -> list:
+    """Ion i's line a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)),
+    w_i its weights over all cycles.  The line comes as c * 2**e from
+    :func:`ile.protocol.scaled_coeffs`, so a_i is c times the exponential of
+    e log 2 plus half the log of the nominal probability, which underflows
+    long before a_i does, and no line overflows."""
+    amps = []
+    for w in plan.all_weights.reshape(len(plan.cycles), -1).T:
+        line, exp2 = scaled_coeffs(w)
+        amps.append(line * np.exp(exp2 * np.log(2.0) + 0.5 * np.sum(log_slot_nominal(w))))
+    return amps
 
 
 def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
-    """The conditional state as a product over ions: ion i contributes
-    a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)).  Its
-    line comes as c * 2**e from :func:`ile.protocol.scaled_coeffs`, so a_i is
-    c times the exponential of e log 2 plus half the log of the nominal
-    probability, which underflows long before a_i does, and no line
-    overflows.  A state whose report would exceed the memory budget is
-    refused up front."""
+    """The conditional state as a product over ions, each contributing its
+    line (:func:`_ion_lines`).  A state whose report would exceed the memory
+    budget is refused up front."""
     if modes.n_ions != plan.params.n_ions:
         raise ValueError("plan and mode table disagree on the ion count")
     entry = betas if betas is not None else cycle_displacements(
@@ -231,24 +294,20 @@ def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
     )
     if entry.betas.shape != (plan.params.n_ions, modes.n_ions):
         raise ValueError("displacement table has the wrong shape")
-    n, c = plan.params.n_ions, len(plan.cycles)
-    lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
-    need = 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _BLOCK_ENTRIES)
-    check_memory(need, f"{2 * c + 1}^{n} lag terms need")
-    amps = []
-    for w in plan.all_weights.reshape(len(plan.cycles), -1).T:
-        line, exp2 = scaled_coeffs(w)
-        amps.append(line * np.exp(exp2 * np.log(2.0) + 0.5 * np.sum(log_slot_nominal(w))))
-    return MultimodeSuperposition(plan.alpha, entry.betas, amps)
+    _check_lattice(plan.params.n_ions, len(plan.cycles))
+    return MultimodeSuperposition(plan.alpha, entry.betas, _ion_lines(plan))
 
 
-def _mode_overlaps(state: MultimodeSuperposition):
+def _mode_overlaps(alpha: complex, betas: np.ndarray, c: int):
     """Mode by mode, <init_l|D(g)|init_l> = exp(-|g|^2 / 2 + 2i Im(conj(init_l) g))
-    at g = 2 sum_i d_i betas[i, l], over the lattice (axis i: lag d_i at c + d_i)."""
-    c, alpha = state.amps.shape[1] - 1, state.alpha
+    at g = 2 sum_i d_i betas[p, i, l], over each point's lattice (axis 0: the
+    point p; axis i + 1: lag d_i at c + d_i)."""
+    points, n = betas.shape[:2]
     lags = 2.0 * np.arange(-c, c + 1)
-    for l, column in enumerate(state.betas.T):
-        g = reduce(np.add.outer, [b * lags for b in column])
+    for l in range(betas.shape[2]):
+        g = betas[:, 0, l, None] * lags
+        for i in range(1, n):
+            g = g[..., None] + (betas[:, i, l, None] * lags).reshape((points,) + (1,) * i + (-1,))
         log = -0.5 * (g.real**2 + g.imag**2)
         if l == 0 and alpha != 0:
             log = log + 2j * (alpha.real * g.imag - alpha.imag * g.real)
@@ -256,101 +315,175 @@ def _mode_overlaps(state: MultimodeSuperposition):
         yield np.exp(log)
 
 
-def _moments(overlaps: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """M[i, j] = sum_d G(d) prod_ion T_ion(d_ion), G = ``overlaps``, where
-    ion i's table carries the step s_k = 2k - c on the bra, ion j's on the
-    ket, and index N is no ion (M[N, N] is the squared norm).  One
-    contraction, last ion first, keeping a partial sum per placement."""
-    n, size = amps.shape
-    x = overlaps.reshape(1, -1)
+def _moment_tables(amps: np.ndarray) -> list:
+    """Per ion, the (2c + 1) x 4 autocorrelations of its line with the step
+    s_k = 2k - c on neither side, the bra, the ket or both, that
+    :func:`_moments` contracts."""
+    size = amps.shape[1]
+    steps = 2 * np.arange(size) - (size - 1)
+    tables = []
+    for a in amps:
+        sa = a * steps
+        # correlate(u, v)[c + d] = sum_k conj(v[k]) u[k + d]: plain, bra, ket, both
+        pairs = ((a, a), (a, sa), (sa, a), (sa, sa))
+        tables.append(np.transpose([np.correlate(u, v, "full") for u, v in pairs]))
+    return tables
+
+
+def _moments(overlaps: np.ndarray, tables: list) -> np.ndarray:
+    """M[p, i, j] = sum_d G_p(d) prod_ion T_ion(d_ion), G_p = ``overlaps[p]``,
+    where ion i's table carries the step s_k = 2k - c on the bra, ion j's on
+    the ket, and index N is no ion (M[p, N, N] is the squared norm), with
+    ``tables`` from :func:`_moment_tables`.  One contraction, last ion
+    first, keeping a partial sum per placement; each point's products are
+    matrix products of their own, as for a point alone."""
+    points, n, w = overlaps.shape[0], len(tables), tables[0].shape[0]
+    x = overlaps.reshape(points, 1, -1)
     pairs = [(n, n)]  # (bra ion, ket ion) of each partial sum
     for i in reversed(range(n)):
-        a, sa = amps[i], amps[i] * (2 * np.arange(size) - (size - 1))
-        # correlate(u, v)[c + d] = sum_k conj(v[k]) u[k + d]: plain, bra, ket, both
-        tables = [np.correlate(u, v, "full") for u, v in ((a, a), (a, sa), (sa, a), (sa, sa))]
-        y = (x.reshape(-1, 2 * size - 1) @ np.transpose(tables)).reshape(len(pairs), -1, 4)
+        y = (x.reshape(points, -1, w) @ tables[i]).reshape(points, len(pairs), -1, 4)
+        plain, bra, ket, both = np.moveaxis(y, 3, 0)
         free_bra = [t for t, (b, _) in enumerate(pairs) if b == n]
         free_ket = [t for t, (_, k) in enumerate(pairs) if k == n]
-        x = np.concatenate([y[:, :, 0], y[free_bra, :, 1], y[free_ket, :, 2], y[:1, :, 3]])
+        x = np.concatenate([plain, bra[:, free_bra], ket[:, free_ket], both[:, :1]], axis=1)
         pairs += [(i, pairs[t][1]) for t in free_bra] + [(pairs[t][0], i) for t in free_ket]
         pairs.append((i, i))
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[tuple(zip(*pairs))] = x[:, 0]
+    out = np.zeros((points, n + 1, n + 1), dtype=np.complex128)
+    out[(slice(None),) + tuple(zip(*pairs))] = x[:, :, 0]
     return out
 
 
-def _class_matrix(spectators: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """R[m, m'] = sum conj(a(k)) a(k') G_s(k' - k) over the terms of COM classes
-    sum k_i = m and sum k'_i = m', G_s = ``spectators``: ion by ion, the bra's
-    class is the power of z at the Nc + 1 roots of unity, m' - m a lag sum."""
+def _class_hats(amps: np.ndarray) -> np.ndarray:
+    """hats[i, q, c + d] = sum_k conj(a_i[k]) a_i[k + d] z_q^k at the Nc + 1
+    roots of unity z_q, the factors of :func:`_class_matrix`."""
     n, size = amps.shape
     nc, w, k = n * (size - 1), 2 * size - 1, np.arange(size)
     joint = np.zeros((n, size, w), dtype=np.complex128)  # [i, k, c + d]: conj(a_i[k]) a_i[k + d]
     joint[:, k[:, None], size - 1 - k[:, None] + k] = np.conj(amps)[:, :, None] * amps[:, None, :]
-    hats = np.fft.fft(joint, n=nc + 1, axis=1)
-    sums = np.empty((nc + 1, 2 * nc + 1), dtype=np.complex128)  # [q, m' - m + nc]
-    block = max(1, _BLOCK_ENTRIES // spectators.size)
-    for lo in range(0, nc + 1, block):
+    return np.fft.fft(joint, n=nc + 1, axis=1)
+
+
+def _class_matrix(spectators: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """R[p, m, m'] = sum conj(a(k)) a(k') G_p(k' - k) over the terms of COM
+    classes sum k_i = m and sum k'_i = m', G_p = ``spectators[p]``: ion by
+    ion, the bra's class is the power of z at the Nc + 1 roots of unity
+    (``hats`` from :func:`_class_hats`), m' - m a lag sum."""
+    points, (n, classes, w) = spectators.shape[0], hats.shape
+    nc = classes - 1
+    sums = np.empty((points, classes, 2 * nc + 1), dtype=np.complex128)  # [p, q, m' - m + nc]
+    block = max(1, _BLOCK_ENTRIES // spectators[0].size)
+    for lo in range(0, classes, block):
         h = hats[:, lo : lo + block]
-        x = spectators.reshape(1, w, -1) * h[0][:, :, None]
+        x = spectators.reshape(points, 1, w, -1) * h[0][:, :, None]
         for hi in h[1:]:
-            x = x.reshape(x.shape[0], x.shape[1], w, -1)
-            y = np.zeros((x.shape[0], x.shape[1] + w - 1, x.shape[3]), dtype=np.complex128)
+            x = x.reshape(points, x.shape[1], x.shape[2], w, -1)
+            y = np.zeros((points, x.shape[1], x.shape[2] + w - 1, x.shape[4]), dtype=np.complex128)
             for j in range(w):
-                y[:, j : j + x.shape[1]] += x[:, :, j] * hi[:, j, None, None]
+                y[:, :, j : j + x.shape[2]] += x[:, :, :, j] * hi[:, j, None, None]
             x = y
-        sums[lo : lo + block] = x[:, :, 0]
-    m = np.arange(nc + 1)
-    return np.fft.ifft(sums, axis=0)[m[:, None], m - m[:, None] + nc]
+        sums[:, lo : lo + block] = x[:, :, :, 0]
+    m = np.arange(classes)
+    # contiguous per point, as a point's matrix is alone: products read it by its strides
+    return np.ascontiguousarray(np.fft.ifft(sums, axis=1)[:, m[:, None], m - m[:, None] + nc])
 
 
-def _report(state: MultimodeSuperposition, ideal: np.ndarray) -> tuple[LeakageReport, float]:
-    """The leakage report and the squared norm of ``state``, as lag sums,
-    against the ideal line with phase-free coefficients ``ideal`` on the
-    state's own COM line (Nc + 1 of them)."""
-    n, size = state.amps.shape
-    nc, w = n * (size - 1), 2 * size - 1
-    beta0 = state.betas[0, 0]
-    if np.any(np.abs(state.betas[:, 0] - beta0) > _COLLINEAR_TOL * abs(beta0)):
+class _Lines:
+    """The ions' lines and what every point that shares them reads from them
+    alone: the unit lines (they keep long plans' sums in range), the product
+    of their squared norms, the DFT of each ion's bra line, the ket's
+    amplitudes over the term lattice, and the tables of :func:`_moments` and
+    :func:`_class_matrix`."""
+
+    def __init__(self, amps):
+        amps = np.asarray(amps)
+        norms = np.linalg.norm(amps, axis=1)
+        if not np.all(norms > 0):
+            raise ValueError("exact state has zero norm")
+        self.lines = amps / norms[:, None]
+        self.scale = float(np.prod(norms**2))
+        self.bra_dft = np.fft.fft(np.conj(self.lines), 2 * amps.shape[1] - 1)
+        self.amps = reduce(np.multiply.outer, self.lines)
+        self.moment_tables = _moment_tables(self.lines)
+        self.hats = _class_hats(self.lines)
+
+
+class _Fields(NamedTuple):
+    """The leakage fields of a batch of points, one row each; ``nsq`` is the
+    squared norm, ``refused[p]`` the cancellation that refuses point p or None."""
+
+    mean_phonon: np.ndarray
+    fidelity: np.ndarray
+    purity: np.ndarray
+    gap: np.ndarray
+    nsq: np.ndarray
+    refused: list
+
+    def report(self, p: int) -> LeakageReport:
+        return LeakageReport(
+            self.mean_phonon[p], float(self.fidelity[p]), float(self.purity[p]), float(self.gap[p])
+        )
+
+
+def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray) -> _Fields:
+    """The leakage fields of points that share ``alpha`` and the lines of
+    ``shared`` and differ in their displacement tables ``betas`` (points x
+    ions x modes), as lag sums, against the ideal line with phase-free
+    coefficients ``ideal`` on each point's own COM line (Nc + 1 of them).
+    Every array carries the point on its leading axis; each point's
+    arithmetic is the one it has alone."""
+    points, (n, size) = len(betas), shared.lines.shape
+    nc, c = n * (size - 1), size - 1
+    beta0 = betas[:, 0, 0]
+    if np.any(np.abs(betas[:, :, 0] - beta0[:, None]) > _COLLINEAR_TOL * np.abs(beta0)[:, None]):
         raise ValueError("every ion must displace the COM mode by the same amplitude")
-    norms = np.linalg.norm(state.amps, axis=1)
-    if not np.all(norms > 0):
-        raise ValueError("exact state has zero norm")
-    lines = state.amps / norms[:, None]  # unit lines keep long plans' sums in range
+    lattice = tuple(range(1, n + 1))  # the lag axes; axis 0 is the point
 
     # h_l(k) is entry c + k of the cyclic convolution of the zero-padded
-    # conj(a) with G_l, whose DFT is a product over ions.
-    bra_hat = reduce(np.multiply.outer, np.fft.fft(np.conj(lines), w))
-    amps = reduce(np.multiply.outer, lines)
-    cross, fact_nsq = amps, 1.0
-    spectators = np.ones((w,) * n)
-    for l, overlap in enumerate(_mode_overlaps(state)):
+    # conj(a) with G_l, whose DFT is a product over ions; formed per block
+    # and dropped after the mode loop, so a one-point block holds no more
+    # lattices than the point alone
+    bra_hat = reduce(np.multiply.outer, shared.bra_dft)
+    cross, fact_nsq = shared.amps, np.ones(points)
+    spectators = np.ones((points,) + (2 * size - 1,) * n)
+    for l, overlap in enumerate(_mode_overlaps(alpha, betas, c)):
         if l:
             spectators *= overlap
-        h = np.fft.ifftn(np.fft.fftn(overlap) * bra_hat)[(slice(size - 1, None),) * n]
-        fact_nsq *= float(np.real(np.sum(amps * h)))  # ||f_l||^2
+        h = np.fft.ifftn(np.fft.fftn(overlap, axes=lattice) * bra_hat, axes=lattice)
+        h = h[(slice(None),) + (slice(c, None),) * n]
+        fact_nsq *= np.real(np.sum(shared.amps * h, axis=lattice))  # ||f_l||^2
         cross = cross * h
     del bra_hat, overlap, h
 
     # the COM factor is taken again rather than held through the loop
-    moments = _moments(spectators * next(_mode_overlaps(state)), lines)
-    nsq = checked_norm_sq(float(np.real(moments[n, n])), *lines)
+    moments = _moments(spectators * next(_mode_overlaps(alpha, betas, c)), shared.moment_tables)
+    nsq = np.real(moments[:, n, n])
+    refused = cancellation_errors(nsq, *shared.lines)
     # <n_l> nsq = u_l^H M u_l: ion rows hold the displacements, the last alpha
-    u = np.vstack([state.betas, np.eye(1, state.betas.shape[1]) * state.alpha])
-    mean_phonon = np.real(np.einsum("il,ij,jl->l", np.conj(u), moments, u)) / nsq
+    com = np.broadcast_to(np.eye(1, betas.shape[2]) * alpha, (points, 1, betas.shape[2]))
+    u = np.concatenate([betas, com], axis=1)
+    # one einsum per point: over the batch, one ion's sums would run in another order
+    quad = [np.einsum("il,ij,jl->l", np.conj(v), mp, v) for v, mp in zip(u, moments)]
+    mean_phonon = np.real(quad) / nsq[:, None]
 
-    r = _class_matrix(spectators, lines)
+    r = _class_matrix(spectators, shared.hats)
     m = np.arange(nc + 1)
-    # s[m, m'] = <class m|class m'> for the COM states D((2m - nc) beta0)|alpha>,
-    # the components of the ideal line too
-    s = line_overlaps(state.alpha, 2.0 * beta0, nc)[m - m[:, None] + nc]
-    rs = r.T @ s
-    purity = float(np.clip(np.real(np.sum(rs * rs.T)) / nsq**2, 0.0, 1.0))
-    o = s @ ideal  # o[m] = <class m|ideal>
-    ideal_nsq = checked_norm_sq(float(np.real(np.vdot(ideal, o))), ideal)
-    fid = float(np.clip(np.real(o @ r @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
-    gap = float(np.clip(1.0 - abs(np.sum(cross)) ** 2 / (fact_nsq * nsq), 0.0, 1.0))
-    return LeakageReport(mean_phonon, fid, purity, gap), nsq * float(np.prod(norms**2))
+    # s[p, m, m'] = <class m|class m'> for point p's COM states
+    # D((2m - nc) beta0)|alpha>, the components of the ideal line too
+    s = np.ascontiguousarray(line_overlaps(alpha, 2.0 * beta0, nc)[:, m - m[:, None] + nc])
+    rs = np.swapaxes(r, 1, 2) @ s
+    # squares and moduli of single values are taken scalar by scalar, as a
+    # point alone takes them: numpy's array kernels for them round otherwise
+    nsq_sq = np.array([x**2 for x in nsq.tolist()])
+    purity = np.clip(np.real(np.sum(rs * np.swapaxes(rs, 1, 2), axis=(1, 2))) / nsq_sq, 0.0, 1.0)
+    o = s @ ideal  # o[p, m] = <class m|ideal>
+    ideal_nsq = np.real(np.conj(ideal) @ o[:, :, None])[:, 0]  # np.vdot(ideal, o[p])
+    ideal_errors = cancellation_errors(ideal_nsq, ideal)
+    fid = np.real(o[:, None, :] @ r @ np.conj(o)[:, :, None])[:, 0, 0] / (nsq * ideal_nsq)
+    fid = np.clip(fid, 0.0, 1.0)
+    cross_sq = np.array([abs(z) ** 2 for z in np.sum(cross, axis=lattice)])
+    gap = np.clip(1.0 - cross_sq / (fact_nsq * nsq), 0.0, 1.0)
+    refused = [e or f for e, f in zip(refused, ideal_errors)]
+    return _Fields(mean_phonon, fid, purity, gap, nsq * shared.scale, refused)
 
 
 def run_conditional_exact(
@@ -400,7 +533,84 @@ def leakage_report(
     on_line = ideal.alpha == ms_exact.alpha and abs(ideal.beta - beta0) <= _COLLINEAR_TOL * abs(beta0)
     if not (on_line and ideal.n == n * (size - 1)):
         raise ValueError("ideal must be a line of N c + 1 coefficients on the state's COM line")
-    return _report(ms_exact, ideal.coeffs)[0]
+    fields = _report(ms_exact.alpha, ms_exact.betas[None], _Lines(ms_exact.amps), ideal.coeffs)
+    if fields.refused[0] is not None:
+        raise fields.refused[0]
+    return fields.report(0)
+
+
+def analyze_points(
+    plans, modes: ModeTable, integrated: bool
+) -> Iterator[tuple[LeakageReport, float] | SolverError]:
+    """Per plan, its leakage report and exact probability as
+    :func:`analyze_plan` gives them, or the :class:`SolverError` that
+    refuses it, in order.  The plans are the points of a sweep: they share
+    their weights, alpha, eta, omega, ion count and cycle count (ValueError
+    otherwise) and differ in the window t and the detuning delta alone.
+
+    What the points share is computed once: the ions' lines and the ideal
+    line, the tables they give every lag sum, and the memory check.  The
+    points are then read and evaluated in blocks, every array carrying the
+    point on a leading axis: as many points as the 1 GiB budget holds at
+    one point's need (see _LIVE_LATTICES) and as _BLOCK_LAGS lags hold, at
+    least one.  A block's results
+    are yielded before the next block's plans are read, so a long sweep
+    holds one block at a time.  A shape past the budget, or weights whose
+    lines overflow, refuse every point; a point's cancelled norm or
+    non-finite field refuses that point alone."""
+    points = iter(plans)
+    first = next(points, None)
+    if first is None:
+        return
+    n, c = first.params.n_ions, len(first.cycles)
+    if modes.n_ions != n:
+        raise ValueError("plan and mode table disagree on the ion count")
+    key, need, failure = _shared_key(first), _lattice_need(n, c), None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
+        try:
+            ideal = scaled_coeffs(first.all_weights)[0]
+            _check_lattice(n, c)
+            lines = _Lines(_ion_lines(first))
+        except SolverError as exc:
+            failure = exc  # every point's; their tables are still checked
+
+    def evaluate(batch: list) -> list:
+        if any(_shared_key(plan) != key for plan in batch):
+            raise ValueError("the points must differ in their window and detuning alone")
+        deltas = [plan.params.delta for plan in batch]
+        ts = [plan.cycles[0].duration for plan in batch]
+        with np.errstate(over="ignore", invalid="ignore"):
+            betas = _displacements(modes, first.params, deltas, ts, integrated)
+            _check_tables(betas)
+            if failure is not None:
+                return [failure] * len(batch)
+            return _analyzed(_report(first.alpha, betas, lines, ideal))
+
+    points = itertools.chain([first], points)
+    block = max(1, min(errors.MEMORY_BUDGET_BYTES // need, _BLOCK_LAGS // (2 * c + 1) ** n))
+    while batch := list(itertools.islice(points, block)):
+        yield from evaluate(batch)
+
+
+def _shared_key(plan: ProtocolPlan) -> tuple:
+    """What the points of one :func:`analyze_points` call must share."""
+    params = plan.params
+    return plan.alpha, params.eta, params.omega, params.n_ions, plan.all_weights.tobytes()
+
+
+def _analyzed(fields: _Fields) -> list:
+    """Per point, (report, p_exact) or the SolverError that refuses it."""
+    p_exact = np.clip(fields.nsq, 0.0, 1.0)
+    scalars = np.column_stack([fields.fidelity, fields.purity, fields.gap, p_exact])
+    finite = np.all(np.isfinite(np.hstack([scalars, fields.mean_phonon])), axis=1).tolist()
+    out = []
+    for p, error in enumerate(fields.refused):
+        if error is None and not finite[p]:
+            error = SolverError(
+                "a leakage field is not finite; the displacements lie past float range"
+            )
+        out.append(error if error is not None else (fields.report(p), float(p_exact[p])))
+    return out
 
 
 def analyze_plan(
@@ -408,23 +618,18 @@ def analyze_plan(
     modes: ModeTable,
     integrated: bool,
 ) -> tuple[LeakageReport, float]:
-    """The leakage report of the plan and its exact probability.  The ideal
-    reference is the single-mode state built with the *same* displacement
-    variant's COM amplitude (for the endpoint variant the two coincide), so
-    ``com_fidelity_vs_ideal`` isolates what the spectators did to the COM
-    mode; its coefficients are those of :func:`ile.protocol.scaled_coeffs`,
-    in range at any slot count.  A field that is not finite, as when
-    displacements past about 1e154 square out of float range, raises
-    :class:`SolverError`."""
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
-        entry = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
-        ideal = scaled_coeffs(plan.all_weights)[0]
-        report, nsq = _report(_exact_state(plan, modes, integrated, entry), ideal)
-    p_exact = float(np.clip(nsq, 0.0, 1.0))
-    fields = [report.com_fidelity_vs_ideal, report.com_purity, report.factorization_gap, p_exact]
-    if not np.all(np.isfinite(fields + list(report.per_mode_mean_phonon))):
-        raise SolverError("a leakage field is not finite; the displacements lie past float range")
-    return report, p_exact
+    """The leakage report of the plan and its exact probability: the batch of
+    one of :func:`analyze_points`.  The ideal reference is the single-mode
+    state built with the *same* displacement variant's COM amplitude (for
+    the endpoint variant the two coincide), so ``com_fidelity_vs_ideal``
+    isolates what the spectators did to the COM mode; its coefficients are
+    those of :func:`ile.protocol.scaled_coeffs`, in range at any slot count.
+    A field that is not finite, as when displacements past about 1e154
+    square out of float range, raises :class:`SolverError`."""
+    (result,) = analyze_points([plan], modes, integrated)
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

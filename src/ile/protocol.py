@@ -62,6 +62,7 @@ __all__ = [
     "to_fock",
     "fidelity_to_target",
     "checked_norm_sq",
+    "cancellation_errors",
 ]
 
 # A squared norm summed over coherent overlaps is refused when ||c||_1^2
@@ -265,14 +266,35 @@ def checked_norm_sq(nsq: float, *factors) -> float:
     outer product of ``factors``, unless it is NaN or more than
     ``_CANCELLATION_LIMIT`` times below ||c||_1^2 = prod ||factor||_1^2
     (compared in logs, free of overflow), which raises :class:`SolverError`."""
+    cancelled, log_l1_sq = _cancelled(nsq, factors)
+    if cancelled:
+        raise _cancellation_error(nsq, log_l1_sq)
+    return nsq
+
+
+def cancellation_errors(nsq: np.ndarray, *factors) -> list:
+    """:func:`checked_norm_sq` over an array of squared norms that share
+    ``factors``: per norm, the :class:`SolverError` it would raise, or None."""
+    cancelled, log_l1_sq = _cancelled(nsq, factors)
+    return [
+        _cancellation_error(x, log_l1_sq) if bad else None
+        for x, bad in zip(nsq.tolist(), cancelled.tolist())
+    ]
+
+
+def _cancelled(nsq, factors) -> tuple:
+    """(whether ``nsq``, a float or an array of them, is refused; log ||c||_1^2)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_l1_sq = 2.0 * sum(np.log(np.sum(np.abs(f))) for f in factors)
-        if not log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq):
-            raise SolverError(
-                f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
-                f"against ||c||_1^2 = {np.exp(log_l1_sq):.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
-            )
-    return nsq
+        return ~(log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq)), log_l1_sq
+
+
+def _cancellation_error(nsq: float, log_l1_sq: float) -> SolverError:
+    with np.errstate(over="ignore"):
+        return SolverError(
+            f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
+            f"against ||c||_1^2 = {np.exp(log_l1_sq):.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ile import cli, fock, inverse, protocol
+from ile import chain, cli, errors, fock, inverse, multimode, protocol
 from ile.errors import SolverError
 
 PLAN = {
@@ -192,6 +192,18 @@ class TestSimulateCommand:
         assert done.returncode == 3
         assert "budget 1 GiB" in done.stderr and "Traceback" not in done.stderr
         assert not out.exists()
+
+    def test_refused_need_rounds_up(self, tmp_path, capsys):
+        # 4,793,491 levels need 224 B each, 171 bytes past 1 GiB: the message
+        # rounds the need up rather than to the budget itself
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0.3, 0.2]]}])
+        path = write_json(tmp_path / "p.json", plan)
+        assert run(["simulate", "--input", path, "--fock", "4793490"]) == 3
+        err = capsys.readouterr().err
+        assert "4793491-level number-basis dump needs 1.01 GiB (budget 1 GiB)" in err
+        errors.check_memory(224 * 4793490, "the largest admitted dump")
+        with pytest.raises(SolverError, match=r"needs 1\.01 GiB"):
+            errors.check_memory((1 << 30) + 1, "one byte past the budget needs")
 
     def test_unequal_durations_exit_2(self, tmp_path):
         plan = dict(
@@ -585,6 +597,114 @@ def _strict_json(path):
         raise AssertionError(f"non-strict JSON constant {constant}")
 
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _sweep_plan(n_ions, n_cycles):
+    rng = np.random.default_rng(100 * n_ions + n_cycles)
+    cycles = [{"t": 80.0, "p": rng.normal(0.0, 0.5, (n_ions, 2)).tolist()} for _ in range(n_cycles)]
+    return dict(PLAN, n_ions=n_ions, alpha=[0.3, -0.2], cycles=cycles)
+
+
+def _point_fields(plan, integrated):
+    """The CSV fields after ``complete`` of ``plan`` run alone through
+    ``analyze_plan``, or None where it refuses the point."""
+    modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
+    try:
+        report, p_exact = multimode.analyze_plan(plan, modes, integrated)
+    except SolverError:
+        return None
+    values = [p_exact, report.com_fidelity_vs_ideal, report.com_purity, report.factorization_gap]
+    return [repr(v) for v in values] + [repr(float(m)) for m in report.per_mode_mean_phonon]
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The number of points in each block a run evaluates."""
+    sizes = []
+    report = multimode._report
+    monkeypatch.setattr(multimode, "_report", lambda *a: sizes.append(len(a[1])) or report(*a))
+    return sizes
+
+
+class TestSweepPoints:
+    """A sweep evaluates its points together, in blocks; each row still
+    carries exactly what its point gives alone."""
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["integrated", "paper"])
+    @pytest.mark.parametrize("grid", ["t=40:120", "delta=0.95:0.99"], ids=["t", "delta"])
+    @pytest.mark.parametrize(
+        "n_ions, n_cycles, count", [(1, 1, 40), (2, 3, 5), (3, 2, 5), (4, 1, 5)],
+        ids=["1x1", "2x3", "3x2", "4x1"],
+    )
+    def test_row_equals_its_own_point(self, tmp_path, n_ions, n_cycles, count, grid, paper):
+        # 40 one-ion points fill more than one 31-point block
+        doc = _sweep_plan(n_ions, n_cycles)
+        path = write_json(tmp_path / "p.json", doc)
+        out = tmp_path / "r.csv"
+        argv = ["leakage", "--input", path, "--output", str(out), "--sweep", f"{grid}:{count}"]
+        assert run(argv + (["--paper-beta"] if paper else [])) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        header, rows = rows[0], rows[1:]
+        assert len(rows) == count
+        name = grid.split("=")[0]
+        base = cli._plan_from_json(doc)
+        complete = header.index("complete")
+        for row in rows:
+            point = cli._plan_with(base, name, float(row[header.index(name)]))
+            want = _point_fields(point, not paper)
+            assert want is not None and row[complete] == "true"
+            assert row[complete + 1:] == want
+
+    def test_mixed_complete_and_refused_rows(self, tmp_path):
+        # past about 1e154 the endpoint displacements square out of float
+        # range: the first point completes, the other three are refused
+        doc = _sweep_plan(2, 2)
+        path = write_json(tmp_path / "p.json", doc)
+        out = tmp_path / "r.csv"
+        argv = ["leakage", "--input", path, "--output", str(out), "--paper-beta",
+                "--sweep", "t=80:1e160:4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        header, rows = rows[0], rows[1:]
+        complete = header.index("complete")
+        assert [row[complete] for row in rows] == ["true", "false", "false", "false"]
+        base = cli._plan_from_json(doc)
+        for row in rows:
+            want = _point_fields(cli._plan_with(base, "t", float(row[header.index("t")])), False)
+            assert row[complete + 1:] == (want or [""] * (4 + 2))
+
+    def test_blocks_of_one_point_give_the_same_bytes(self, tmp_path, monkeypatch, block_sizes):
+        path = write_json(tmp_path / "p.json", _sweep_plan(4, 1))
+        argv = ["leakage", "--input", path, "--sweep", "t=60:100:3"]
+
+        def sweep(out):
+            assert run(argv + ["--output", str(out)]) == 0
+            return out.read_bytes()
+
+        whole = sweep(tmp_path / "whole.csv")
+        assert block_sizes == [3]
+        # room for one 4 x 1 point but not for two
+        monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 3 * multimode._lattice_need(4, 1) // 2)
+        block_sizes.clear()
+        assert sweep(tmp_path / "split.csv") == whole
+        assert block_sizes == [1, 1, 1]
+        # an 8 x 2 point, admitted at 1 GiB, passes that budget: every row is refused
+        path = write_json(tmp_path / "p8.json", _sweep_plan(8, 2))
+        out = tmp_path / "eight.csv"
+        assert run(["leakage", "--input", path, "--output", str(out), "--sweep", "t=60:100:3"]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        complete = rows[0].index("complete")
+        assert [row[complete] for row in rows[1:]] == ["false"] * 3
+
+    def test_blocks_span_a_bounded_lattice(self, tmp_path, block_sizes):
+        # a 6 x 2 point spans 5^6 = 15,625 lags: two points to a block, well
+        # within the memory budget's 30
+        path = write_json(tmp_path / "p.json", _sweep_plan(6, 2))
+        assert run(["leakage", "--input", path, "--output", str(tmp_path / "r.csv"),
+                    "--sweep", "t=60:100:5"]) == 0
+        assert block_sizes == [2, 2, 1]
 
 
 class TestHugeDisplacements:

@@ -379,3 +379,17 @@ class TestLeakageAnalysis:
         ):
             with pytest.raises(ValueError, match="COM line"):
                 multimode.leakage_report(ms, off, fact)
+
+
+class TestAnalyzePoints:
+    def test_points_differ_in_window_and_detuning_alone(self, mode_tables):
+        plan = one_cycle_plan([0.1, 0.2])
+        for other in (
+            one_cycle_plan([0.1, 0.3]),
+            one_cycle_plan([0.1, 0.2], alpha=0.1),
+            one_cycle_plan([0.1, 0.2], omega=0.04),
+        ):
+            with pytest.raises(ValueError, match="window and detuning alone"):
+                list(multimode.analyze_points([plan, other], mode_tables[2], True))
+        points = [plan, one_cycle_plan([0.1, 0.2], t=90.0, delta=0.98)]
+        assert len(list(multimode.analyze_points(points, mode_tables[2], True))) == 2
