@@ -38,13 +38,17 @@ def potential_gradient(positions) -> np.ndarray:
     return g
 
 
-def _hessian(u: np.ndarray) -> np.ndarray:
-    n = u.size
-    if n == 1:
-        return np.array([[1.0]])
-    d = np.abs(u[:, None] - u[None, :])
+def _pair_field(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of V at ``u`` (as :func:`potential_gradient` gives it) and
+    the table 1/|u_i - u_j|^3 (zero on the diagonal) the Hessian reads, both
+    from one matrix of pairwise differences."""
+    d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
-    inv3 = 1.0 / d**3
+    return u - np.sum(np.sign(d) / d**2, axis=1), 1.0 / np.abs(d) ** 3
+
+
+def _hessian(inv3: np.ndarray) -> np.ndarray:
+    """Hessian of V from the inverse-cube table of :func:`_pair_field`."""
     h = -2.0 * inv3
     np.fill_diagonal(h, 1.0 + 2.0 * inv3.sum(axis=1))
     return h
@@ -135,40 +139,61 @@ class LambDickeTable:
         object.__setattr__(self, "entries", e)
 
 
-def equilibrium_positions(n_ions: int) -> ChainGeometry:
-    """Minimise the chain potential with a damped Newton iteration.
+def _line_search(u: np.ndarray, step: np.ndarray, gmax: float):
+    """The first of u + step, u + step/2, ... that keeps the ions ordered and
+    lowers max|gradient| below ``gmax``, as (positions, gradient, inverse
+    cubes, max|gradient|).  At ``gmax <= _GRAD_TOL`` the gradient is at its
+    rounding floor: None once the full and the half step are rejected (the
+    half step is accepted there at N = 60, shorter ones never by N <= 64).
+    SolverError after 60 tries."""
+    lam = 1.0
+    for _ in range(60):
+        trial = u + lam * step
+        if np.all(np.diff(trial) > 0):
+            g, inv3 = _pair_field(trial)
+            gmax_trial = np.max(np.abs(g))
+            if gmax_trial < gmax:
+                return trial, g, inv3, gmax_trial
+        if gmax <= _GRAD_TOL and lam <= 0.5:
+            return None
+        lam *= 0.5
+    raise SolverError(f"equilibrium line search stalled at max|gradient| = {gmax:.3e}")
 
-    Initial guess: uniform spacing over a span 2 N^0.56.  Steps are halved
-    until they preserve the ion ordering and do not increase the gradient
-    norm.  Converges to max|gradient| <= 1e-10 for the supported 1 <= N <= 64.
+
+def equilibrium_positions(n_ions: int) -> ChainGeometry:
+    """Equilibrium of the chain potential for 1 <= N <= 64 ions.
+
+    Up to three ions the equilibrium has a closed form (James, Appl. Phys. B
+    66, 181 (1998)): 0; +-4^(-1/3); 0 and +-(5/4)^(1/3).  From four ions on a
+    damped Newton iteration minimises the potential, starting from uniform
+    spacing over a span 2 N^0.56.  Each trial step evaluates the pairwise
+    field once (:func:`_pair_field`), and the accepted trial's gradient and
+    inverse-cube table serve the next step.  Steps are halved until they
+    preserve the ion ordering and lower max|gradient|.  The iteration stops
+    at max|gradient| <= 1e-13, or at the rounding floor: a rejected full and
+    half step once max|gradient| <= 1e-10.  ``ChainGeometry`` checks the
+    gradient of every result.
     """
     if not 1 <= n_ions <= 64:
         raise ValueError("n_ions must lie in 1..64")
     if n_ions == 1:
         return ChainGeometry(np.zeros(1))
+    if n_ions == 2:
+        a = 4.0 ** (-1.0 / 3.0)
+        return ChainGeometry(np.array([-a, a]))
+    if n_ions == 3:
+        a = 1.25 ** (1.0 / 3.0)
+        return ChainGeometry(np.array([-a, 0.0, a]))
     u = np.linspace(-1.0, 1.0, n_ions) * n_ions**0.56
-    gmax = np.inf
+    g, inv3 = _pair_field(u)
+    gmax = np.max(np.abs(g))
     for _ in range(200):
-        g = potential_gradient(u)
-        gmax = np.max(np.abs(g))
         if gmax <= 1e-13:
             break
-        step = np.linalg.solve(_hessian(u), -g)
-        lam = 1.0
-        for _ in range(60):
-            trial = u + lam * step
-            if np.all(np.diff(trial) > 0) and np.max(
-                np.abs(potential_gradient(trial))
-            ) < gmax:
-                u = trial
-                break
-            lam *= 0.5
-        else:
-            if gmax <= _GRAD_TOL:
-                break  # rounding floor reached inside the documented tolerance
-            raise SolverError(
-                f"equilibrium line search stalled at max|gradient| = {gmax:.3e}"
-            )
+        accepted = _line_search(u, np.linalg.solve(_hessian(inv3), -g), gmax)
+        if accepted is None:
+            break
+        u, g, inv3, gmax = accepted
     else:
         raise SolverError(
             f"equilibrium iteration budget exhausted, max|gradient| = {gmax:.3e}"
@@ -190,7 +215,7 @@ def normal_modes(geometry: ChainGeometry) -> ModeTable:
     rounding of them.
     """
     n = geometry.n_ions
-    h = _hessian(geometry.positions)
+    h = _hessian(_pair_field(geometry.positions)[1])
     evals, evecs = np.linalg.eigh(h)
     if evals[0] <= 0:
         raise RuntimeError("non-positive mode eigenvalue: geometry is not a minimum")
@@ -199,11 +224,9 @@ def normal_modes(geometry: ChainGeometry) -> ModeTable:
     if abs(np.sqrt(evals[0]) - 1.0) > 1e-8:
         raise RuntimeError("lowest mode is not the in-phase mode; bad geometry")
     mu = np.sqrt(evals)
-    for l in range(n):
-        col = evecs[:, l]
-        lead = np.flatnonzero(np.abs(col) > 1e-10)[0]
-        if col[lead] < 0:
-            evecs[:, l] = -col
+    lead = np.argmax(np.abs(evecs) > 1e-10, axis=0)
+    flip = evecs[lead, np.arange(n)] < 0
+    evecs[:, flip] = -evecs[:, flip]
     mu[0] = 1.0
     evecs[:, 0] = 1.0 / np.sqrt(n)
     return ModeTable(frequencies=mu, vectors=evecs)

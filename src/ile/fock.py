@@ -24,6 +24,7 @@ __all__ = [
     "recommended_cutoff",
     "coherent_fock",
     "coherent_table",
+    "coherent_blocks",
     "coherent_rows",
     "displacement_matrix",
     "apply_displacement",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-# Amplitudes per block of ``coherent_rows``; two blocks make 2^20.
+# Amplitudes per block of ``coherent_blocks``; two blocks make 2^20.
 _ROW_BLOCK = 1 << 19
 
 
@@ -208,15 +209,22 @@ def coherent_table(labels, cutoff: int) -> np.ndarray:
     return table.view(np.complex128).reshape(rows, cutoff + 1)
 
 
-def coherent_rows(labels, cutoff: int):
-    """The rows of ``coherent_table(labels, cutoff)`` in order, built in
-    blocks of at most ``_ROW_BLOCK`` amplitudes: a caller holding the last
-    row of one block while the next is built keeps two blocks alive at most,
+def coherent_blocks(labels, cutoff: int):
+    """``coherent_table(labels, cutoff)`` in consecutive blocks of rows, each
+    of at most ``_ROW_BLOCK`` amplitudes (one row at least): a caller holding
+    one block while the next is built keeps two blocks alive at most,
     however long the grid and large the cutoff."""
     labels = np.asarray(labels, dtype=np.complex128)
     step = max(1, _ROW_BLOCK // (cutoff + 1))
     for start in range(0, labels.size, step):
-        yield from coherent_table(labels[start : start + step], cutoff)
+        yield coherent_table(labels[start : start + step], cutoff)
+
+
+def coherent_rows(labels, cutoff: int):
+    """The rows of ``coherent_table(labels, cutoff)`` in order, from the
+    blocks of :func:`coherent_blocks`."""
+    for block in coherent_blocks(labels, cutoff):
+        yield from block
 
 
 def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:

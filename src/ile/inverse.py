@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SolverError, check_memory
-from .fock import FockVector, coherent_rows, norm
+from .fock import FockVector, coherent_blocks, norm
 from .protocol import LineSuperposition, scaled_coeffs, success_probability_nominal
 
 __all__ = [
@@ -166,18 +166,13 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
 
 
 def _component_overlaps(target: FockVector, labels, phases) -> np.ndarray:
-    """<phases[k] |labels[k]> | target> for every grid component k, each the
-    dot product of one row of :func:`ile.fock.coherent_rows` with the target
-    (bitwise that of the component's ``coherent_fock``).  A far component's
-    truncated state still gives the exact overlap: the target has no
-    amplitude above its cutoff."""
-    return np.array(
-        [
-            np.conj(ph) * complex(np.vdot(row, target.amps))
-            for ph, row in zip(phases, coherent_rows(labels, target.cutoff))
-        ],
-        dtype=np.complex128,
-    )
+    """<phases[k] |labels[k]> | target> for every grid component k: one
+    product of each block of :func:`ile.fock.coherent_blocks` with the
+    conjugated target.  A far component's truncated state still gives the
+    exact overlap: the target has no amplitude above its cutoff."""
+    amps = np.conj(target.amps)
+    sums = np.concatenate([block @ amps for block in coherent_blocks(labels, target.cutoff)])
+    return np.conj(phases * sums)
 
 
 def fit_target(

@@ -101,8 +101,9 @@ _COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
 # Memory of one point's report, refused up front past the 1 GiB budget:
 # complex arrays of the (2c + 1)^N lags (at most 6.5 alive at once, counted
 # and measured at 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class
-# sums (at most 3) and two blocks of _class_matrix.  A block of points holds
-# that per point, so the budget sets the points per block.
+# sums (at most 3) and two blocks of _class_matrix (see _class_block).  A
+# block of points holds that per point, so the budget sets the points per
+# block.
 _LIVE_LATTICES = 7
 _LIVE_CLASSES = 4
 _BLOCK_ENTRIES = 1 << 20
@@ -259,10 +260,19 @@ def _check_tables(betas: np.ndarray) -> None:
         raise ValueError("each mode's displacements must be real multiples of one amplitude")
 
 
+def _class_block(n: int, c: int) -> int:
+    """Entries one point's :func:`_class_matrix` block holds: as many of
+    the Nc + 1 classes as fit _BLOCK_ENTRIES, one at least, each over the
+    (2c + 1)^N lags.  Capped at _BLOCK_ENTRIES, the reservation the frontier
+    shapes were measured with, so the budget admits the shapes it did."""
+    lattice = (2 * c + 1) ** n
+    return min(_BLOCK_ENTRIES, min(n * c + 1, max(1, _BLOCK_ENTRIES // lattice)) * lattice)
+
+
 def _lattice_need(n: int, c: int) -> int:
     """Bytes one point's report may hold at once (see _LIVE_LATTICES)."""
     lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
-    return 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _BLOCK_ENTRIES)
+    return 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _class_block(n, c))
 
 
 def _check_lattice(n: int, c: int) -> None:

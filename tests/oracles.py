@@ -17,8 +17,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import expm_multiply
 
 from ile import fock
-from ile.chain import ModeTable, lamb_dicke
-from ile.errors import IntegratorError
+from ile.chain import ModeTable, lamb_dicke, potential_gradient
+from ile.errors import IntegratorError, SolverError
 from ile.fock import coherent_fock
 from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, run_conditional_exact
 from ile.protocol import (
@@ -107,8 +107,8 @@ def coherent_gram(a, b=None) -> np.ndarray:
 
 def fit_overlaps_per_component(target, labels, phases) -> np.ndarray:
     """Overlaps of the phased grid components with the target, one
-    ``coherent_fock`` per component: the loop ``inverse.fit_target`` must
-    reproduce bitwise."""
+    ``coherent_fock`` per component, which ``inverse.fit_target``'s block
+    products must reproduce to rounding."""
     with warnings.catch_warnings():
         # A far component's truncated state still gives the exact overlap:
         # the target has no amplitude above its cutoff.
@@ -415,6 +415,76 @@ def hand_hessian_three_ions() -> np.ndarray:
             [off_far, off_near, diag_edge],
         ]
     )
+
+
+def _newton_hessian(u: np.ndarray) -> np.ndarray:
+    n = u.size
+    if n == 1:
+        return np.array([[1.0]])
+    d = np.abs(u[:, None] - u[None, :])
+    np.fill_diagonal(d, np.inf)
+    inv3 = 1.0 / d**3
+    h = -2.0 * inv3
+    np.fill_diagonal(h, 1.0 + 2.0 * inv3.sum(axis=1))
+    return h
+
+
+def newton_equilibrium(n_ions: int) -> np.ndarray:
+    """Equilibrium positions by the damped Newton iteration at every ion
+    count, as ``chain.equilibrium_positions`` computed them before it took
+    the closed forms at N <= 3 and one field evaluation per trial: the
+    gradient re-evaluated at the top of each step, and up to 60 halvings of
+    every step, at the rounding floor too."""
+    if not 1 <= n_ions <= 64:
+        raise ValueError("n_ions must lie in 1..64")
+    if n_ions == 1:
+        return np.zeros(1)
+    u = np.linspace(-1.0, 1.0, n_ions) * n_ions**0.56
+    gmax = np.inf
+    for _ in range(200):
+        g = potential_gradient(u)
+        gmax = np.max(np.abs(g))
+        if gmax <= 1e-13:
+            break
+        step = np.linalg.solve(_newton_hessian(u), -g)
+        lam = 1.0
+        for _ in range(60):
+            trial = u + lam * step
+            if np.all(np.diff(trial) > 0) and np.max(
+                np.abs(potential_gradient(trial))
+            ) < gmax:
+                u = trial
+                break
+            lam *= 0.5
+        else:
+            if gmax <= 1e-10:
+                break  # rounding floor reached inside the documented tolerance
+            raise SolverError(
+                f"equilibrium line search stalled at max|gradient| = {gmax:.3e}"
+            )
+    else:
+        raise SolverError(
+            f"equilibrium iteration budget exhausted, max|gradient| = {gmax:.3e}"
+        )
+    # The potential is reflection symmetric; remove the solver's rounding skew.
+    return 0.5 * (u - u[::-1])
+
+
+def loop_normal_modes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, vectors) of ``chain.normal_modes`` with each vector's
+    sign picked by a loop over the columns: the first entry above 1e-10 in
+    magnitude is made positive, and the in-phase mode is stored exactly."""
+    n = positions.size
+    evals, evecs = np.linalg.eigh(_newton_hessian(positions))
+    mu = np.sqrt(evals)
+    for l in range(n):
+        col = evecs[:, l]
+        lead = np.flatnonzero(np.abs(col) > 1e-10)[0]
+        if col[lead] < 0:
+            evecs[:, l] = -col
+    mu[0] = 1.0
+    evecs[:, 0] = 1.0 / np.sqrt(n)
+    return mu, evecs
 
 
 def polynomial_all_roots_weights(coeffs: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ile import chain
 from ile.errors import SolverError
-from oracles import hand_hessian_three_ions
+from oracles import hand_hessian_three_ions, loop_normal_modes, newton_equilibrium
 
 
 def test_single_ion_at_centre():
@@ -22,6 +22,73 @@ def test_three_ion_closed_form():
     g = chain.equilibrium_positions(3)
     u = (5.0 / 4.0) ** (1.0 / 3.0)
     assert np.allclose(g.positions, [-u, 0.0, u], atol=1e-12)
+
+
+def test_two_and_three_ions_take_their_closed_forms():
+    a2, a3 = 4.0 ** (-1.0 / 3.0), 1.25 ** (1.0 / 3.0)
+    for n, closed in ((2, [-a2, a2]), (3, [-a3, 0.0, a3])):
+        u = chain.equilibrium_positions(n).positions
+        assert u.tobytes() == np.array(closed).tobytes()
+        assert np.max(np.abs(u - newton_equilibrium(n))) <= 1e-14
+        table = chain.normal_modes(chain.equilibrium_positions(n))
+        mu, vectors = loop_normal_modes(newton_equilibrium(n))
+        assert np.max(np.abs(table.frequencies - mu)) <= 1e-14
+        assert np.max(np.abs(table.vectors - vectors)) <= 1e-14
+
+
+def test_newton_solve_matches_the_oracle_bitwise():
+    # one field evaluation per trial and the vectorized sign pick change no
+    # bit of the iterates, frequencies or vectors, at the rounding floor too
+    for n in [1, *range(4, 65)]:
+        u = chain.equilibrium_positions(n).positions
+        want = newton_equilibrium(n)
+        assert u.tobytes() == want.tobytes(), n
+        table = chain.normal_modes(chain.equilibrium_positions(n))
+        mu, vectors = loop_normal_modes(want)
+        assert table.frequencies.tobytes() == mu.tobytes(), n
+        assert table.vectors.tobytes() == vectors.tobytes(), n
+
+
+def _counted_solve(monkeypatch, n):
+    """(field evaluations, Newton steps, rejected trials) of one solve: a
+    trial is rejected when its max|gradient| does not fall below that of
+    the last accepted iterate."""
+    gmaxes, steps = [], []
+    field, hessian = chain._pair_field, chain._hessian
+
+    def counted_field(u):
+        g, inv3 = field(u)
+        gmaxes.append(np.max(np.abs(g)))
+        return g, inv3
+
+    def counted_hessian(inv3):
+        steps.append(1)
+        return hessian(inv3)
+
+    monkeypatch.setattr(chain, "_pair_field", counted_field)
+    monkeypatch.setattr(chain, "_hessian", counted_hessian)
+    chain.equilibrium_positions(n)
+    monkeypatch.undo()
+    rejected, best = 0, np.inf
+    for gmax in gmaxes:
+        if gmax < best:
+            best = gmax
+        else:
+            rejected += 1
+    return len(gmaxes), len(steps), rejected
+
+
+def test_one_field_evaluation_per_newton_step(monkeypatch):
+    for n in range(1, 4):
+        assert _counted_solve(monkeypatch, n) == (0, 0, 0)
+    for n in range(4, 65):
+        evaluations, steps, rejected = _counted_solve(monkeypatch, n)
+        # only a rejected trial costs an evaluation past one per step
+        assert evaluations <= steps + 1 + rejected, n
+        if n <= 46:  # every full Newton step is accepted there
+            assert rejected == 0 and evaluations <= steps + 1, n
+        # no cache: a second solve evaluates the field as often
+        assert _counted_solve(monkeypatch, n) == (evaluations, steps, rejected), n
 
 
 @pytest.mark.parametrize("n", range(2, 65))

@@ -322,8 +322,7 @@ class TestFitTarget:
             )
             labels, phases = grid.labels(), grid.phased_coeffs()
             got = inverse._component_overlaps(target, labels, phases)
-            want = fit_overlaps_per_component(target, labels, phases)
-            assert got.tobytes() == want.tobytes()
+            _assert_overlaps_close(got, fit_overlaps_per_component(target, labels, phases), target)
 
     def test_grid_of_several_row_blocks_matches_oracle(self, rng):
         # 700 components x 801 levels: two blocks of 654 rows at most
@@ -332,7 +331,17 @@ class TestFitTarget:
         assert grid.coeffs.size * (target.cutoff + 1) > fock._ROW_BLOCK
         labels, phases = grid.labels(), grid.phased_coeffs()
         got = inverse._component_overlaps(target, labels, phases)
-        assert got.tobytes() == fit_overlaps_per_component(target, labels, phases).tobytes()
+        _assert_overlaps_close(got, fit_overlaps_per_component(target, labels, phases), target)
+
+
+def _assert_overlaps_close(got, want, target):
+    """One matrix-vector product per row block sums each overlap in another
+    order than a dot product per component: each of the cutoff + 1 terms,
+    at most |target[n]| in modulus (a truncated coherent state has unit norm
+    at most), may round differently."""
+    assert got.shape == want.shape
+    bound = 4 * (target.cutoff + 1) * np.finfo(float).eps * np.sum(np.abs(target.amps))
+    assert np.max(np.abs(got - want), initial=0.0) <= bound
 
 
 class _Admitted(Exception):

@@ -393,3 +393,36 @@ class TestAnalyzePoints:
                 list(multimode.analyze_points([plan, other], mode_tables[2], True))
         points = [plan, one_cycle_plan([0.1, 0.2], t=90.0, delta=0.98)]
         assert len(list(multimode.analyze_points(points, mode_tables[2], True))) == 2
+
+
+class TestLatticeBudget:
+    def test_admitted_and_refused_shapes(self):
+        for n, c in ((14, 1), (9, 2), (7, 4), (6, 6), (5, 11), (4, 27), (3, 104)):
+            multimode._check_lattice(n, c)
+        for n, c in ((15, 1), (10, 2), (7, 5), (6, 7), (5, 12), (4, 28), (3, 105)):
+            with pytest.raises(SolverError, match="budget 1 GiB"):
+                multimode._check_lattice(n, c)
+
+    def test_class_block_is_the_shapes_own(self):
+        assert multimode._class_block(1, 1) == 2 * 3  # 2 classes of 3 lags
+        assert multimode._class_block(4, 2) == 9 * 5**4
+        # 25 of the 201 classes of 2 x 100 fill the block
+        assert multimode._class_block(2, 100) == 25 * 201**2
+        # one class past the block keeps the frontier's reservation
+        assert multimode._class_block(9, 2) == multimode._BLOCK_ENTRIES
+
+    def test_sweep_rows_match_points_across_blocks(self, mode_tables, monkeypatch):
+        # 1 x 1 sweeps evaluate up to 10,922 points a block; three blocks of
+        # 4 here, as single points would give them
+        monkeypatch.setattr(multimode, "_BLOCK_LAGS", 12)
+        plans = [one_cycle_plan([0.3 + 0.2j], t=t) for t in np.linspace(20.0, 90.0, 11)]
+        swept = list(multimode.analyze_points(plans, mode_tables[1], False))
+        for plan, (report, p_exact) in zip(plans, swept):
+            alone, p_alone = multimode.analyze_plan(plan, mode_tables[1], False)
+            assert p_exact == p_alone
+            assert report.per_mode_mean_phonon.tobytes() == alone.per_mode_mean_phonon.tobytes()
+            assert report.com_fidelity_vs_ideal == alone.com_fidelity_vs_ideal
+            assert (report.com_purity, report.factorization_gap) == (
+                alone.com_purity,
+                alone.factorization_gap,
+            )
