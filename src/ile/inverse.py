@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SolverError, check_memory
 from .fock import FockVector, coherent_blocks, norm
@@ -149,6 +148,8 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     a[0] = -c[1:]
     b = np.eye(target.n, dtype=np.complex128)
     b[0, 0] = c[0]
+    import scipy.linalg  # here, so commands that never solve a pencil never load scipy
+
     num, den = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
     if np.any(np.abs(num - den) <= _POLE_GUARD_TOL * np.abs(den)):
         raise SolverError(
@@ -220,7 +221,8 @@ def fit_target(
         lags = np.exp(-2.0 * (np.arange(n + 1) * abs(beta)) ** 2)  # past float range: 0
     phases = grid.phased_coeffs()  # q = phases^2
 
-    evals, evecs = np.linalg.eigh(scipy.linalg.toeplitz(lags))
+    k = np.arange(n + 1)
+    evals, evecs = np.linalg.eigh(lags[abs(k[:, None] - k)])  # K[j, k] = lags[|j - k|]
     if not (np.isfinite(evals[-1]) and evals[-1] > 0):
         raise SolverError("component Gram matrix is numerically void; increase |beta|")
     inv = 1.0 / np.maximum(evals, 1e-12 * evals[-1])

@@ -1,7 +1,6 @@
-"""All longitudinal modes at once: exact conditional evolution, the
-mode-factorized approximation, spectator-leakage metrics, and a midpoint
-integrator that referees the analytic displacement formulas against the
-underlying time-dependent Hamiltonian.
+"""All longitudinal modes at once: spectator-leakage metrics of the exact
+conditional state, and a midpoint integrator that referees the analytic
+displacement formulas against the underlying time-dependent Hamiltonian.
 
 Displacement amplitude per ion and mode over a window t, in two variants:
 
@@ -18,15 +17,18 @@ Displacement amplitude per ion and mode over a window t, in two variants:
 The exact conditional state is a product over ions: ion i, with weights
 w_i over all c cycles, applies its own line sum_k a_i[k] D((2k - c) beta[i]),
 a_i being forward_coeffs(w_i) times the root of its nominal probability.
-``MultimodeSuperposition`` holds exactly that.  The factorized form lets
-every mode branch on its own: the product of the exact state's per-mode
-marginals, held as the exact state.  The two coincide whenever at most one
-mode is displaced; ``leakage_report`` quantifies the gap otherwise.
+It is held as those lines (:func:`_ion_lines`) and the (ions x modes)
+displacement table of :func:`cycle_displacements`, and never expanded
+but by the referee, whose few terms :func:`_expand` writes out.  The
+factorized form lets every mode branch on its own: the product of the
+exact state's per-mode marginals.  The two coincide whenever at most one
+mode is displaced; the report's ``factorization_gap`` quantifies the gap
+otherwise.
 
 Collinearity: the mode vectors are real, so all displacements of one mode
 are real multiples of one amplitude and compose without a phase; hence
 displacements, and the ions' conditional operators, commute
-(``DisplacementPlanEntry`` refuses other tables).  So the bra term k and ket
+(:func:`_check_tables` refuses other tables).  So the bra term k and ket
 term k' of the expanded state, k, k' in [0, c]^N with amplitudes
 a(k) = prod_i a_i[k_i], overlap by G(d) = prod_l <init_l|D(2 sum_i d_i beta[i, l])|init_l>
 (init_0 = alpha, vacuum elsewhere), a function of the lag d = k' - k alone.
@@ -37,7 +39,7 @@ h_l(k) = sum_k' conj(a(k')) G_l(k - k'), a cyclic FFT convolution per mode.
 The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
 mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
 same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
-alone; ``leakage_report`` raises ValueError for a non-uniform COM column.
+alone; :func:`_report` raises ValueError for a non-uniform COM column.
 
 Sweeps: the points of a sweep share their weights, alpha, eta, omega and
 ion and cycle counts, and differ in the window t or the detuning delta,
@@ -64,7 +66,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import errors
 from .chain import ModeTable, lamb_dicke
@@ -72,28 +73,20 @@ from .errors import IntegratorError, SolverError, check_memory
 from .fock import _warn_crowded, coherent_table, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
-    LineSuperposition,
     PhysicalParams,
     ProtocolPlan,
     cancellation_errors,
-    checked_norm_sq,
     log_slot_nominal,
     scaled_coeffs,
 )
 
 __all__ = [
-    "MultimodeSuperposition",
-    "FactorizedSuperposition",
-    "DisplacementPlanEntry",
+    "cycle_displacements",
     "LeakageReport",
+    "analyze_points",
+    "analyze_plan",
     "TrotterConfig",
     "TrotterReport",
-    "cycle_displacements",
-    "run_conditional_exact",
-    "run_conditional_factorized",
-    "leakage_report",
-    "analyze_plan",
-    "analyze_points",
     "trotter_validate",
 ]
 
@@ -126,86 +119,6 @@ _FULL_STEP_OVERHEAD = 30_000
 _ROTATION_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class MultimodeSuperposition:
-    """Unnormalized prod_i (sum_k amps[i, k] D((2k - c) betas[i])) |alpha, 0, ...>
-    with c = amps.shape[1] - 1, D(g) = prod_l D_l(g[l]); amps are phase-free."""
-
-    alpha: complex
-    betas: np.ndarray
-    amps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        b, a = (np.array(x, dtype=np.complex128) for x in (self.betas, self.amps))
-        shapes = b.ndim == a.ndim == 2 and a.shape[0] == b.shape[0] and 0 not in a.shape + b.shape
-        if not (shapes and np.isfinite(self.alpha) and np.isfinite(b).all() and np.isfinite(a).all()):
-            raise ValueError("need finite alpha, betas (ions x modes), amps (ions x cycles + 1)")
-        b.flags.writeable = a.flags.writeable = False
-        object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def n_terms(self) -> int:
-        """Terms of the expansion, (c + 1)^N."""
-        return self.amps.shape[1] ** self.amps.shape[0]
-
-    def expand(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coeffs, labels): the state as sum_t coeffs[t] (x)_l |labels[t, l]>
-        on plain coherent kets, COM phase in coeffs, all terms unmerged."""
-        n, size = self.amps.shape
-        k = np.indices((size,) * n).reshape(n, -1)  # every term's index tuple, ion 0 slowest
-        labels = (2 * k.T - (size - 1)) @ self.betas
-        coeffs = reduce(np.multiply.outer, self.amps).ravel()
-        coeffs = coeffs * displacement_phase(labels[:, 0], self.alpha)
-        labels[:, 0] += self.alpha
-        return coeffs, labels
-
-    def norm_sq(self) -> float:
-        """Squared norm as a lag sum (:class:`SolverError` if it cancelled)."""
-        c = self.amps.shape[1] - 1
-        overlaps = reduce(np.multiply, _mode_overlaps(self.alpha, self.betas[None], c))
-        nsq = _moments(overlaps, _moment_tables(self.amps))[0, -1, -1]
-        return checked_norm_sq(float(np.real(nsq)), *self.amps)
-
-
-@dataclass(frozen=True)
-class FactorizedSuperposition:
-    """Product (x)_l f_l of the per-mode marginals of ``exact``,
-    f_l = sum_k a(k) D_l(g_l(k))|init_l> with g_l(k) the mode-l displacement
-    of term k, so every mode runs its own copy of the conditional product."""
-
-    exact: MultimodeSuperposition
-
-    @property
-    def n_terms(self) -> int:
-        """Terms of the factors' expansions, (c + 1)^N per mode."""
-        return self.exact.betas.shape[1] * self.exact.n_terms
-
-    def expand(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Factor l as (coeffs, labels), f_l = sum_t coeffs[t] |labels[t]>."""
-        coeffs, labels = self.exact.expand()
-        free = reduce(np.multiply.outer, self.exact.amps).ravel()  # no COM phase
-        return [(coeffs if l == 0 else free, g) for l, g in enumerate(labels.T)]
-
-
-@dataclass(frozen=True)
-class DisplacementPlanEntry:
-    """Per-cycle displacement table, rows = ions, columns = modes; each column
-    holds real multiples of one amplitude (see the module docstring)."""
-
-    betas: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.betas, dtype=np.complex128)
-        if b.ndim != 2:
-            raise ValueError("betas must be a 2-D (ions x modes) table")
-        _check_tables(b)
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "betas", b)
-
-
 @dataclass(frozen=True)
 class LeakageReport:
     per_mode_mean_phonon: np.ndarray
@@ -221,8 +134,10 @@ class LeakageReport:
 
 def cycle_displacements(
     modes: ModeTable, params: PhysicalParams, t: float, integrated: bool
-) -> DisplacementPlanEntry:
-    """Displacement amplitudes of one cycle for every (ion, mode) pair.
+) -> np.ndarray:
+    """Displacement amplitudes of one cycle for every (ion, mode) pair, as a
+    read-only (ions x modes) table whose columns :func:`_check_tables` has
+    passed.
 
     With ``integrated=False`` the endpoint form, whose COM column equals
     :func:`ile.protocol.beta_of` identically; with ``integrated=True`` the
@@ -234,7 +149,10 @@ def cycle_displacements(
         )
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
-    return DisplacementPlanEntry(_displacements(modes, params, [params.delta], [t], integrated)[0])
+    betas = _displacements(modes, params, [params.delta], [t], integrated)[0]
+    _check_tables(betas)
+    betas.flags.writeable = False
+    return betas
 
 
 def _displacements(modes: ModeTable, params: PhysicalParams, deltas, ts, integrated: bool):
@@ -293,19 +211,18 @@ def _ion_lines(plan: ProtocolPlan) -> list:
     return amps
 
 
-def _exact_state(plan: ProtocolPlan, modes: ModeTable, integrated: bool, betas):
-    """The conditional state as a product over ions, each contributing its
-    line (:func:`_ion_lines`).  A state whose report would exceed the memory
-    budget is refused up front."""
-    if modes.n_ions != plan.params.n_ions:
-        raise ValueError("plan and mode table disagree on the ion count")
-    entry = betas if betas is not None else cycle_displacements(
-        modes, plan.params, plan.cycles[0].duration, integrated
-    )
-    if entry.betas.shape != (plan.params.n_ions, modes.n_ions):
-        raise ValueError("displacement table has the wrong shape")
-    _check_lattice(plan.params.n_ions, len(plan.cycles))
-    return MultimodeSuperposition(plan.alpha, entry.betas, _ion_lines(plan))
+def _expand(alpha: complex, betas: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, labels): the unnormalized state
+    prod_i (sum_k amps[i, k] D((2k - c) betas[i])) |alpha, 0, ...>, c =
+    amps.shape[1] - 1, as sum_t coeffs[t] (x)_l |labels[t, l]> on plain
+    coherent kets, COM phase in coeffs, all (c + 1)^N terms unmerged."""
+    n, size = amps.shape
+    k = np.indices((size,) * n).reshape(n, -1)  # every term's index tuple, ion 0 slowest
+    labels = (2 * k.T - (size - 1)) @ betas
+    coeffs = reduce(np.multiply.outer, amps).ravel()
+    coeffs = coeffs * displacement_phase(labels[:, 0], alpha)
+    labels[:, 0] += alpha
+    return coeffs, labels
 
 
 def _mode_overlaps(alpha: complex, betas: np.ndarray, c: int):
@@ -494,59 +411,6 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     gap = np.clip(1.0 - cross_sq / (fact_nsq * nsq), 0.0, 1.0)
     refused = [e or f for e, f in zip(refused, ideal_errors)]
     return _Fields(mean_phonon, fid, purity, gap, nsq * shared.scale, refused)
-
-
-def run_conditional_exact(
-    plan: ProtocolPlan,
-    modes: ModeTable,
-    integrated: bool,
-    betas: DisplacementPlanEntry | None = None,
-) -> tuple[MultimodeSuperposition, float]:
-    """Exact conditional state of all modes after the full plan, from coherent
-    ``plan.alpha`` on the COM mode and vacuum elsewhere, and its squared norm,
-    the post-selection probability.  ``betas`` overrides the displacement table."""
-    state = _exact_state(plan, modes, integrated, betas)
-    return state, float(np.clip(state.norm_sq(), 0.0, 1.0))
-
-
-def run_conditional_factorized(
-    plan: ProtocolPlan,
-    modes: ModeTable,
-    integrated: bool,
-    betas: DisplacementPlanEntry | None = None,
-) -> FactorizedSuperposition:
-    """The mode-factorized form: every mode gets its own independent copy of
-    the conditional product, exact only while at most one mode is displaced."""
-    return FactorizedSuperposition(_exact_state(plan, modes, integrated, betas))
-
-
-def leakage_report(
-    ms_exact: MultimodeSuperposition,
-    ideal: LineSuperposition,
-    factorized: FactorizedSuperposition,
-) -> LeakageReport:
-    """How much the spectator modes corrupted the COM-mode preparation, as
-    exact lag sums: per-mode mean phonon numbers, the fidelity of the reduced
-    COM state against ``ideal``, its purity, and the infidelity between the
-    exact state and its mode-factorized form (read from ``ms_exact``).
-    ``ideal`` lies on the state's own COM line: the same alpha, the COM
-    displacement beta_0 of every ion, and N c + 1 coefficients (ValueError
-    otherwise), so its components are the COM classes of the state."""
-    other = getattr(factorized, "exact", None)
-    if not isinstance(other, MultimodeSuperposition) or not (
-        other.alpha == ms_exact.alpha
-        and np.array_equal(other.betas, ms_exact.betas)
-        and np.array_equal(other.amps, ms_exact.amps)
-    ):
-        raise ValueError("the factorized state is not read from this exact state")
-    beta0, (n, size) = ms_exact.betas[0, 0], ms_exact.amps.shape
-    on_line = ideal.alpha == ms_exact.alpha and abs(ideal.beta - beta0) <= _COLLINEAR_TOL * abs(beta0)
-    if not (on_line and ideal.n == n * (size - 1)):
-        raise ValueError("ideal must be a line of N c + 1 coefficients on the state's COM line")
-    fields = _report(ms_exact.alpha, ms_exact.betas[None], _Lines(ms_exact.amps), ideal.coeffs)
-    if fields.refused[0] is not None:
-        raise fields.refused[0]
-    return fields.report(0)
 
 
 def analyze_points(
@@ -772,16 +636,18 @@ def trotter_validate(
     weights = np.zeros(params.n_ions) if weights is None else weights
     plan = ProtocolPlan(params, alpha, (Cycle(duration=t, weights=weights),))
     # The two predictions differ in their displacement tables alone.
-    state = _exact_state(plan, modes, True, None)
-    endpoint = cycle_displacements(modes, params, t, integrated=False).betas
-    coeffs, labels = state.expand()
-    coeffs_end, labels_end = MultimodeSuperposition(plan.alpha, endpoint, state.amps).expand()
+    amps = np.array(_ion_lines(plan))
+    coeffs, labels = _expand(plan.alpha, cycle_displacements(modes, params, t, True), amps)
+    endpoint = cycle_displacements(modes, params, t, integrated=False)
+    coeffs_end, labels_end = _expand(plan.alpha, endpoint, amps)
     # Row 0 of each mode's table holds the initial motion, then the terms.
     labels = np.vstack([np.zeros((1, n), dtype=np.complex128), labels, labels_end])
     labels[0, 0] = plan.alpha
     _warn_crowded(float(np.max(np.abs(labels))), cfg.cutoff, stacklevel=2)
     tables = [coherent_table(column, cfg.cutoff) for column in labels.T]
     motion = np.array([table[0] for table in tables])
+
+    from scipy.linalg import eigh_tridiagonal  # here, so other commands never load scipy
 
     lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
     coupling = lamb_dicke(modes, params.eta).entries  # [i, l]

@@ -20,7 +20,7 @@ from ile import fock
 from ile.chain import ModeTable, lamb_dicke, potential_gradient
 from ile.errors import IntegratorError, SolverError
 from ile.fock import coherent_fock
-from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, run_conditional_exact
+from ile.multimode import LeakageReport, TrotterConfig, TrotterReport, cycle_displacements
 from ile.protocol import (
     Cycle,
     LineSuperposition,
@@ -293,28 +293,82 @@ def merge_labels(coeffs, labels, decimals: int = 10):
     return merged, labels[first]
 
 
-def tensor_product_gap(exact, fact, block: int = 256) -> float:
-    """1 - |<fact|exact>|^2 / (||fact||^2 ||exact||^2) with the factorized
-    state expanded into its full tensor product, one term per combination of
-    the (merged) terms of its factors.  The norm of the expansion is summed
-    over row blocks so its Gram is never held whole."""
-    coeffs = np.ones(1, dtype=np.complex128)
-    labels = np.zeros((1, 0), dtype=np.complex128)
-    for fc, fg in fact.expand():
+def _conditional_terms(plan: ProtocolPlan, modes: ModeTable, integrated: bool):
+    """(amps, shifts) of the exact conditional state's (c + 1)^N terms, ion 0
+    slowest: amps[t] = prod_i a_i[k_i], a_i the unscaled line of ion i's
+    weights times the root of its nominal probability prod 1/(4 (1 + |p|^2)),
+    and shifts[t, l] = sum_i (2 k_i - c) beta[i, l]."""
+    n, c = plan.params.n_ions, len(plan.cycles)
+    lines = []
+    for w in plan.all_weights.reshape(c, n).T:
+        nominal = np.prod(0.25 / (1.0 + np.abs(w) ** 2))
+        lines.append(unscaled_forward_coeffs(w) * np.sqrt(nominal))
+    betas = cycle_displacements(modes, plan.params, plan.cycles[0].duration, integrated)
+    k = np.indices((c + 1,) * n).reshape(n, -1)
+    return reduce(np.multiply.outer, lines).ravel(), (2 * k.T - c) @ betas
+
+
+def _shift_phase(g: np.ndarray, alpha: complex) -> np.ndarray:
+    """Phase of D(g)|alpha> = phase |alpha + g>."""
+    return np.exp(0.5 * (g * np.conj(alpha) - np.conj(g) * alpha))
+
+
+def exact_terms(plan: ProtocolPlan, modes: ModeTable, integrated: bool):
+    """The exact conditional state of all modes, from coherent ``plan.alpha``
+    on the COM mode and vacuum elsewhere, as (coeffs, labels): the state is
+    sum_t coeffs[t] (x)_l |labels[t, l]> on plain coherent kets, the COM
+    phase in coeffs, all (c + 1)^N terms unmerged."""
+    amps, shifts = _conditional_terms(plan, modes, integrated)
+    labels = shifts.copy()
+    labels[:, 0] += plan.alpha
+    return amps * _shift_phase(shifts[:, 0], plan.alpha), labels
+
+
+def factor_terms(plan: ProtocolPlan, modes: ModeTable, integrated: bool) -> list:
+    """The mode-factorized state (x)_l f_l, f_l = sum_t a(t) D_l(g_l(t))|init_l>
+    the exact state's marginal on mode l, factor l as (coeffs, labels)."""
+    amps, shifts = _conditional_terms(plan, modes, integrated)
+    factors = [(amps * _shift_phase(shifts[:, 0], plan.alpha), shifts[:, 0] + plan.alpha)]
+    return factors + [(amps, g) for g in shifts.T[1:]]
+
+
+def tensor_product_gap(factors, coeffs, labels, block: int = 256) -> float:
+    """1 - |<F|E>|^2 / (||F||^2 ||E||^2) between F = (x)_l f_l, factor l
+    given as (coeffs, labels), and the expanded state E = (``coeffs``,
+    ``labels``), with F expanded into its full tensor product, one term per
+    combination of the (merged) terms of its factors.  The norm of the
+    expansion is summed over row blocks so its Gram is never held whole."""
+    fact = np.ones(1, dtype=np.complex128)
+    fact_labels = np.zeros((1, 0), dtype=np.complex128)
+    for fc, fg in factors:
         fc, fg = merge_labels(fc, fg)
-        coeffs = np.kron(coeffs, fc)
-        labels = np.concatenate(
-            [np.repeat(labels, fc.size, axis=0), np.tile(fg[:, None], (labels.shape[0], 1))],
+        fact = np.kron(fact, fc)
+        fact_labels = np.concatenate(
+            [np.repeat(fact_labels, fc.size, axis=0), np.tile(fg[:, None], (fact_labels.shape[0], 1))],
             axis=1,
         )
     fact_nsq = sum(
-        np.conj(coeffs[k : k + block]) @ _product_gram(labels[k : k + block], labels) @ coeffs
-        for k in range(0, coeffs.size, block)
+        np.conj(fact[k : k + block]) @ _product_gram(fact_labels[k : k + block], fact_labels) @ fact
+        for k in range(0, fact.size, block)
     ).real
-    ec, el = exact.expand()
-    exact_nsq = (np.conj(ec) @ _product_gram(el, el) @ ec).real
-    cross = np.conj(coeffs) @ _product_gram(labels, el) @ ec
+    exact_nsq = (np.conj(coeffs) @ _product_gram(labels, labels) @ coeffs).real
+    cross = np.conj(fact) @ _product_gram(fact_labels, labels) @ coeffs
     return float(1.0 - abs(cross) ** 2 / (fact_nsq * exact_nsq))
+
+
+def gram_gap(factors, coeffs, labels) -> float:
+    """1 - |<F|E>|^2 / (||F||^2 ||E||^2) as :func:`tensor_product_gap` has it,
+    with dense Grams factor by factor: <F|E> sums over E's terms the product
+    of every factor's overlap with the term's label on its mode, and
+    ||F||^2 is the product of the factors' norms."""
+    amps = np.ones(coeffs.size, dtype=np.complex128)
+    fact_nsq = 1.0
+    for (fc, fg), column in zip(factors, labels.T):
+        amps *= np.conj(fc) @ coherent_gram(fg, column)
+        fact_nsq *= float(np.real(np.conj(fc) @ coherent_gram(fg) @ fc))
+    exact_nsq = float(np.real(np.conj(coeffs) @ _pair_gram(labels, labels) @ coeffs))
+    cross = abs(complex(amps @ coeffs)) ** 2
+    return float(np.clip(1.0 - cross / (fact_nsq * exact_nsq), 0.0, 1.0))
 
 
 def _pair_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
@@ -324,11 +378,14 @@ def _pair_gram(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * ha[:, None] - 0.5 * hb[None, :] + np.conj(la) @ lb.T)
 
 
-def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, float]:
-    """``multimode.leakage_report`` in the Gram form it had before the lag
-    lattice: dense T x T Grams over the expanded exact state and the
-    expanded factors.  Returns the report and the exact squared norm."""
-    c, labels = ms_exact.expand()
+def gram_leakage_report(
+    plan: ProtocolPlan, modes: ModeTable, integrated: bool, ideal: LineSuperposition
+) -> tuple[LeakageReport, float]:
+    """The plan's leakage report in the Gram form ``multimode`` had before
+    the lag lattice: dense T x T Grams over the oracle's own expansion of
+    the exact state (:func:`exact_terms`) and of its factors.  Returns the
+    report and the exact squared norm."""
+    c, labels = exact_terms(plan, modes, integrated)
     com = labels[:, 0]
     rest = labels[:, 1:]
     w = np.conj(c)[:, None] * c[None, :]
@@ -349,14 +406,7 @@ def gram_leakage_report(ms_exact, ideal, factorized) -> tuple[LeakageReport, flo
     ideal_nsq = ideal.norm_sq()
     fid = float(np.clip(np.real(o @ w @ np.conj(o)) / (nsq * ideal_nsq), 0.0, 1.0))
 
-    factors = factorized.expand()
-    amps = np.ones(c.size, dtype=np.complex128)
-    fact_nsq = 1.0
-    for (fc, fg), column in zip(factors, labels.T):
-        amps *= np.conj(fc) @ coherent_gram(fg, column)
-        fact_nsq *= float(np.real(np.conj(fc) @ coherent_gram(fg) @ fc))
-    cross = abs(complex(amps @ c)) ** 2
-    gap = float(np.clip(1.0 - cross / (fact_nsq * nsq), 0.0, 1.0))
+    gap = gram_gap(factor_terms(plan, modes, integrated), c, labels)
 
     return LeakageReport(
         per_mode_mean_phonon=mean_phonon,
@@ -651,7 +701,7 @@ def sparse_trotter_validate(
 
     def predicted(integrated: bool) -> np.ndarray:
         vec = np.zeros(size**n, dtype=np.complex128)
-        for c, row in zip(*run_conditional_exact(plan, modes, integrated)[0].expand()):
+        for c, row in zip(*exact_terms(plan, modes, integrated)):
             term = np.array([c])
             for g in row:
                 term = np.kron(term, coherent_fock(g, cfg.cutoff).amps)
@@ -697,8 +747,8 @@ def stepped_trotter_validate(
     """``multimode.trotter_validate`` as it stood before the rotating-wave run
     went mode by mode in each spin sector: every run steps the whole
     ``2^n (cutoff + 1)^n`` state, and the fast terms' rotations are built
-    one step at a time.  Verbatim but for the public ``run_conditional_exact``
-    in place of the package's private helper.
+    one step at a time.  Verbatim but for the oracle's own :func:`exact_terms`
+    in place of the package's private expansion.
 
     Propagate the joint spin (x) mode state under the interaction-picture
     Hamiltonian with exponential-midpoint steps and referee the analytic
@@ -843,7 +893,7 @@ def stepped_trotter_validate(
 
     def predicted(integrated: bool) -> np.ndarray:
         vec = np.zeros(size**n, dtype=np.complex128)
-        for c, row in zip(*run_conditional_exact(plan, modes, integrated)[0].expand()):
+        for c, row in zip(*exact_terms(plan, modes, integrated)):
             term = np.array([c])
             for g in row:
                 term = np.kron(term, coherent_fock(g, cfg.cutoff).amps)
