@@ -558,6 +558,14 @@ def _run_cost(n: int, size: int, steps: int, fast: bool) -> int:
     return cost
 
 
+def _position_basis(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (columns) of the position quadrature x =
+    (a + a^+) / sqrt 2 truncated to ``size`` levels: the symmetric
+    tridiagonal with zero diagonal and sqrt(k / 2) beside it."""
+    off = np.sqrt(np.arange(1, size) / 2.0)
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
 def trotter_validate(
     params: PhysicalParams,
     modes: ModeTable,
@@ -647,9 +655,7 @@ def trotter_validate(
     tables = [coherent_table(column, cfg.cutoff) for column in labels.T]
     motion = np.array([table[0] for table in tables])
 
-    from scipy.linalg import eigh_tridiagonal  # here, so other commands never load scipy
-
-    lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
+    lam, vecs = _position_basis(size)
     coupling = lamb_dicke(modes, params.eta).entries  # [i, l]
     drive = -2.0 * np.sqrt(2.0) * params.omega
 

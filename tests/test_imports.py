@@ -25,8 +25,9 @@ def test_every_exported_name_resolves(name):
         assert hasattr(module, attr), f"{name}.__all__ names missing {attr!r}"
 
 
-# Runs in a fresh interpreter: the four commands that never solve a pencil
-# or integrate leave scipy unloaded, and the two that do still load it.
+# Runs in a fresh interpreter: the five commands that never solve a pencil
+# leave scipy unloaded (validate with and without the fast terms), and plan,
+# which does, still loads it.
 _PROBE = """
 import contextlib, io, sys
 from ile import cli
@@ -35,20 +36,19 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(list(argv))
 
+referee = ["--eta", "0.05", "--omega", "0.05", "--delta", "0.99", "--t", "20",
+           "--cutoff", "6", "--steps", "10"]
 codes = [
     run("modes", "3"),
     run("simulate", "--input", "plan.json", "--fock", "12"),
     run("leakage", "--input", "plan.json", "--sweep", "t=60:80:3"),
     run("fit", "--input", "fock.json", "--n", "6", "--beta", "0.3,0.1"),
+    run("validate", *referee),
+    run("validate", *referee, "--full-terms"),
 ]
-assert codes == [0, 0, 0, 0], codes
+assert codes == [0] * 6, codes
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
-codes = [
-    run("plan", "--input", "target.json"),
-    run("validate", "--eta", "0.05", "--omega", "0.05", "--delta", "0.99", "--t", "20",
-        "--cutoff", "6", "--steps", "10"),
-]
-assert codes == [0, 0], codes
+assert run("plan", "--input", "target.json") == 0
 assert "scipy.linalg" in sys.modules
 """
 

@@ -252,6 +252,17 @@ class TestFitTarget:
         with pytest.raises(ValueError):
             inverse.fit_target(target, -1, 0j, 0.5)
 
+    def test_grid_size_as_float(self):
+        # an integral float fits as its int; any other float is bad input
+        target = fock.coherent_fock(0.3, 32)
+        coeffs, fid = inverse.fit_target(target, 4.0, 0j, 0.3)
+        ref, ref_fid = inverse.fit_target(target, 4, 0j, 0.3)
+        np.testing.assert_array_equal(coeffs.coeffs, ref.coeffs)
+        assert fid == ref_fid
+        for bad in (4.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                inverse.fit_target(target, bad, 0j, 0.3)
+
     def test_tight_grid_survives_regularization(self):
         # |beta| well below the coherent resolution scale: raw Gram is
         # numerically singular, the eigenvalue floor must keep this solvable

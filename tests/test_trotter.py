@@ -138,7 +138,7 @@ def test_step_cost_guard_edge(mode_tables, monkeypatch, n_ions, cutoff, admitted
     def stop(*args, **kwargs):
         raise _Admitted
 
-    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", stop)  # imported where called
+    monkeypatch.setattr(multimode, "_position_basis", stop)
     params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=n_ions)
     cfg = multimode.TrotterConfig(cutoff=cutoff, steps=10)
     expected = pytest.raises(_Admitted) if admitted else pytest.raises(ValueError, match="desk scale")
@@ -167,7 +167,7 @@ def test_run_cost_guard_edge(mode_tables, monkeypatch, n_ions, cutoff, steps, fa
     def stop(*args, **kwargs):
         raise _Admitted
 
-    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", stop)  # imported where called
+    monkeypatch.setattr(multimode, "_position_basis", stop)
     params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=n_ions)
     cfg = multimode.TrotterConfig(cutoff=cutoff, steps=steps, include_fast_terms=fast)
     expected = pytest.raises(_Admitted) if admitted else pytest.raises(ValueError, match="desk scale")
