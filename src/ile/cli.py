@@ -2,8 +2,10 @@
 
 Subcommands: plan, simulate, leakage, modes, fit, validate.  Inputs and
 outputs are JSON (CSV for tables); identical inputs produce byte-identical
-outputs.  Each ``cmd_*`` returns its output text and writes nothing;
-:func:`main` writes it to stdout or to ``--output``.  JSON documents have
+outputs at a fixed BLAS thread count, which can move the last digits of
+BLAS sums (of ``validate`` at large cutoffs, for one).  Each ``cmd_*``
+returns its output text and writes nothing; :func:`main` writes it to
+stdout or to ``--output``.  JSON documents have
 the layout of ``json.dumps(indent=2)``, written by this module's own
 encoder, which emits runs of floats and of [re, im] pairs in one join.
 Floats are written with ``float.__repr__``, Python's shortest round-trip
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -285,13 +286,6 @@ def _parse_sweep(spec: str, n_ions: int) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def _plan_with(plan: ProtocolPlan, name: str, value: float) -> ProtocolPlan:
-    if name == "delta":
-        return dataclasses.replace(plan, params=dataclasses.replace(plan.params, delta=value))
-    cycles = tuple(dataclasses.replace(c, duration=value) for c in plan.cycles)
-    return dataclasses.replace(plan, cycles=cycles)
-
-
 def cmd_leakage(args) -> str:
     plan = _plan_from_json(_load_json(args.input))
     modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
@@ -301,14 +295,15 @@ def cmd_leakage(args) -> str:
         raise ValueError("JSON output is for single points; sweeps emit CSV")
 
     n = plan.params.n_ions
-    if args.sweep is None:
-        plans = [plan]
-    else:
+    deltas, ts = [plan.params.delta], [plan.cycles[0].duration]
+    if args.sweep is not None:
         name, values = _parse_sweep(args.sweep, n)
-        plans = (_plan_with(plan, name, value) for value in values.tolist())
-    # analyze_points reads the plans a block ahead of the rows
-    plans, points = itertools.tee(plans)
-    results = multimode.analyze_points(plans, modes, integrated)
+        grid = values.tolist()
+        if name == "delta":
+            deltas, ts = grid, ts * len(grid)
+        else:
+            deltas, ts = deltas * len(grid), grid
+    results = multimode.analyze_points(plan, modes, integrated, deltas, ts)
 
     if args.format == "json":
         (result,) = results
@@ -324,17 +319,11 @@ def cmd_leakage(args) -> str:
             "p_exact": p_exact,
         })
 
-    def row(point_plan: ProtocolPlan, result) -> list:
-        base = [
-            repr(point_plan.params.delta),
-            repr(point_plan.cycles[0].duration),
-            repr(point_plan.params.eta),
-            repr(point_plan.params.omega),
-            repr(point_plan.params.n_ions),
-            repr(point_plan.alpha.real),
-            repr(point_plan.alpha.imag),
-            variant,
-        ]
+    fixed = [repr(plan.params.eta), repr(plan.params.omega), repr(n),
+             repr(plan.alpha.real), repr(plan.alpha.imag), variant]
+
+    def row(delta: float, t: float, result) -> list:
+        base = [repr(delta), repr(t)] + fixed
         if isinstance(result, SolverError):
             return base + ["false"] + [""] * (4 + n)
         report, p_exact = result
@@ -355,7 +344,7 @@ def cmd_leakage(args) -> str:
         + ["p_exact", "com_fidelity", "com_purity", "gap"]
         + [f"mean_phonon_{l + 1}" for l in range(n)]
     )
-    return _csv_text(header, map(row, points, results))
+    return _csv_text(header, map(row, deltas, ts, results))
 
 
 def cmd_modes(args) -> str:

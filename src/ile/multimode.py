@@ -41,16 +41,15 @@ mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
 same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
 alone; :func:`_report` raises ValueError for a non-uniform COM column.
 
-Sweeps: the points of a sweep share their weights, alpha, eta, omega and
-ion and cycle counts, and differ in the window t or the detuning delta,
-which enter the displacement tables alone.  ``analyze_points`` therefore
-takes from the weights once per sweep what every point reads: the ions'
-lines and the ideal line, the autocorrelation tables of the moments, the
-class DFTs and the memory check.  It evaluates the points in blocks, every
-lattice, table and COM-class matrix carrying the point on a leading axis,
-with as many points per block as the 1 GiB budget holds at one point's
-need (``_LIVE_LATTICES``) and the block's lattices stay within
-``_BLOCK_LAGS`` lags; at the frontier shapes a block is one point.
+Sweeps: a sweep is one plan and two grids of one length, the detuning
+delta and the window t of each point, which enter the displacement tables
+alone.  ``analyze_points`` takes from the plan once what every point reads:
+the ions' lines and the ideal line, the autocorrelation tables of the
+moments, the class DFTs and the memory check.  It checks the grids at their
+extremes alone, so a delta sweep's RegimeWarning comes from there, not from
+every point.  It evaluates the points in blocks, slices of the grids, every
+lattice, table and COM-class matrix carrying the point on a leading axis;
+at the frontier shapes a block is one point.
 Each point's arithmetic is the one it has alone: matrix products run per
 point over the batch and every per-point matrix is C-contiguous, so a row
 of a sweep carries the bits of ``analyze_plan`` on its point, which is the
@@ -59,7 +58,6 @@ batch of one.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
@@ -414,62 +412,60 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
 
 
 def analyze_points(
-    plans, modes: ModeTable, integrated: bool
+    plan: ProtocolPlan, modes: ModeTable, integrated: bool, deltas, ts
 ) -> Iterator[tuple[LeakageReport, float] | SolverError]:
-    """Per plan, its leakage report and exact probability as
-    :func:`analyze_plan` gives them, or the :class:`SolverError` that
-    refuses it, in order.  The plans are the points of a sweep: they share
-    their weights, alpha, eta, omega, ion count and cycle count (ValueError
-    otherwise) and differ in the window t and the detuning delta alone.
+    """Per point (deltas[p], ts[p]) of two 1-D grids of one length, in
+    order: the leakage report and exact probability :func:`analyze_plan`
+    gives for ``plan`` at that detuning and window, or the
+    :class:`SolverError` that refuses it.  ValueError for grids of other
+    shapes, and for a point :class:`PhysicalParams` or :class:`Cycle` would
+    refuse: their constraints on delta and t are monotone, so the grids'
+    extremes, where a NaN lands too, are checked for every point.
 
-    What the points share is computed once: the ions' lines and the ideal
-    line, the tables they give every lag sum, and the memory check.  The
-    points are then read and evaluated in blocks, every array carrying the
-    point on a leading axis: as many points as the 1 GiB budget holds at
-    one point's need (see _LIVE_LATTICES) and as _BLOCK_LAGS lags hold, at
-    least one.  A block's results
-    are yielded before the next block's plans are read, so a long sweep
-    holds one block at a time.  A shape past the budget, or weights whose
-    lines overflow, refuse every point; a point's cancelled norm or
-    non-finite field refuses that point alone."""
-    points = iter(plans)
-    first = next(points, None)
-    if first is None:
+    What the points share is computed once.  The points are then evaluated
+    in blocks: as many as the 1 GiB budget holds at one point's need (see
+    _LIVE_LATTICES) and as _BLOCK_LAGS lags hold, at least one, each
+    block's results yielded before the next is evaluated.  A shape past the
+    budget, or weights whose lines overflow, refuse every point; a point's
+    cancelled norm or non-finite field refuses that point alone."""
+    deltas, ts = np.asarray(deltas, dtype=float), np.asarray(ts, dtype=float)
+    if deltas.ndim != 1 or deltas.shape != ts.shape:
+        raise ValueError("the detuning and window grids must be 1-D and of one length")
+    if not deltas.size:
         return
-    n, c = first.params.n_ions, len(first.cycles)
+    n, c = plan.params.n_ions, len(plan.cycles)
     if modes.n_ions != n:
         raise ValueError("plan and mode table disagree on the ion count")
-    key, need, failure = _shared_key(first), _lattice_need(n, c), None
+    # each constraint on delta and t is monotone, so the extremes stand for
+    # every point; the plan passed them at its own values when it was built
+    params, cycle = plan.params, plan.cycles[0]
+    for delta, t in dict.fromkeys([(deltas.min(), ts.min()), (deltas.max(), ts.max())]):
+        if delta != params.delta:
+            PhysicalParams(params.eta, params.omega, float(delta), params.n_ions)
+        if t != cycle.duration:
+            Cycle(float(t), cycle.weights)
+    failure = None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
         try:
-            ideal = scaled_coeffs(first.all_weights)[0]
+            ideal = scaled_coeffs(plan.all_weights)[0]
             _check_lattice(n, c)
-            lines = _Lines(_ion_lines(first))
+            lines = _Lines(_ion_lines(plan))
         except SolverError as exc:
             failure = exc  # every point's; their tables are still checked
 
-    def evaluate(batch: list) -> list:
-        if any(_shared_key(plan) != key for plan in batch):
-            raise ValueError("the points must differ in their window and detuning alone")
-        deltas = [plan.params.delta for plan in batch]
-        ts = [plan.cycles[0].duration for plan in batch]
+    block = max(1, min(errors.MEMORY_BUDGET_BYTES // _lattice_need(n, c),
+                       _BLOCK_LAGS // (2 * c + 1) ** n))
+    for lo in range(0, deltas.size, block):
         with np.errstate(over="ignore", invalid="ignore"):
-            betas = _displacements(modes, first.params, deltas, ts, integrated)
+            betas = _displacements(
+                modes, plan.params, deltas[lo : lo + block], ts[lo : lo + block], integrated
+            )
             _check_tables(betas)
             if failure is not None:
-                return [failure] * len(batch)
-            return _analyzed(_report(first.alpha, betas, lines, ideal))
-
-    points = itertools.chain([first], points)
-    block = max(1, min(errors.MEMORY_BUDGET_BYTES // need, _BLOCK_LAGS // (2 * c + 1) ** n))
-    while batch := list(itertools.islice(points, block)):
-        yield from evaluate(batch)
-
-
-def _shared_key(plan: ProtocolPlan) -> tuple:
-    """What the points of one :func:`analyze_points` call must share."""
-    params = plan.params
-    return plan.alpha, params.eta, params.omega, params.n_ions, plan.all_weights.tobytes()
+                results = [failure] * len(betas)
+            else:
+                results = _analyzed(_report(plan.alpha, betas, lines, ideal))
+        yield from results  # outside errstate, which would otherwise reach the caller
 
 
 def _analyzed(fields: _Fields) -> list:
@@ -500,7 +496,9 @@ def analyze_plan(
     those of :func:`ile.protocol.scaled_coeffs`, in range at any slot count.
     A field that is not finite, as when displacements past about 1e154
     square out of float range, raises :class:`SolverError`."""
-    (result,) = analyze_points([plan], modes, integrated)
+    (result,) = analyze_points(
+        plan, modes, integrated, [plan.params.delta], [plan.cycles[0].duration]
+    )
     if isinstance(result, SolverError):
         raise result
     return result
@@ -651,7 +649,7 @@ def trotter_validate(
     # Row 0 of each mode's table holds the initial motion, then the terms.
     labels = np.vstack([np.zeros((1, n), dtype=np.complex128), labels, labels_end])
     labels[0, 0] = plan.alpha
-    _warn_crowded(float(np.max(np.abs(labels))), cfg.cutoff, stacklevel=2)
+    _warn_crowded(float(np.max(np.abs(labels))), cfg.cutoff, stacklevel=3)
     tables = [coherent_table(column, cfg.cutoff) for column in labels.T]
     motion = np.array([table[0] for table in tables])
 

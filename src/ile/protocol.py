@@ -109,7 +109,7 @@ class PhysicalParams:
             warnings.warn(
                 f"eta = {self.eta} stretches the small-recoil expansion",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError("omega must be positive and finite")
@@ -122,7 +122,7 @@ class PhysicalParams:
                 f"omega = {self.omega} is not small against delta = {self.delta}; "
                 "the weak-drive elimination is marginal",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         if int(self.n_ions) != self.n_ions or self.n_ions < 1:
             raise ValueError("n_ions must be a positive integer")

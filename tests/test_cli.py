@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import pathlib
+import tempfile
 import warnings
 
 import dataclasses
@@ -617,6 +620,14 @@ def _point_fields(plan, integrated):
     return [repr(v) for v in values] + [repr(float(m)) for m in report.per_mode_mean_phonon]
 
 
+def _point_plan(plan, name, value):
+    """``plan`` at one point of its sweep over ``name``, as a plan of its own."""
+    if name == "delta":
+        return dataclasses.replace(plan, params=dataclasses.replace(plan.params, delta=value))
+    cycles = tuple(dataclasses.replace(c, duration=value) for c in plan.cycles)
+    return dataclasses.replace(plan, cycles=cycles)
+
+
 @pytest.fixture
 def block_sizes(monkeypatch):
     """The number of points in each block a run evaluates."""
@@ -650,7 +661,7 @@ class TestSweepPoints:
         base = cli._plan_from_json(doc)
         complete = header.index("complete")
         for row in rows:
-            point = cli._plan_with(base, name, float(row[header.index(name)]))
+            point = _point_plan(base, name, float(row[header.index(name)]))
             want = _point_fields(point, not paper)
             assert want is not None and row[complete] == "true"
             assert row[complete + 1:] == want
@@ -672,7 +683,7 @@ class TestSweepPoints:
         assert [row[complete] for row in rows] == ["true", "false", "false", "false"]
         base = cli._plan_from_json(doc)
         for row in rows:
-            want = _point_fields(cli._plan_with(base, "t", float(row[header.index("t")])), False)
+            want = _point_fields(_point_plan(base, "t", float(row[header.index("t")])), False)
             assert row[complete + 1:] == (want or [""] * (4 + 2))
 
     def test_blocks_of_one_point_give_the_same_bytes(self, tmp_path, monkeypatch, block_sizes):
@@ -705,6 +716,64 @@ class TestSweepPoints:
         assert run(["leakage", "--input", path, "--output", str(tmp_path / "r.csv"),
                     "--sweep", "t=60:100:5"]) == 0
         assert block_sizes == [2, 2, 1]
+
+
+_OMEGA = 0.05
+# Sweep bounds at and around 0, omega and 1e160, negative ones among them.
+_SWEEP_BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _OMEGA, -_OMEGA, math.nextafter(_OMEGA, 0.0),
+                     math.nextafter(_OMEGA, 1.0), -1.0, 0.97, 80.0, 1e160, -1e160]),
+    st.builds(lambda x, r: x * (1.0 + r), st.sampled_from([_OMEGA, 1e160, -1e160]),
+              st.floats(-1e-3, 1e-3)),
+    st.floats(-2.0, 2.0),
+)
+
+
+class TestSweepGridChecks:
+    """The points of a sweep are checked at the grid's extremes; that
+    refuses exactly the grids that hold a point a plan of its own refuses."""
+
+    DOC = {"eta": 0.05, "omega": _OMEGA, "delta": 0.97, "n_ions": 1, "alpha": [0.3, 0.0],
+           "cycles": [{"t": 80.0, "p": [[0.3, 0.2]]}]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["delta", "t"]), _SWEEP_BOUNDS, _SWEEP_BOUNDS, st.integers(2, 40))
+    def test_exit_2_exactly_when_a_point_plan_is_refused(self, name, start, stop, count):
+        base = cli._plan_from_json(self.DOC)
+        values = np.linspace(start, stop, count).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", protocol.RegimeWarning)
+            refused = False
+            for value in values:
+                try:
+                    _point_plan(base, name, value)
+                except ValueError:
+                    refused = True
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_json(pathlib.Path(tmp) / "p.json", self.DOC)
+                out = pathlib.Path(tmp) / "r.csv"
+                code = run(["leakage", "--input", path, "--output", str(out),
+                            "--sweep", f"{name}={start!r}:{stop!r}:{count}"])
+                text = out.read_text() if code == 0 else ""
+        assert code in (0, 2, 3)
+        assert (code == 2) == refused
+        if code == 0:
+            rows = list(csv.reader(text.splitlines()))[1:]
+            assert len(rows) == count
+            for row in rows:  # the variant and complete columns are words
+                assert all(f == "" or math.isfinite(float(f)) for f in row[:7] + row[9:])
+
+    def test_delta_sweep_warns_at_its_extremes(self, tmp_path):
+        # omega = 0.05 is not small against delta = 0.3 or 0.4; only the
+        # smallest detuning warns
+        path = write_json(tmp_path / "p.json", PLAN)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(["leakage", "--input", path, "--output", str(tmp_path / "r.csv"),
+                        "--sweep", "delta=0.3:0.6:4"]) == 0
+        assert [str(w.message).split(";")[0] for w in record] == [
+            "omega = 0.05 is not small against delta = 0.3"
+        ]
 
 
 class TestHugeDisplacements:

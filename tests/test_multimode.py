@@ -342,17 +342,29 @@ class TestLeakageAnalysis:
 
 
 class TestAnalyzePoints:
-    def test_points_differ_in_window_and_detuning_alone(self, mode_tables):
+    def test_grids_must_be_1d_and_of_one_length(self, mode_tables):
         plan = one_cycle_plan([0.1, 0.2])
-        for other in (
-            one_cycle_plan([0.1, 0.3]),
-            one_cycle_plan([0.1, 0.2], alpha=0.1),
-            one_cycle_plan([0.1, 0.2], omega=0.04),
-        ):
-            with pytest.raises(ValueError, match="window and detuning alone"):
-                list(multimode.analyze_points([plan, other], mode_tables[2], True))
-        points = [plan, one_cycle_plan([0.1, 0.2], t=90.0, delta=0.98)]
-        assert len(list(multimode.analyze_points(points, mode_tables[2], True))) == 2
+        for deltas, ts in (([0.97, 0.98], [80.0]), ([0.97], [80.0, 90.0]),
+                           ([[0.97]], [[80.0]]), (0.97, 80.0)):
+            with pytest.raises(ValueError, match="1-D and of one length"):
+                list(multimode.analyze_points(plan, mode_tables[2], True, deltas, ts))
+        points = multimode.analyze_points(plan, mode_tables[2], True, [0.97, 0.98], [80.0, 90.0])
+        assert len(list(points)) == 2
+
+    @pytest.mark.parametrize(
+        "deltas, ts, match",
+        [
+            ([0.98, 0.04], [80.0, 80.0], "omega must stay below"),
+            ([0.98, np.nan], [80.0, 80.0], "delta must be positive"),
+            ([0.98, 0.97], [80.0, -1.0], "duration must be positive"),
+            ([0.98, 0.97], [np.nan, 80.0], "duration must be positive"),
+        ],
+        ids=["omega-above-delta", "nan-delta", "negative-t", "nan-t"],
+    )
+    def test_grid_points_checked_as_plans(self, mode_tables, deltas, ts, match):
+        plan = one_cycle_plan([0.1, 0.2])
+        with pytest.raises(ValueError, match=match):
+            list(multimode.analyze_points(plan, mode_tables[2], True, deltas, ts))
 
 
 class TestLatticeBudget:
@@ -375,8 +387,9 @@ class TestLatticeBudget:
         # 1 x 1 sweeps evaluate up to 10,922 points a block; three blocks of
         # 4 here, as single points would give them
         monkeypatch.setattr(multimode, "_BLOCK_LAGS", 12)
-        plans = [one_cycle_plan([0.3 + 0.2j], t=t) for t in np.linspace(20.0, 90.0, 11)]
-        swept = list(multimode.analyze_points(plans, mode_tables[1], False))
+        ts = np.linspace(20.0, 90.0, 11)
+        plans = [one_cycle_plan([0.3 + 0.2j], t=t) for t in ts]
+        swept = list(multimode.analyze_points(plans[0], mode_tables[1], False, [0.97] * 11, ts))
         for plan, (report, p_exact) in zip(plans, swept):
             alone, p_alone = multimode.analyze_plan(plan, mode_tables[1], False)
             assert p_exact == p_alone

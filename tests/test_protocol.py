@@ -35,6 +35,11 @@ class TestPhysicalParams:
         with pytest.warns(protocol.RegimeWarning):
             protocol.PhysicalParams(eta=0.05, omega=0.5, delta=1.0, n_ions=1)
 
+    def test_regime_warning_names_the_callers_line(self):
+        with pytest.warns(protocol.RegimeWarning) as record:
+            protocol.PhysicalParams(eta=0.05, omega=0.5, delta=1.0, n_ions=1)
+        assert record[0].filename == __file__
+
     def test_quiet_in_regime(self):
         import warnings
 

@@ -82,6 +82,14 @@ def test_predicted_component_past_the_cutoff_warns(mode_tables):
         )
 
 
+def test_truncation_warning_names_the_callers_line(mode_tables):
+    params = protocol.PhysicalParams(eta=0.05, omega=0.01, delta=1.0, n_ions=1)
+    cfg = multimode.TrotterConfig(cutoff=8, steps=10)
+    with pytest.warns(fock.TruncationWarning) as record:
+        multimode.trotter_validate(params, mode_tables[1], 400.0, cfg, alpha=1.9j)
+    assert record[0].filename == __file__
+
+
 def test_desk_scale_guards(mode_tables):
     params = protocol.PhysicalParams(eta=0.05, omega=0.005, delta=0.99, n_ions=2)
     with pytest.raises(ValueError, match="desk scale"):
