@@ -17,7 +17,6 @@ from .errors import SolverError
 __all__ = [
     "ChainGeometry",
     "ModeTable",
-    "LambDickeTable",
     "potential_gradient",
     "equilibrium_positions",
     "normal_modes",
@@ -121,24 +120,6 @@ class ModeTable:
         return self.frequencies.size
 
 
-@dataclass(frozen=True)
-class LambDickeTable:
-    """Per-ion, per-mode recoil coupling: entries[i, l] = eta sqrt(N) b[i, l] / sqrt(mu_l)."""
-
-    eta_com: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.eta_com) and self.eta_com > 0):
-            raise ValueError("eta_com must be positive and finite")
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be an N x N table")
-        e = e.copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def _line_search(u: np.ndarray, step: np.ndarray, gmax: float):
     """The first of u + step, u + step/2, ... that keeps the ions ordered and
     lowers max|gradient| below ``gmax``, as (positions, gradient, inverse
@@ -232,9 +213,10 @@ def normal_modes(geometry: ChainGeometry) -> ModeTable:
     return ModeTable(frequencies=mu, vectors=evecs)
 
 
-def lamb_dicke(modes: ModeTable, eta: float) -> LambDickeTable:
+def lamb_dicke(modes: ModeTable, eta: float) -> np.ndarray:
     """Recoil coupling of every ion to every mode characterised by the
-    in-phase-mode parameter ``eta``; entries scale linearly with ``eta``.
+    in-phase-mode parameter ``eta``, as a read-only (ions x modes) array:
+    entry [i, l] = eta sqrt(N) b[i, l] / sqrt(mu_l), linear in ``eta``.
 
     The in-phase column is identically ``eta`` for every ion.
     """
@@ -242,4 +224,5 @@ def lamb_dicke(modes: ModeTable, eta: float) -> LambDickeTable:
         raise ValueError("eta must be positive and finite")
     n = modes.n_ions
     entries = eta * np.sqrt(n) * modes.vectors / np.sqrt(modes.frequencies)[None, :]
-    return LambDickeTable(eta_com=float(eta), entries=entries)
+    entries.flags.writeable = False
+    return entries

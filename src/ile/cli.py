@@ -110,8 +110,6 @@ def _load_json(path: str):
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -291,8 +289,18 @@ def cmd_leakage(args) -> str:
     modes = chain.normal_modes(chain.equilibrium_positions(plan.params.n_ions))
     integrated = not args.paper_beta
     variant = "integrated" if integrated else "paper"
-    if args.format == "json" and args.sweep is not None:
-        raise ValueError("JSON output is for single points; sweeps emit CSV")
+    if args.format == "json":
+        if args.sweep is not None:
+            raise ValueError("JSON output is for single points; sweeps emit CSV")
+        report, p_exact = multimode.analyze_plan(plan, modes, integrated)
+        return _document({
+            "params": {**_plan_params_doc(plan), "variant": variant},
+            "mean_phonon": report.per_mode_mean_phonon.tolist(),
+            "com_fidelity": report.com_fidelity_vs_ideal,
+            "com_purity": report.com_purity,
+            "factorization_gap": report.factorization_gap,
+            "p_exact": p_exact,
+        })
 
     n = plan.params.n_ions
     deltas, ts = [plan.params.delta], [plan.cycles[0].duration]
@@ -304,21 +312,6 @@ def cmd_leakage(args) -> str:
         else:
             deltas, ts = deltas * len(grid), grid
     results = multimode.analyze_points(plan, modes, integrated, deltas, ts)
-
-    if args.format == "json":
-        (result,) = results
-        if isinstance(result, SolverError):
-            raise result
-        report, p_exact = result
-        return _document({
-            "params": {**_plan_params_doc(plan), "variant": variant},
-            "mean_phonon": report.per_mode_mean_phonon.tolist(),
-            "com_fidelity": report.com_fidelity_vs_ideal,
-            "com_purity": report.com_purity,
-            "factorization_gap": report.factorization_gap,
-            "p_exact": p_exact,
-        })
-
     fixed = [repr(plan.params.eta), repr(plan.params.omega), repr(n),
              repr(plan.alpha.real), repr(plan.alpha.imag), variant]
 

@@ -25,7 +25,6 @@ __all__ = [
     "coherent_fock",
     "coherent_table",
     "coherent_blocks",
-    "coherent_rows",
     "displacement_matrix",
     "apply_displacement",
     "coherent_overlap",
@@ -126,10 +125,6 @@ class DisplacementMatrix:
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "beta", _finite_complex(self.beta, "beta"))
 
-    @property
-    def cutoff(self) -> int:
-        return self.entries.shape[0] - 1
-
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated at ``cutoff`` phonons.
@@ -220,13 +215,6 @@ def coherent_blocks(labels, cutoff: int):
         yield coherent_table(labels[start : start + step], cutoff)
 
 
-def coherent_rows(labels, cutoff: int):
-    """The rows of ``coherent_table(labels, cutoff)`` in order, from the
-    blocks of :func:`coherent_blocks`."""
-    for block in coherent_blocks(labels, cutoff):
-        yield from block
-
-
 def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     """Displacement operator on the truncated number basis.
 
@@ -257,22 +245,9 @@ def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     return DisplacementMatrix(beta=beta, entries=d)
 
 
-def apply_displacement(state: FockVector, beta) -> FockVector:
-    """Apply D(beta) to ``state``.
-
-    ``beta`` may be a complex amplitude (the matrix is built at the state's
-    cutoff) or a prebuilt :class:`DisplacementMatrix`, in which case the
-    cutoffs must match.
-    """
-    if isinstance(beta, DisplacementMatrix):
-        op = beta
-        if op.cutoff != state.cutoff:
-            raise ValueError(
-                f"cutoff mismatch: operator has {op.cutoff}, state has {state.cutoff}"
-            )
-    else:
-        op = displacement_matrix(beta, state.cutoff)
-    return FockVector(op.entries @ state.amps)
+def apply_displacement(state: FockVector, beta: complex) -> FockVector:
+    """Apply D(beta) to ``state``, the matrix built at the state's cutoff."""
+    return FockVector(displacement_matrix(beta, state.cutoff).entries @ state.amps)
 
 
 def coherent_overlap(g1: complex, g2: complex) -> complex:

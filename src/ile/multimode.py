@@ -61,7 +61,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +72,7 @@ from .protocol import (
     Cycle,
     PhysicalParams,
     ProtocolPlan,
+    _check_detuning,
     cancellation_errors,
     log_slot_nominal,
     scaled_coeffs,
@@ -88,7 +88,7 @@ __all__ = [
     "trotter_validate",
 ]
 
-_COLLINEAR_TOL = 1e-12  # |Im(b_i conj(b_ref))| allowed, relative to |b_ref|^2
+_COLLINEAR_TOL = 1e-12  # skew allowed within one mode's displacements, relative to the largest
 # Memory of one point's report, refused up front past the 1 GiB budget:
 # complex arrays of the (2c + 1)^N lags (at most 6.5 alive at once, counted
 # and measured at 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class
@@ -162,7 +162,7 @@ def _displacements(modes: ModeTable, params: PhysicalParams, deltas, ts, integra
         window = ts * np.exp(0.5j * detune * ts) * np.sinc(detune * ts / (2.0 * np.pi))
     else:
         window = ts * np.exp(1j * detune * ts)
-    return 1j * params.omega * lamb_dicke(modes, params.eta).entries * window[:, None, :]
+    return 1j * params.omega * lamb_dicke(modes, params.eta) * window[:, None, :]
 
 
 def _check_tables(betas: np.ndarray) -> None:
@@ -171,8 +171,9 @@ def _check_tables(betas: np.ndarray) -> None:
     if not np.all(np.isfinite(betas)):
         raise ValueError("betas must be finite")
     ref = np.take_along_axis(betas, np.argmax(np.abs(betas), axis=-2)[..., None, :], axis=-2)
-    skew = np.abs(np.imag(betas * np.conj(ref)))
-    if np.any(skew > _COLLINEAR_TOL * np.abs(ref) ** 2):
+    # against the unit reference: no product leaves the float range
+    skew = np.abs(np.imag(betas * np.exp(-1j * np.angle(ref))))
+    if np.any(skew > _COLLINEAR_TOL * np.abs(ref)):
         raise ValueError("each mode's displacements must be real multiples of one amplitude")
 
 
@@ -332,30 +333,15 @@ class _Lines:
         self.hats = _class_hats(self.lines)
 
 
-class _Fields(NamedTuple):
-    """The leakage fields of a batch of points, one row each; ``nsq`` is the
-    squared norm, ``refused[p]`` the cancellation that refuses point p or None."""
-
-    mean_phonon: np.ndarray
-    fidelity: np.ndarray
-    purity: np.ndarray
-    gap: np.ndarray
-    nsq: np.ndarray
-    refused: list
-
-    def report(self, p: int) -> LeakageReport:
-        return LeakageReport(
-            self.mean_phonon[p], float(self.fidelity[p]), float(self.purity[p]), float(self.gap[p])
-        )
-
-
-def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray) -> _Fields:
-    """The leakage fields of points that share ``alpha`` and the lines of
-    ``shared`` and differ in their displacement tables ``betas`` (points x
-    ions x modes), as lag sums, against the ideal line with phase-free
-    coefficients ``ideal`` on each point's own COM line (Nc + 1 of them).
-    Every array carries the point on its leading axis; each point's
-    arithmetic is the one it has alone."""
+def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray) -> list:
+    """Per point, the leakage report and exact probability, or the
+    :class:`SolverError` that refuses the point, of points that share
+    ``alpha`` and the lines of ``shared`` and differ in their displacement
+    tables ``betas`` (points x ions x modes), as lag sums, against the
+    ideal line with phase-free coefficients ``ideal`` on each point's own
+    COM line (Nc + 1 of them).  Every array carries the point on its
+    leading axis; each point's arithmetic is the one it has alone.  A
+    point's cancelled norm or non-finite field refuses it."""
     points, (n, size) = len(betas), shared.lines.shape
     nc, c = n * (size - 1), size - 1
     beta0 = betas[:, 0, 0]
@@ -407,8 +393,17 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     fid = np.clip(fid, 0.0, 1.0)
     cross_sq = np.array([abs(z) ** 2 for z in np.sum(cross, axis=lattice)])
     gap = np.clip(1.0 - cross_sq / (fact_nsq * nsq), 0.0, 1.0)
-    refused = [e or f for e, f in zip(refused, ideal_errors)]
-    return _Fields(mean_phonon, fid, purity, gap, nsq * shared.scale, refused)
+    p_exact = np.clip(nsq * shared.scale, 0.0, 1.0)
+    finite = np.isfinite(np.column_stack([fid, purity, gap, p_exact, mean_phonon])).all(axis=1)
+    out = []
+    for p, error in enumerate(e or f for e, f in zip(refused, ideal_errors)):
+        if error is None and not finite[p]:
+            error = SolverError(
+                "a leakage field is not finite; the displacements lie past float range"
+            )
+        fields = mean_phonon[p], float(fid[p]), float(purity[p]), float(gap[p])
+        out.append(error if error is not None else (LeakageReport(*fields), float(p_exact[p])))
+    return out
 
 
 def analyze_points(
@@ -437,11 +432,12 @@ def analyze_points(
     if modes.n_ions != n:
         raise ValueError("plan and mode table disagree on the ion count")
     # each constraint on delta and t is monotone, so the extremes stand for
-    # every point; the plan passed them at its own values when it was built
+    # every point; the plan passed them at its own values when it was built,
+    # and warned about its eta then
     params, cycle = plan.params, plan.cycles[0]
     for delta, t in dict.fromkeys([(deltas.min(), ts.min()), (deltas.max(), ts.max())]):
         if delta != params.delta:
-            PhysicalParams(params.eta, params.omega, float(delta), params.n_ions)
+            _check_detuning(params.omega, float(delta), stacklevel=2)
         if t != cycle.duration:
             Cycle(float(t), cycle.weights)
     failure = None
@@ -464,23 +460,8 @@ def analyze_points(
             if failure is not None:
                 results = [failure] * len(betas)
             else:
-                results = _analyzed(_report(plan.alpha, betas, lines, ideal))
+                results = _report(plan.alpha, betas, lines, ideal)
         yield from results  # outside errstate, which would otherwise reach the caller
-
-
-def _analyzed(fields: _Fields) -> list:
-    """Per point, (report, p_exact) or the SolverError that refuses it."""
-    p_exact = np.clip(fields.nsq, 0.0, 1.0)
-    scalars = np.column_stack([fields.fidelity, fields.purity, fields.gap, p_exact])
-    finite = np.all(np.isfinite(np.hstack([scalars, fields.mean_phonon])), axis=1).tolist()
-    out = []
-    for p, error in enumerate(fields.refused):
-        if error is None and not finite[p]:
-            error = SolverError(
-                "a leakage field is not finite; the displacements lie past float range"
-            )
-        out.append(error if error is not None else (fields.report(p), float(p_exact[p])))
-    return out
 
 
 def analyze_plan(
@@ -618,6 +599,12 @@ def trotter_validate(
     initial one and every term's, are rows of one :func:`coherent_table`;
     a label past sqrt(cutoff / 2) issues a :class:`TruncationWarning`.
 
+    More than two ions are refused (ValueError) for cost: uncapped, the run
+    matches full-state oracles at 3 and 4 ions, but from 5 on
+    :func:`_run_cost` leaves out the fast-terms step's n spin rotations of
+    the 2^n (cutoff + 1)^n state, and the slowest admitted call would take
+    about 99 s at 5 ions and 1,150 s at 10 (CPU, one BLAS thread).
+
     Two guards refuse a call as bad input (ValueError) before anything is
     allocated: a full-state step past 2^n (cutoff + 1)^(n + 1) = 4e6
     multiply-adds (cutoff 99 at two ions, 1413 at one), and a whole run past
@@ -654,7 +641,7 @@ def trotter_validate(
     motion = np.array([table[0] for table in tables])
 
     lam, vecs = _position_basis(size)
-    coupling = lamb_dicke(modes, params.eta).entries  # [i, l]
+    coupling = lamb_dicke(modes, params.eta)  # [i, l]
     drive = -2.0 * np.sqrt(2.0) * params.omega
 
     # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis

@@ -29,6 +29,7 @@ computations apply; the stored C^k themselves stay phase-free.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .errors import SolverError
 from .fock import (
     FockVector,
     TruncationWarning,
-    coherent_rows,
+    coherent_blocks,
     displacement_phase,
     fidelity_pure,
     line_overlaps,
@@ -61,7 +62,6 @@ __all__ = [
     "run_ideal",
     "to_fock",
     "fidelity_to_target",
-    "checked_norm_sq",
     "cancellation_errors",
 ]
 
@@ -113,19 +113,26 @@ class PhysicalParams:
             )
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError("omega must be positive and finite")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be positive and finite")
-        if self.omega >= self.delta:
-            raise ValueError("omega must stay below the detuning delta")
-        if self.omega > self.delta / 10:
-            warnings.warn(
-                f"omega = {self.omega} is not small against delta = {self.delta}; "
-                "the weak-drive elimination is marginal",
-                RegimeWarning,
-                stacklevel=3,
-            )
+        _check_detuning(self.omega, self.delta, stacklevel=4)
         if int(self.n_ions) != self.n_ions or self.n_ions < 1:
             raise ValueError("n_ions must be a positive integer")
+
+
+def _check_detuning(omega: float, delta: float, stacklevel: int) -> None:
+    """The checks of :class:`PhysicalParams` that read ``delta``: ValueError
+    unless it is positive, finite and above ``omega``, and a
+    :class:`RegimeWarning` at ``stacklevel`` where ``omega`` passes delta / 10."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
+    if omega >= delta:
+        raise ValueError("omega must stay below the detuning delta")
+    if omega > delta / 10:
+        warnings.warn(
+            f"omega = {omega} is not small against delta = {delta}; "
+            "the weak-drive elimination is marginal",
+            RegimeWarning,
+            stacklevel=stacklevel,
+        )
 
 
 def beta_of(params: PhysicalParams, t: float) -> complex:
@@ -256,25 +263,24 @@ class LineSuperposition:
 
 def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:
     """Squared norm of a line with phase-free coefficients ``c`` and lag
-    overlaps ``overlaps`` (lags -n..n), gated by :func:`checked_norm_sq`."""
+    overlaps ``overlaps`` (lags -n..n).  Where the gate of
+    :func:`cancellation_errors` refuses it, its :class:`SolverError` is
+    raised; the gate runs on the float alone, so this once-per-cycle call of
+    :func:`_line_pass` builds no array for it."""
     lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
-    return checked_norm_sq(float(np.real(lags @ overlaps)), c)
-
-
-def checked_norm_sq(nsq: float, *factors) -> float:
-    """``nsq``, the squared norm of a coherent sum whose coefficients are the
-    outer product of ``factors``, unless it is NaN or more than
-    ``_CANCELLATION_LIMIT`` times below ||c||_1^2 = prod ||factor||_1^2
-    (compared in logs, free of overflow), which raises :class:`SolverError`."""
-    cancelled, log_l1_sq = _cancelled(nsq, factors)
+    nsq = float(np.real(lags @ overlaps))
+    cancelled, log_l1_sq = _cancelled(nsq, (c,))
     if cancelled:
         raise _cancellation_error(nsq, log_l1_sq)
     return nsq
 
 
 def cancellation_errors(nsq: np.ndarray, *factors) -> list:
-    """:func:`checked_norm_sq` over an array of squared norms that share
-    ``factors``: per norm, the :class:`SolverError` it would raise, or None."""
+    """Per squared norm in ``nsq`` of coherent sums whose coefficients are
+    the outer product of ``factors``: the :class:`SolverError` that refuses
+    it, where it is NaN or more than ``_CANCELLATION_LIMIT`` times below
+    ||c||_1^2 = prod ||factor||_1^2 (compared in logs, free of overflow),
+    else None."""
     cancelled, log_l1_sq = _cancelled(nsq, factors)
     return [
         _cancellation_error(x, log_l1_sq) if bad else None
@@ -480,16 +486,17 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     """Expand the line superposition on the truncated number basis.
 
     Each component enters as phased_coeffs()[k] |labels()[k]>, its number
-    amplitudes a row of :func:`ile.fock.coherent_rows`, added in the order
-    of k.  If the resulting tail weight is not negligible against the norm,
-    a TruncationWarning reports it; pick the cutoff with
+    amplitudes a row of the blocks of :func:`ile.fock.coherent_blocks`,
+    added in the order of k.  If the resulting tail weight is not negligible
+    against the norm, a TruncationWarning reports it; pick the cutoff with
     :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.  A cutoff
     below 1 raises ValueError before anything is allocated.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    for c, row in zip(state.phased_coeffs(), coherent_rows(state.labels(), cutoff)):
+    rows = itertools.chain.from_iterable(coherent_blocks(state.labels(), cutoff))
+    for c, row in zip(state.phased_coeffs(), rows):
         if c != 0:
             amps += c * row
     out = FockVector(amps)

@@ -27,7 +27,7 @@ from ile.protocol import (
     PhysicalParams,
     ProtocolPlan,
     beta_of,
-    checked_norm_sq,
+    cancellation_errors,
 )
 
 
@@ -393,7 +393,10 @@ def gram_leakage_report(
         w *= _pair_gram(rest, rest)  # rho_com = sum w[t,u] |com_u><com_t| / nsq
     s_com = coherent_gram(com)
     full = w * s_com  # full[t, u] = conj(c_t) c_u <labels_t|labels_u>
-    nsq = checked_norm_sq(float(np.real(np.sum(full))), c)
+    nsq = float(np.real(np.sum(full)))
+    (refused,) = cancellation_errors(np.array([nsq]), c)
+    if refused is not None:
+        raise refused
     if nsq <= 0:
         raise ValueError("exact state has zero norm")
     mean_phonon = np.array([np.real(np.conj(g) @ full @ g) for g in labels.T]) / nsq
@@ -620,7 +623,7 @@ def sparse_trotter_validate(
     eye_m = sp.identity(size, format="csr")
     sy_list, sx_list = _spin_operators(n)
     mu = modes.frequencies
-    coupling = lamb_dicke(modes, params.eta).entries
+    coupling = lamb_dicke(modes, params.eta)
 
     def mode_op(op: sp.csr_matrix, slot: int) -> sp.csr_matrix:
         out = None
@@ -804,7 +807,7 @@ def stepped_trotter_validate(
 
     lam, vecs = eigh_tridiagonal(np.zeros(size), np.sqrt(np.arange(1, size) / 2.0))
     number = np.indices((size,) * n).reshape(n, -1)  # number[l, k]: N_l at the motional index k
-    unit = lamb_dicke(modes, params.eta).entries @ lam[number]  # a_{k,i} per unit envelope
+    unit = lamb_dicke(modes, params.eta) @ lam[number]  # a_{k,i} per unit envelope
     drive = -2.0 * np.sqrt(2.0) * params.omega
 
     # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis

@@ -150,14 +150,14 @@ def test_lamb_dicke_com_column_is_eta():
     for n in (1, 2, 5):
         table = chain.normal_modes(chain.equilibrium_positions(n))
         ld = chain.lamb_dicke(table, 0.07)
-        assert np.allclose(ld.entries[:, 0], 0.07, atol=1e-12)
+        assert np.allclose(ld[:, 0], 0.07, atol=1e-12)
 
 
 def test_lamb_dicke_two_ion_stretch_value():
     table = chain.normal_modes(chain.equilibrium_positions(2))
     ld = chain.lamb_dicke(table, 0.1)
     expect = 0.1 * np.sqrt(2.0) * (1.0 / np.sqrt(2.0)) / 3.0**0.25
-    assert np.allclose(np.abs(ld.entries[:, 1]), expect, atol=1e-12)
+    assert np.allclose(np.abs(ld[:, 1]), expect, atol=1e-12)
 
 
 def test_lamb_dicke_formula_everywhere():
@@ -168,7 +168,7 @@ def test_lamb_dicke_formula_everywhere():
     for i in range(n):
         for l in range(n):
             expect = eta * np.sqrt(n) * table.vectors[i, l] / np.sqrt(table.frequencies[l])
-            assert abs(ld.entries[i, l] - expect) <= 1e-12
+            assert abs(ld[i, l] - expect) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -177,7 +177,7 @@ def test_lamb_dicke_scales_linearly(eta, scale):
     table = chain.normal_modes(chain.equilibrium_positions(3))
     small = chain.lamb_dicke(table, eta)
     big = chain.lamb_dicke(table, scale * eta)
-    assert np.allclose(big.entries, scale * small.entries, rtol=1e-12)
+    assert np.allclose(big, scale * small, rtol=1e-12)
 
 
 def test_lamb_dicke_rejects_nonpositive_eta():

@@ -775,6 +775,19 @@ class TestSweepGridChecks:
             "omega = 0.05 is not small against delta = 0.3"
         ]
 
+    def test_delta_sweep_warns_about_eta_once(self, tmp_path):
+        # eta is the plan's and the same at every point: the plan warns
+        # about it when it is read, the grid check does not again
+        path = write_json(tmp_path / "p.json", dict(PLAN, eta=0.15))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert run(["leakage", "--input", path, "--output", str(tmp_path / "r.csv"),
+                        "--sweep", "delta=0.3:0.99:3"]) == 0
+        assert [str(w.message).split(";")[0] for w in record] == [
+            "eta = 0.15 stretches the small-recoil expansion",
+            "omega = 0.05 is not small against delta = 0.3",
+        ]
+
 
 class TestHugeDisplacements:
     """A line step |2 beta| whose square overflows a float (past about
@@ -823,6 +836,22 @@ class TestHugeDisplacements:
                 assert all(np.isfinite(float(x)) for x in fields)
             else:
                 assert row[complete] == "false" and fields == [""] * len(fields)
+
+    @pytest.mark.parametrize("t", ["1e160", "1e300"])
+    @pytest.mark.parametrize("ions", [[], ["--n-ions", "2", "--full-terms"]], ids=["1", "2-full"])
+    def test_validate_exits_3_without_overflow(self, tmp_path, capsys, t, ions):
+        # displacements past about 1e154 square out of the float range; the
+        # collinearity check of their tables must not overflow on the way
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run([
+                "validate", "--eta", "0.05", "--omega", "0.01", "--delta", "0.99", "--t", t,
+                "--cutoff", "6", "--steps", "10", "--output", str(out),
+            ] + ions)
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err.startswith("solver error:")
 
 
 class TestStrictPairs:

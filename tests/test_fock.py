@@ -87,7 +87,7 @@ def test_coherent_rows_match_the_table_across_blocks(rng, monkeypatch, block):
         monkeypatch.setattr(fock, "_ROW_BLOCK", block)
     labels = _grid_labels(rng, 41)
     for cutoff in (1, 9, 30):
-        rows = np.array(list(fock.coherent_rows(labels, cutoff)))
+        rows = np.concatenate(list(fock.coherent_blocks(labels, cutoff)))
         assert rows.tobytes() == fock.coherent_table(labels, cutoff).tobytes()
 
 
@@ -202,13 +202,6 @@ def test_apply_displacement_roundtrip():
     start = fock.coherent_fock(0.4 + 0.2j, 64)
     back = fock.apply_displacement(fock.apply_displacement(start, 1.5 - 0.5j), -1.5 + 0.5j)
     assert np.max(np.abs(back.amps[:20] - start.amps[:20])) <= 1e-8
-
-
-def test_apply_displacement_matrix_cutoff_mismatch():
-    op = fock.displacement_matrix(0.5, 16)
-    state = fock.coherent_fock(0.1, 32)
-    with pytest.raises(ValueError, match="cutoff mismatch"):
-        fock.apply_displacement(state, op)
 
 
 def test_apply_displacement_vacuum_gives_coherent():
