@@ -86,13 +86,17 @@ class ModeTable:
     frequency) and orthonormal mode vectors, column l = mode l.
 
     The lowest mode is the in-phase (centre-of-mass) mode; its frequency is
-    exactly 1 and its vector exactly uniform, which this table stores exactly.
+    exactly 1 and its vector exactly uniform; the table refuses other values
+    and complex data, so every ion displaces the COM mode alike and each
+    mode's displacements are real multiples of one amplitude.
     """
 
     frequencies: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.frequencies) or np.iscomplexobj(self.vectors):
+            raise ValueError("mode data must be real")
         mu = np.asarray(self.frequencies, dtype=float)
         b = np.asarray(self.vectors, dtype=float)
         n = mu.size
@@ -102,12 +106,12 @@ class ModeTable:
             raise ValueError("mode data must be finite")
         if np.any(np.diff(mu) < 0):
             raise ValueError("frequencies must be ascending")
-        if abs(mu[0] - 1.0) > 1e-8:
+        if mu[0] != 1.0:
             raise ValueError("lowest mode frequency must equal 1 (in-phase mode)")
         if np.max(np.abs(b.T @ b - np.eye(n))) > 1e-10:
             raise ValueError("mode vectors must be orthonormal")
-        if np.max(np.abs(b[:, 0] - 1.0 / np.sqrt(n))) > 1e-8:
-            raise ValueError("lowest mode vector must be uniform")
+        if np.any(b[:, 0] != 1.0 / np.sqrt(n)):
+            raise ValueError("lowest mode vector must be exactly 1/sqrt(N)")
         mu = mu.copy()
         b = b.copy()
         mu.flags.writeable = False

@@ -194,7 +194,7 @@ def _plan_from_json(doc) -> ProtocolPlan:
         if key not in doc:
             raise ValueError(f"plan is missing {key!r}")
     n_ions = doc["n_ions"]
-    if isinstance(n_ions, bool) or (isinstance(n_ions, float) and not n_ions.is_integer()):
+    if type(n_ions) not in _JSON_NUMBERS or (type(n_ions) is float and not n_ions.is_integer()):
         raise ValueError(f"n_ions must be an integer, got {n_ions!r}")
     params = PhysicalParams(
         eta=_real(doc["eta"], "eta"),
@@ -258,7 +258,7 @@ def cmd_simulate(args) -> str:
     if args.fock is not None:
         levels = args.fock + 1
         check_memory(_FOCK_LEVEL_BYTES * levels, f"{levels}-level number-basis dump needs")
-        out["fock"] = protocol.to_fock(result.state, args.fock).to_json()
+        out["fock"] = _pairs(protocol.to_fock(result.state, args.fock).amps)
     return _document(out)
 
 

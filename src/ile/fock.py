@@ -93,14 +93,6 @@ class FockVector:
         """Weight |amps[n]|^2 summed over the levels n >= cutoff - 2."""
         return float(np.sum(np.abs(self.amps[-3:]) ** 2))
 
-    def to_json(self) -> list[list[float]]:
-        """Serialize as a JSON-ready list of [re, im] pairs."""
-        return self.amps.view(np.float64).reshape(-1, 2).tolist()
-
-    @classmethod
-    def from_json(cls, pairs) -> "FockVector":
-        return cls(np.array([complex(re, im) for re, im in pairs]))
-
 
 @dataclass(frozen=True)
 class DisplacementMatrix:
@@ -218,14 +210,15 @@ def coherent_blocks(labels, cutoff: int):
 def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     """Displacement operator on the truncated number basis.
 
-    The first row <0|D|n> = (-beta*)^n exp(-|beta|^2/2)/sqrt(n!) seeds a
-    two-term ladder recurrence,
+    Column 0 is the coherent ket |beta> and row 0, <0|D|n> =
+    (-beta*)^n exp(-|beta|^2/2)/sqrt(n!), the ket |-beta*>, both rows of one
+    :func:`coherent_table`.  They seed a two-term ladder recurrence,
 
         sqrt(m+1) <m+1|D|n> = beta <m|D|n> + sqrt(n) <m|D|n-1>,
 
     equivalent to the associated-Laguerre closed form but free of the
     factorial-ratio cancellation that corrupts the naive formula past
-    n ~ 20.  Column 0 reproduces :func:`coherent_fock` by construction.
+    n ~ 20.  D(0) is the identity exactly, which the ladder misses by an ulp.
     """
     beta = _finite_complex(beta, "beta")
     if cutoff < 1:
@@ -234,13 +227,9 @@ def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     if beta == 0:
         return DisplacementMatrix(beta=beta, entries=np.eye(size, dtype=np.complex128))
     d = np.zeros((size, size), dtype=np.complex128)
-    d[0, 0] = np.exp(-0.5 * abs(beta) ** 2)
-    minus_conj = -np.conj(beta)
-    for n in range(1, size):
-        d[0, n] = d[0, n - 1] * minus_conj / np.sqrt(n)
+    d[:, 0], d[0] = coherent_table([beta, -beta.conjugate()], cutoff)
     root = np.sqrt(np.arange(size))
     for m in range(1, size):
-        d[m, 0] = d[m - 1, 0] * beta / np.sqrt(m)
         d[m, 1:] = (beta * d[m - 1, 1:] + root[1:] * d[m - 1, :-1]) / root[m]
     return DisplacementMatrix(beta=beta, entries=d)
 

@@ -223,6 +223,9 @@ def fit_target(
     alpha = complex(alpha)
     if beta == 0:
         raise ValueError("beta must be nonzero; the component grid would collapse")
+    # the fit is projective: fit the target scaled into range by a power of two
+    exp2 = int(np.frexp(np.max(np.abs(target.amps.view(np.float64))))[1])
+    target = FockVector(np.ldexp(target.amps.view(np.float64), -exp2).view(np.complex128))
     tn = norm(target)
     if tn == 0.0:
         raise ValueError("target must be nonzero")
@@ -243,6 +246,8 @@ def fit_target(
     inv = 1.0 / np.maximum(evals, 1e-12 * evals[-1])
     w = evecs.T @ (phases**2 * _component_overlaps(target, labels, phases))  # U^T Q v
     c = np.conj(phases) ** 2 * (evecs @ (inv * w))
+    with np.errstate(over="ignore"):
+        c = np.ldexp(c.view(np.float64), exp2).view(np.complex128)
     if not np.all(np.isfinite(c)):
         raise SolverError("regularized Gram solve overflowed; increase |beta|")
     if not np.any(c != 0):

@@ -25,10 +25,10 @@ exact state's per-mode marginals.  The two coincide whenever at most one
 mode is displaced; the report's ``factorization_gap`` quantifies the gap
 otherwise.
 
-Collinearity: the mode vectors are real, so all displacements of one mode
-are real multiples of one amplitude and compose without a phase; hence
-displacements, and the ions' conditional operators, commute
-(:func:`_check_tables` refuses other tables).  So the bra term k and ket
+Collinearity: the mode vectors are real (:class:`ile.chain.ModeTable`
+refuses others), so all displacements of one mode are real multiples of one
+amplitude and compose without a phase; hence displacements, and the ions'
+conditional operators, commute.  So the bra term k and ket
 term k' of the expanded state, k, k' in [0, c]^N with amplitudes
 a(k) = prod_i a_i[k_i], overlap by G(d) = prod_l <init_l|D(2 sum_i d_i beta[i, l])|init_l>
 (init_0 = alpha, vacuum elsewhere), a function of the lag d = k' - k alone.
@@ -39,7 +39,7 @@ h_l(k) = sum_k' conj(a(k')) G_l(k - k'), a cyclic FFT convolution per mode.
 The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
 mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
 same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
-alone; :func:`_report` raises ValueError for a non-uniform COM column.
+alone.
 
 Sweeps: a sweep is one plan and two grids of one length, the detuning
 delta and the window t of each point, which enter the displacement tables
@@ -88,7 +88,6 @@ __all__ = [
     "trotter_validate",
 ]
 
-_COLLINEAR_TOL = 1e-12  # skew allowed within one mode's displacements, relative to the largest
 # Memory of one point's report, refused up front past the 1 GiB budget:
 # complex arrays of the (2c + 1)^N lags (at most 6.5 alive at once, counted
 # and measured at 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class
@@ -134,8 +133,8 @@ def cycle_displacements(
     modes: ModeTable, params: PhysicalParams, t: float, integrated: bool
 ) -> np.ndarray:
     """Displacement amplitudes of one cycle for every (ion, mode) pair, as a
-    read-only (ions x modes) table whose columns :func:`_check_tables` has
-    passed.
+    read-only (ions x modes) table, finite, each column real multiples of
+    one amplitude and the COM column one value.
 
     With ``integrated=False`` the endpoint form, whose COM column equals
     :func:`ile.protocol.beta_of` identically; with ``integrated=True`` the
@@ -148,33 +147,25 @@ def cycle_displacements(
     if not (np.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
     betas = _displacements(modes, params, [params.delta], [t], integrated)[0]
-    _check_tables(betas)
     betas.flags.writeable = False
     return betas
 
 
 def _displacements(modes: ModeTable, params: PhysicalParams, deltas, ts, integrated: bool):
     """The tables of :func:`cycle_displacements` at the detunings ``deltas``
-    and windows ``ts``, one (ions x modes) table per point, unchecked."""
+    and windows ``ts``, one (ions x modes) table per point; ValueError if a
+    phase past the float range leaves one not finite."""
     ts = np.asarray(ts, dtype=float)[:, None]
     detune = modes.frequencies - np.asarray(deltas, dtype=float)[:, None]
-    if integrated:
-        window = ts * np.exp(0.5j * detune * ts) * np.sinc(detune * ts / (2.0 * np.pi))
-    else:
-        window = ts * np.exp(1j * detune * ts)
-    return 1j * params.omega * lamb_dicke(modes, params.eta) * window[:, None, :]
-
-
-def _check_tables(betas: np.ndarray) -> None:
-    """ValueError unless every (ions x modes) table of ``betas`` is finite and
-    each of its columns holds real multiples of one amplitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if integrated:
+            window = ts * np.exp(0.5j * detune * ts) * np.sinc(detune * ts / (2.0 * np.pi))
+        else:
+            window = ts * np.exp(1j * detune * ts)
+        betas = 1j * params.omega * lamb_dicke(modes, params.eta) * window[:, None, :]
     if not np.all(np.isfinite(betas)):
         raise ValueError("betas must be finite")
-    ref = np.take_along_axis(betas, np.argmax(np.abs(betas), axis=-2)[..., None, :], axis=-2)
-    # against the unit reference: no product leaves the float range
-    skew = np.abs(np.imag(betas * np.exp(-1j * np.angle(ref))))
-    if np.any(skew > _COLLINEAR_TOL * np.abs(ref)):
-        raise ValueError("each mode's displacements must be real multiples of one amplitude")
+    return betas
 
 
 def _class_block(n: int, c: int) -> int:
@@ -318,16 +309,20 @@ class _Lines:
     alone: the unit lines (they keep long plans' sums in range), the product
     of their squared norms, the DFT of each ion's bra line, the ket's
     amplitudes over the term lattice, and the tables of :func:`_moments` and
-    :func:`_class_matrix`."""
+    :func:`_class_matrix`.  Lines are normed over the power of two of their
+    largest part, so one below the float range keeps its norm; a zero line
+    raises :class:`SolverError`."""
 
     def __init__(self, amps):
-        amps = np.asarray(amps)
-        norms = np.linalg.norm(amps, axis=1)
+        parts = np.asarray(amps).view(np.float64)
+        exp2 = np.frexp(np.max(np.abs(parts), axis=1))[1]
+        units = np.ldexp(parts, -exp2[:, None]).view(np.complex128)
+        norms = np.linalg.norm(units, axis=1)
         if not np.all(norms > 0):
-            raise ValueError("exact state has zero norm")
-        self.lines = amps / norms[:, None]
-        self.scale = float(np.prod(norms**2))
-        self.bra_dft = np.fft.fft(np.conj(self.lines), 2 * amps.shape[1] - 1)
+            raise SolverError("exact state has zero norm")
+        self.lines = units / norms[:, None]
+        self.scale = float(np.ldexp(np.prod(norms**2), 2 * np.sum(exp2)))  # may underflow
+        self.bra_dft = np.fft.fft(np.conj(self.lines), 2 * units.shape[1] - 1)
         self.amps = reduce(np.multiply.outer, self.lines)
         self.moment_tables = _moment_tables(self.lines)
         self.hats = _class_hats(self.lines)
@@ -345,8 +340,6 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     points, (n, size) = len(betas), shared.lines.shape
     nc, c = n * (size - 1), size - 1
     beta0 = betas[:, 0, 0]
-    if np.any(np.abs(betas[:, :, 0] - beta0[:, None]) > _COLLINEAR_TOL * np.abs(beta0)[:, None]):
-        raise ValueError("every ion must displace the COM mode by the same amplitude")
     lattice = tuple(range(1, n + 1))  # the lag axes; axis 0 is the point
 
     # h_l(k) is entry c + k of the cyclic convolution of the zero-padded
@@ -441,7 +434,7 @@ def analyze_points(
         if t != cycle.duration:
             Cycle(float(t), cycle.weights)
     failure = None
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fields are refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         try:
             ideal = scaled_coeffs(plan.all_weights)[0]
             _check_lattice(n, c)
@@ -452,11 +445,10 @@ def analyze_points(
     block = max(1, min(errors.MEMORY_BUDGET_BYTES // _lattice_need(n, c),
                        _BLOCK_LAGS // (2 * c + 1) ** n))
     for lo in range(0, deltas.size, block):
-        with np.errstate(over="ignore", invalid="ignore"):
-            betas = _displacements(
-                modes, plan.params, deltas[lo : lo + block], ts[lo : lo + block], integrated
-            )
-            _check_tables(betas)
+        betas = _displacements(
+            modes, plan.params, deltas[lo : lo + block], ts[lo : lo + block], integrated
+        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if failure is not None:
                 results = [failure] * len(betas)
             else:

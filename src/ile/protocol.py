@@ -139,13 +139,15 @@ def beta_of(params: PhysicalParams, t: float) -> complex:
     """Displacement amplitude accumulated by the COM mode over a window t.
 
     beta = i eta omega t exp(i (1 - delta) t); at delta = 1 the phase factor
-    freezes and |beta| grows linearly with t.
+    freezes and |beta| grows linearly with t.  A phase (1 - delta) t past the
+    float range raises ValueError.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be non-negative and finite")
-    return complex(
-        1j * params.eta * params.omega * t * np.exp(1j * (1.0 - params.delta) * t)
-    )
+    phase = (1.0 - params.delta) * t
+    if not np.isfinite(phase):
+        raise ValueError(f"detuning phase (1 - delta) t must be finite, got {phase!r}")
+    return complex(1j * params.eta * params.omega * t * np.exp(1j * phase))
 
 
 @dataclass(frozen=True)

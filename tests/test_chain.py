@@ -189,3 +189,30 @@ def test_lamb_dicke_rejects_nonpositive_eta():
 def test_geometry_validates_equilibrium():
     with pytest.raises(ValueError):
         chain.ChainGeometry(np.array([-1.0, 1.0]))  # not a stationary point
+
+
+class TestModeTableOwnsTheComFacts:
+    """The table refuses what would break the COM classes and the
+    collinearity that the leakage metrics read from it unchecked."""
+
+    def test_complex_vectors_refused(self):
+        table = chain.normal_modes(chain.equilibrium_positions(2))
+        vectors = table.vectors.astype(complex)
+        vectors[1, 1] += 1e-3j
+        with pytest.raises(ValueError, match="real"):
+            chain.ModeTable(table.frequencies, vectors)
+
+    def test_com_frequency_one_ulp_off_refused(self):
+        table = chain.normal_modes(chain.equilibrium_positions(3))
+        for mu0 in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+            mu = table.frequencies.copy()
+            mu[0] = mu0
+            with pytest.raises(ValueError, match="lowest mode frequency"):
+                chain.ModeTable(mu, table.vectors)
+
+    def test_com_entry_one_ulp_off_refused(self):
+        table = chain.normal_modes(chain.equilibrium_positions(3))
+        vectors = table.vectors.copy()
+        vectors[2, 0] = np.nextafter(vectors[2, 0], 1.0)
+        with pytest.raises(ValueError, match="lowest mode vector"):
+            chain.ModeTable(table.frequencies, vectors)

@@ -151,7 +151,7 @@ class TestSimulateCommand:
         assert run(["simulate", "--input", path, "--output", str(out), "--fock", "64"]) == 0
         assert_layout(out.read_text())
         doc = json.loads(out.read_text())
-        vec = fock.FockVector.from_json(doc["fock"])
+        vec = fock.FockVector([complex(re, im) for re, im in doc["fock"]])
         plan = cli._plan_from_json(PLAN)
         state = protocol.run_ideal(plan).state
         assert abs(fock.norm(vec) ** 2 - state.norm_sq()) <= 1e-8
@@ -178,6 +178,19 @@ class TestSimulateCommand:
         plan = dict(PLAN, n_ions=n_ions, cycles=[{"t": 80.0, "p": [[0.3, 0.2]] * int(n_ions)}])
         assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
         assert "n_ions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_ions", ["2", "2.0", [2]])
+    def test_ion_count_not_a_json_number_exits_2(self, tmp_path, capsys, n_ions):
+        plan = dict(PLAN, n_ions=n_ions)
+        assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
+        assert f"n_ions must be an integer, got {n_ions!r}" in capsys.readouterr().err
+
+    def test_detuning_phase_past_float_range_exits_2(self, tmp_path, capsys):
+        plan = dict(PLAN, n_ions=1, delta=1e300, cycles=[{"t": 1e10, "p": [[0.3, 0.0]]}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
+        assert "detuning phase" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cutoff", ["-1", "-2"])
     def test_negative_fock_cutoff_exits_2(self, tmp_path, capsys, cutoff):
@@ -319,6 +332,49 @@ class TestLeakageCommand:
         p_leak = json.loads(leak.read_text())["p_exact"]
         assert p_leak == pytest.approx(json.loads(sim.read_text())["p_exact"], rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_line_below_the_float_range(self, tmp_path, p):
+        # 1 ion x 1,100 cycles at p = +-1: the line is one coherent state of
+        # amplitude 2^-550, whose square underflows; it is the whole state,
+        # so the COM mode holds the ideal line and p_exact underflows to 0
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[p, 0.0]]}] * 1100)
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["leakage", "--input", path, "--format", "json", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert doc["p_exact"] == 0.0
+        assert doc["com_fidelity"] >= 1 - 1e-12 and doc["com_purity"] >= 1 - 1e-12
+
+    def test_line_that_is_zero_is_a_solver_failure(self, tmp_path, capsys):
+        # at 2,200 cycles the line's one amplitude, 2^-1100, is 0 in floats
+        plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[1.0, 0.0]]}] * 2200)
+        path = write_json(tmp_path / "p.json", plan)
+        assert run(["leakage", "--input", path, "--format", "json"]) == 3
+        assert "zero norm" in capsys.readouterr().err
+        out = tmp_path / "r.csv"
+        assert run(["leakage", "--input", path, "--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][rows[0].index("complete")] == "false"
+
+    def test_point_of_zero_norm_is_refused_silently(self, tmp_path, capsys):
+        # the point's squared norm is exactly 0; the cancellation gate
+        # refuses it without a division warning on the way
+        plan = {"eta": 0.25, "omega": 1e-300, "delta": 0.95, "n_ions": 1, "alpha": [0.0, 0.0],
+                "cycles": [{"t": 1e160, "p": [[0.5, 1e300]]}]}
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", protocol.RegimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["leakage", "--paper-beta", "--input", path]
+            assert run(argv + ["--format", "json"]) == 3
+            assert "cancelled" in capsys.readouterr().err
+            assert run(argv + ["--output", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[1][rows[0].index("complete")] == "false"
+
     @pytest.mark.parametrize("p, n_cycles", [(1e200, 3), (1e300, 2), (1e5, 70)])
     def test_large_weights_keep_the_lines_in_range(self, tmp_path, p, n_cycles):
         """A slot of weight p grows the line by up to 2 (1 + |p|), so these
@@ -437,7 +493,7 @@ class TestModesCommand:
 class TestFitCommand:
     def test_coherent_on_own_grid(self, tmp_path):
         target = fock.coherent_fock(0.3, 48)
-        path = write_json(tmp_path / "t.json", target.to_json())
+        path = write_json(tmp_path / "t.json", cli._pairs(target.amps))
         out = tmp_path / "f.json"
         assert run([
             "fit", "--input", path, "--output", str(out),
@@ -449,7 +505,7 @@ class TestFitCommand:
 
     def test_complex_beta_argument(self, tmp_path):
         target = fock.coherent_fock(0.2j, 32)
-        path = write_json(tmp_path / "t.json", target.to_json())
+        path = write_json(tmp_path / "t.json", cli._pairs(target.amps))
         out = tmp_path / "f.json"
         assert run([
             "fit", "--input", path, "--output", str(out),
@@ -459,7 +515,7 @@ class TestFitCommand:
 
     def test_far_grid_leaves_stderr_empty(self, tmp_path, capsys):
         target = fock.coherent_fock(0.5 + 0.2j, 8)
-        path = write_json(tmp_path / "t.json", target.to_json())
+        path = write_json(tmp_path / "t.json", cli._pairs(target.amps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["fit", "--input", path, "--n", "8", "--beta", "0.6"]) == 0
@@ -470,9 +526,40 @@ class TestFitCommand:
         assert doc["coeffs"] == cli._pairs(coeffs.coeffs)
         assert doc["fidelity"] == fidelity
 
+    def test_target_past_the_squared_range(self, tmp_path):
+        # |target|^2 overflows, and fit is projective: it fits the target as
+        # it fits the same target times 2^-1000
+        huge = [[1e300, 0.5], [0.01, 1e5], [0.5, 1e155]]
+        tame = [[math.ldexp(x, -1000) for x in pair] for pair in huge]
+        docs = []
+        for name, target in (("huge", huge), ("tame", tame)):
+            out = tmp_path / f"{name}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                argv = ["fit", "--input", write_json(tmp_path / f"{name}-t.json", target),
+                        "--n", "4", "--beta", "0.3", "--output", str(out)]
+                assert run(argv) == 0
+            docs.append(json.loads(out.read_text(), parse_constant=pytest.fail))
+        assert docs[0]["fidelity"] == docs[1]["fidelity"] == pytest.approx(1.0, abs=1e-12)
+        big = np.array([complex(*c) for c in docs[0]["coeffs"]])
+        small = np.array([complex(*c) for c in docs[1]["coeffs"]])
+        assert np.array_equal(np.ldexp(big.real, -1000) + 1j * np.ldexp(big.imag, -1000), small)
+
+    def test_target_whose_square_underflows(self, tmp_path):
+        tiny = [[1e-320, 0.0], [0.0, 2e-320], [3e-320, 1e-320]]
+        out = tmp_path / "f.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["fit", "--input", write_json(tmp_path / "t.json", tiny),
+                    "--n", "4", "--beta", "0.3", "--output", str(out)]
+            assert run(argv) == 0
+        target = fock.FockVector([math.ldexp(re, 1000) + 1j * math.ldexp(im, 1000)
+                                  for re, im in tiny])
+        assert json.loads(out.read_text())["fidelity"] == inverse.fit_target(target, 4, 0j, 0.3)[1]
+
     def test_oversized_grid_exits_3(self, tmp_path):
         # a 20,001-square component Gram; refused before it is allocated
-        path = write_json(tmp_path / "t.json", fock.coherent_fock(0.3, 8).to_json())
+        path = write_json(tmp_path / "t.json", cli._pairs(fock.coherent_fock(0.3, 8).amps))
         out = tmp_path / "f.json"
         argv = ["fit", "--input", path, "--output", str(out), "--n", "20000", "--beta", "0.5"]
         assert run_capped(argv).returncode == 3
@@ -483,7 +570,7 @@ class TestFitCommand:
             raise MemoryError("Unable to allocate 298. GiB")
 
         monkeypatch.setattr(inverse, "fit_target", refuse)
-        path = write_json(tmp_path / "t.json", fock.coherent_fock(0.3, 8).to_json())
+        path = write_json(tmp_path / "t.json", cli._pairs(fock.coherent_fock(0.3, 8).amps))
         out = tmp_path / "f.json"
         argv = ["fit", "--input", path, "--output", str(out), "--n", "200000", "--beta", "0.5"]
         assert run(argv) == 3
@@ -539,6 +626,13 @@ class TestValidateCommand:
         ]) == 2
         assert not out.exists()
         assert "weights must be finite" in capsys.readouterr().err
+
+    def test_detuning_phase_past_float_range_exits_2(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1e300",
+                        "--t", "1e10"]) == 2
+        assert "betas must be finite" in capsys.readouterr().err
 
     def test_oversized_step_refused_quickly(self, tmp_path, capsys):
         import time
@@ -841,7 +935,7 @@ class TestHugeDisplacements:
     @pytest.mark.parametrize("ions", [[], ["--n-ions", "2", "--full-terms"]], ids=["1", "2-full"])
     def test_validate_exits_3_without_overflow(self, tmp_path, capsys, t, ions):
         # displacements past about 1e154 square out of the float range; the
-        # collinearity check of their tables must not overflow on the way
+        # finiteness check of their tables must not overflow on the way
         out = tmp_path / "v.json"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fock.TruncationWarning)

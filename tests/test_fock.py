@@ -276,9 +276,3 @@ def test_recommended_cutoff_policy():
     # tail actually negligible at the recommended cutoff
     v = fock.coherent_fock(2.0, fock.recommended_cutoff(2.0))
     assert v.tail_weight < 1e-10
-
-
-def test_json_roundtrip():
-    v = fock.coherent_fock(0.3 + 0.9j, 12)
-    again = fock.FockVector.from_json(v.to_json())
-    assert np.array_equal(v.amps, again.amps)

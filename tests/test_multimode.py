@@ -285,14 +285,6 @@ class TestFactorsAgainstPerModeWalk:
 
 
 class TestCollinearityGuard:
-    def test_non_collinear_table_rejected(self):
-        with pytest.raises(ValueError, match="real multiples"):
-            multimode._check_tables(np.array([[0.2, 0.1], [0.2j, -0.1]]))
-
-    def test_zero_and_collinear_columns_accepted(self):
-        multimode._check_tables(np.zeros((2, 2), dtype=complex))
-        multimode._check_tables(np.array([[0.3 + 0.1j, 0.0], [-0.6 - 0.2j, 0.0]]))
-
     def test_computed_tables_pass(self):
         for n in range(1, 65):
             modes = chain.normal_modes(chain.equilibrium_positions(n))
@@ -328,17 +320,6 @@ class TestLeakageAnalysis:
         rep_mid, _ = multimode.analyze_plan(plan, mode_tables[2], integrated=True)
         rep_end, _ = multimode.analyze_plan(plan, mode_tables[2], integrated=False)
         assert rep_end.per_mode_mean_phonon[1] > 100 * rep_mid.per_mode_mean_phonon[1]
-
-    def test_non_uniform_com_column_rejected(self, mode_tables, monkeypatch):
-        # every ion must displace the COM mode alike for the COM classes to
-        # carry the reduced state
-        def skew(betas):
-            betas[:, 1, 0] *= 1.01
-            return betas
-
-        use_tables(monkeypatch, skew)
-        with pytest.raises(ValueError, match="same amplitude"):
-            multimode.analyze_plan(one_cycle_plan([0.1, 0.2], alpha=0.3), mode_tables[2], False)
 
 
 class TestAnalyzePoints:
