@@ -194,20 +194,17 @@ def normal_modes(geometry: ChainGeometry) -> ModeTable:
     Frequencies are square roots of the eigenvalues.  Mode vectors carry the
     sign convention that the first entry above 1e-10 in magnitude is
     positive, so downstream coupling signs are reproducible across platforms.
-    The uniform vector is an exact eigenvector of the Hessian with eigenvalue
-    1 (the trap term is the identity and the Coulomb rows sum to zero), so
-    the lowest mode is stored with its exact values rather than the solver's
-    rounding of them.
+    The Hessian is I + 2L, L the Laplacian of the complete graph with the
+    positive weights 1/|u_i - u_j|^3, so at any distinct positions the
+    uniform vector spans the simple lowest eigenvalue 1 (solved to within
+    3.5e-14 at N = 1..64), stored exactly rather than as the solver's
+    rounding; eigenvalues closer than 1e-6 raise :class:`SolverError`.
     """
     n = geometry.n_ions
     h = _hessian(_pair_field(geometry.positions)[1])
     evals, evecs = np.linalg.eigh(h)
-    if evals[0] <= 0:
-        raise RuntimeError("non-positive mode eigenvalue: geometry is not a minimum")
     if n > 1 and np.min(np.diff(evals)) < 1e-6:
-        raise RuntimeError("near-degenerate mode spectrum; refusing to pick vectors")
-    if abs(np.sqrt(evals[0]) - 1.0) > 1e-8:
-        raise RuntimeError("lowest mode is not the in-phase mode; bad geometry")
+        raise SolverError("near-degenerate mode spectrum; refusing to pick vectors")
     mu = np.sqrt(evals)
     lead = np.argmax(np.abs(evecs) > 1e-10, axis=0)
     flip = evecs[lead, np.arange(n)] < 0

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import SolverError, check_memory
 from .fock import FockVector, coherent_blocks, norm
-from .protocol import LineSuperposition, scaled_coeffs, success_probability_nominal
+from .protocol import LineSuperposition, _unit_parts, scaled_coeffs, success_probability_nominal
 
 __all__ = [
     "TargetCoefficients",
@@ -117,28 +117,11 @@ class WeightSolution:
         object.__setattr__(self, "weights", w)
 
 
-def _projective_normalize(c: np.ndarray) -> np.ndarray:
-    """Rescale so the largest coefficient magnitude is 1.
-
-    Subnormal or near-overflow inputs are first shifted by an exact power of
-    two; dividing directly by a subnormal maximum would overflow (and the
-    complex-division denominator would underflow to zero).
-    """
-    scale = np.max(np.abs(c))
-    if scale < 1e-250:
-        c = c * 2.0**900
-        scale = np.max(np.abs(c))
-    elif not np.isfinite(scale) or scale > 1e250:
-        c = c * 2.0**-900
-        scale = np.max(np.abs(c))
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError("coefficients cannot be normalized; magnitudes out of range")
-    return c / scale
-
-
 def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     """The weight realization of the target, as a one-element list.
 
+    The pencil reads the target over the power of two of its largest part,
+    then over its largest modulus, so any finite target is in range.
     The weights are sorted by (real, imag).  A root at the x = 1 pole, or a
     relative forward-reconstruction error above 1e-9, raises
     :class:`SolverError`, and so does a target whose pencil would pass the
@@ -152,7 +135,8 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     if target.n < 1:
         raise ValueError("need at least two coefficients (one weight to solve for)")
     check_memory(16 * _LIVE_PENCILS * target.n**2, f"{target.n}-square companion pencil needs")
-    c = _projective_normalize(np.asarray(target.coeffs, dtype=np.complex128))
+    c = _unit_parts(target.coeffs)[0]
+    c = c / np.max(np.abs(c))
 
     # Roots x = a/b of the pencil A - x B: A has first row -c[1:] and ones
     # below the diagonal, B = diag(c[0], 1, ..., 1).  Unlike np.roots this
@@ -224,8 +208,8 @@ def fit_target(
     if beta == 0:
         raise ValueError("beta must be nonzero; the component grid would collapse")
     # the fit is projective: fit the target scaled into range by a power of two
-    exp2 = int(np.frexp(np.max(np.abs(target.amps.view(np.float64))))[1])
-    target = FockVector(np.ldexp(target.amps.view(np.float64), -exp2).view(np.complex128))
+    units, exp2 = _unit_parts(target.amps)
+    target = FockVector(units)
     tn = norm(target)
     if tn == 0.0:
         raise ValueError("target must be nonzero")

@@ -17,8 +17,9 @@ Displacement amplitude per ion and mode over a window t, in two variants:
 The exact conditional state is a product over ions: ion i, with weights
 w_i over all c cycles, applies its own line sum_k a_i[k] D((2k - c) beta[i]),
 a_i being forward_coeffs(w_i) times the root of its nominal probability.
-It is held as those lines (:func:`_ion_lines`) and the (ions x modes)
-displacement table of :func:`cycle_displacements`, and never expanded
+It is held as those lines over their norms and the log of their squared
+norms' product (:func:`_ion_lines`, in range at any cycle count), with the
+(ions x modes) table of :func:`cycle_displacements`, and never expanded
 but by the referee, whose few terms :func:`_expand` writes out.  The
 factorized form lets every mode branch on its own: the product of the
 exact state's per-mode marginals.  The two coincide whenever at most one
@@ -188,17 +189,20 @@ def _check_lattice(n: int, c: int) -> None:
     check_memory(_lattice_need(n, c), f"{2 * c + 1}^{n} lag terms need")
 
 
-def _ion_lines(plan: ProtocolPlan) -> list:
-    """Ion i's line a_i = forward_coeffs(w_i) sqrt(success_probability_nominal(w_i)),
-    w_i its weights over all cycles.  The line comes as c * 2**e from
-    :func:`ile.protocol.scaled_coeffs`, so a_i is c times the exponential of
-    e log 2 plus half the log of the nominal probability, which underflows
-    long before a_i does, and no line overflows."""
-    amps = []
+def _ion_lines(plan: ProtocolPlan) -> tuple[np.ndarray, float]:
+    """(lines, log_scale): row i is ion i's line a_i = forward_coeffs(w_i)
+    sqrt(success_probability_nominal(w_i)) over its norm, w_i the ion's weights
+    over all cycles, and log_scale = log prod_i ||a_i||^2.  With c * 2**e
+    from :func:`ile.protocol.scaled_coeffs`, ||c|| >= 0.5, the row c / ||c||
+    is in range at any cycle count; the ion adds 2 (e log 2 + log ||c||) and
+    the logs of its nominal factors to log_scale."""
+    rows, log_scale = [], 0.0
     for w in plan.all_weights.reshape(len(plan.cycles), -1).T:
         line, exp2 = scaled_coeffs(w)
-        amps.append(line * np.exp(exp2 * np.log(2.0) + 0.5 * np.sum(log_slot_nominal(w))))
-    return amps
+        norm = np.linalg.norm(line)
+        rows.append(line / norm)
+        log_scale += 2.0 * (exp2 * np.log(2.0) + np.log(norm)) + np.sum(log_slot_nominal(w))
+    return np.array(rows), float(log_scale)
 
 
 def _expand(alpha: complex, betas: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,27 +309,19 @@ def _class_matrix(spectators: np.ndarray, hats: np.ndarray) -> np.ndarray:
 
 
 class _Lines:
-    """The ions' lines and what every point that shares them reads from them
-    alone: the unit lines (they keep long plans' sums in range), the product
-    of their squared norms, the DFT of each ion's bra line, the ket's
-    amplitudes over the term lattice, and the tables of :func:`_moments` and
-    :func:`_class_matrix`.  Lines are normed over the power of two of their
-    largest part, so one below the float range keeps its norm; a zero line
-    raises :class:`SolverError`."""
+    """The ions' unit lines and what every point that shares them reads from
+    them alone: the product of the lines' squared norms, exp(``log_scale``)
+    of :func:`_ion_lines` (at most 1, so it can only underflow, to 0), the
+    DFT of each ion's bra line, the ket's amplitudes over the term lattice,
+    and the tables of :func:`_moments` and :func:`_class_matrix`."""
 
-    def __init__(self, amps):
-        parts = np.asarray(amps).view(np.float64)
-        exp2 = np.frexp(np.max(np.abs(parts), axis=1))[1]
-        units = np.ldexp(parts, -exp2[:, None]).view(np.complex128)
-        norms = np.linalg.norm(units, axis=1)
-        if not np.all(norms > 0):
-            raise SolverError("exact state has zero norm")
-        self.lines = units / norms[:, None]
-        self.scale = float(np.ldexp(np.prod(norms**2), 2 * np.sum(exp2)))  # may underflow
-        self.bra_dft = np.fft.fft(np.conj(self.lines), 2 * units.shape[1] - 1)
-        self.amps = reduce(np.multiply.outer, self.lines)
-        self.moment_tables = _moment_tables(self.lines)
-        self.hats = _class_hats(self.lines)
+    def __init__(self, lines: np.ndarray, log_scale: float):
+        self.lines = lines
+        self.scale = float(np.exp(log_scale))
+        self.bra_dft = np.fft.fft(np.conj(lines), 2 * lines.shape[1] - 1)
+        self.amps = reduce(np.multiply.outer, lines)
+        self.moment_tables = _moment_tables(lines)
+        self.hats = _class_hats(lines)
 
 
 def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray) -> list:
@@ -438,7 +434,7 @@ def analyze_points(
         try:
             ideal = scaled_coeffs(plan.all_weights)[0]
             _check_lattice(n, c)
-            lines = _Lines(_ion_lines(plan))
+            lines = _Lines(*_ion_lines(plan))
         except SolverError as exc:
             failure = exc  # every point's; their tables are still checked
 
@@ -621,7 +617,7 @@ def trotter_validate(
     weights = np.zeros(params.n_ions) if weights is None else weights
     plan = ProtocolPlan(params, alpha, (Cycle(duration=t, weights=weights),))
     # The two predictions differ in their displacement tables alone.
-    amps = np.array(_ion_lines(plan))
+    amps = _ion_lines(plan)[0]
     coeffs, labels = _expand(plan.alpha, cycle_displacements(modes, params, t, True), amps)
     endpoint = cycle_displacements(modes, params, t, integrated=False)
     coeffs_end, labels_end = _expand(plan.alpha, endpoint, amps)

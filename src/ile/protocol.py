@@ -370,6 +370,13 @@ def _recurrence(weights: np.ndarray, block: int):
         yield c, e
 
 
+def _unit_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e), exact, the largest real or imaginary part of complex
+    ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0."""
+    e = int(np.frexp(np.max(np.abs(x.view(np.float64))))[1])
+    return _ldexp(x, -e), e
+
+
 def _ldexp(c: np.ndarray, e: int) -> np.ndarray:
     """c * 2**e on the real and imaginary parts separately: exact, signs of
     zero kept; a result past the float range raises :class:`SolverError`."""
@@ -489,8 +496,10 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
 
     Each component enters as phased_coeffs()[k] |labels()[k]>, its number
     amplitudes a row of the blocks of :func:`ile.fock.coherent_blocks`,
-    added in the order of k.  If the resulting tail weight is not negligible
-    against the norm, a TruncationWarning reports it; pick the cutoff with
+    added in the order of k.  A TruncationWarning reports a dump whose
+    squared norm is off the state's exact one (``norm_sq``) by more than 1e-8
+    of it, both taken over the coefficients' power of two, or one left
+    unchecked as that norm is refused; pick the cutoff with
     :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.  A cutoff
     below 1 raises ValueError before anything is allocated.
     """
@@ -502,14 +511,18 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
         if c != 0:
             amps += c * row
     out = FockVector(amps)
-    nsq = float(np.real(np.vdot(amps, amps)))
-    if out.tail_weight > 1e-8 * max(nsq, 1e-300):
-        warnings.warn(
-            f"cutoff {cutoff} leaves relative tail weight "
-            f"{out.tail_weight / max(nsq, 1e-300):.3g}",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    units, exp2 = _unit_parts(state.coeffs)
+    try:
+        exact = _lag_norm_sq(units, line_overlaps(state.alpha, 2.0 * state.beta, state.n))
+    except SolverError as exc:
+        note = f"cutoff {cutoff}: dump unchecked, as the state's exact norm is refused ({exc})"
+    else:
+        dump = _ldexp(amps, -exp2)
+        kept = float(np.real(np.vdot(dump, dump))) / exact
+        note = f"cutoff {cutoff} keeps {kept:.3g} of the state's squared norm"
+        if abs(kept - 1.0) <= 1e-8:
+            return out
+    warnings.warn(note, TruncationWarning, stacklevel=2)
     return out
 
 

@@ -347,16 +347,21 @@ class TestLeakageCommand:
         assert doc["p_exact"] == 0.0
         assert doc["com_fidelity"] >= 1 - 1e-12 and doc["com_purity"] >= 1 - 1e-12
 
-    def test_line_that_is_zero_is_a_solver_failure(self, tmp_path, capsys):
-        # at 2,200 cycles the line's one amplitude, 2^-1100, is 0 in floats
+    def test_line_whose_scale_underflows_keeps_its_fields(self, tmp_path):
+        # at 2,200 cycles the line's one amplitude, 2^-1100, is 0 in floats;
+        # the line keeps its power of two apart, so only p_exact underflows
         plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[1.0, 0.0]]}] * 2200)
         path = write_json(tmp_path / "p.json", plan)
-        assert run(["leakage", "--input", path, "--format", "json"]) == 3
-        assert "zero norm" in capsys.readouterr().err
-        out = tmp_path / "r.csv"
-        assert run(["leakage", "--input", path, "--output", str(out)]) == 0
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[1][rows[0].index("complete")] == "false"
+        out, table = tmp_path / "r.json", tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["leakage", "--input", path, "--format", "json", "--output", str(out)]) == 0
+            assert run(["leakage", "--input", path, "--output", str(table)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert doc["p_exact"] == 0.0
+        assert doc["com_fidelity"] >= 1 - 1e-12 and doc["com_purity"] >= 1 - 1e-12
+        rows = list(csv.reader(table.read_text().splitlines()))
+        assert rows[1][rows[0].index("complete")] == "true"
 
     def test_point_of_zero_norm_is_refused_silently(self, tmp_path, capsys):
         # the point's squared norm is exactly 0; the cancellation gate
@@ -488,6 +493,14 @@ class TestModesCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["n_ions", "mode", "mu", "b_1", "b_2", "b_3"]
         assert len(rows) == 4  # header + one row per mode
+
+    def test_degenerate_spectrum_is_a_solver_failure(self, monkeypatch, capsys):
+        # ChainGeometry rules degeneracy out; a spectrum that has it all the
+        # same ends in exit 3 with an error line, not in a traceback
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (np.ones(len(h)), np.eye(len(h))))
+        assert run(["modes", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "near-degenerate mode spectrum" in err and "Traceback" not in err
 
 
 class TestFitCommand:
@@ -896,9 +909,14 @@ class TestHugeDisplacements:
     @pytest.mark.parametrize("fock_args", [[], ["--fock", "10"]])
     def test_simulate(self, plan, tmp_path, fock_args):
         out = tmp_path / "s.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(["simulate", "--input", plan, "--output", str(out)] + fock_args) == 0
+        # both components lie far above the dump's cutoff, which keeps none of the state
+        expected = ["cutoff 10 keeps 0 of the state's squared norm"] if fock_args else []
+        assert [str(w.message) for w in record] == expected
+        assert all(w.category is fock.TruncationWarning for w in record)
         doc = _strict_json(out)
         # the two components are orthogonal: half of each surviving weight
         assert doc["p_exact"] == pytest.approx(0.5, abs=1e-12)

@@ -172,6 +172,15 @@ class TestEdgeCases:
         )
         assert huge[0].residual <= 1e-9
 
+    def test_target_whose_largest_modulus_overflows(self):
+        # |-1.7e308 + 1e308 i| is inf: scaled by the power of two of its
+        # largest part, the target solves bitwise as its 2^-1000 multiple
+        c = np.array([1.7e308, -1.7e308 + 1e308j, 1e300])
+        scaled = np.ldexp(c.view(float), -1000).view(complex)
+        (got,) = inverse.solve_weights(inverse.TargetCoefficients(c))
+        (want,) = inverse.solve_weights(inverse.TargetCoefficients(scaled))
+        assert got.weights.tobytes() == want.weights.tobytes()
+
     def test_unreachable_component_ratio(self):
         # (1, -1) demands an internal state of pure |0>, i.e. infinite weight
         with pytest.raises(SolverError, match="pure-"):
@@ -295,7 +304,11 @@ class TestFitTarget:
         coeffs, fid = inverse.fit_target(fock.FockVector(amps), 48, 0j, 0.2)
         padded = fock.FockVector(np.concatenate([amps, np.zeros(400)]))
         line = protocol.LineSuperposition(0j, 0.2, coeffs.coeffs)
-        assert abs(fid - protocol.fidelity_to_target(line, padded)) <= 1e-7
+        with warnings.catch_warnings():
+            # the fitted line's lag-sum norm cancels past the gate, so the
+            # dump's truncation goes unchecked; the dump itself is exact
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            assert abs(fid - protocol.fidelity_to_target(line, padded)) <= 1e-7
 
     def test_matches_dense_gram_fit(self, rng):
         # |beta| >= 0.25 keeps every eigenvalue of K above the 1e-12 floor
@@ -378,9 +391,9 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("n, admitted", [(3096, True), (3097, False)])
     def test_plan_refused_before_the_pencil(self, monkeypatch, n, admitted):
-        # Stopped at the normalization, the first array the solve builds, so
-        # an admitted call allocates nothing large.
-        monkeypatch.setattr(inverse, "_projective_normalize", _stop)
+        # Stopped at the power-of-two scaling, the first array the solve
+        # builds, so an admitted call allocates nothing large.
+        monkeypatch.setattr(inverse, "_unit_parts", _stop)
         target = inverse.TargetCoefficients(np.ones(n + 1))
         refused = pytest.raises(SolverError, match=r"needs 1\.01 GiB")
         with pytest.raises(_Admitted) if admitted else refused:

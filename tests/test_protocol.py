@@ -407,6 +407,29 @@ class TestToFock:
         with pytest.warns(fock.TruncationWarning):
             protocol.to_fock(state, 8)
 
+    def test_dump_far_below_its_state_warns(self):
+        # |alpha| = 30 puts the state far above cutoff 40: the dump, whose
+        # squared norm is subnormal, keeps next to nothing of the state's
+        res = protocol.run_ideal(make_plan([[0.3]], eta=0.05, omega=0.01, t=80.0, alpha=30.0))
+        with pytest.warns(fock.TruncationWarning, match=r"keeps 1\.63e-320 of the state's"):
+            out = protocol.to_fock(res.state, 40)
+        assert fock.norm(out) ** 2 < 1e-300
+
+    def test_cancelled_exact_norm_warns_that_the_dump_is_unchecked(self):
+        # two nearly equal components of opposite sign: the lag sum keeps
+        # fewer than 8 digits and is refused, so the dump cannot be checked
+        state = protocol.LineSuperposition(alpha=0j, beta=1e-5, coeffs=[1.0, -1.0])
+        with pytest.warns(fock.TruncationWarning, match="unchecked.*cancelled"):
+            protocol.to_fock(state, 10)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**1000])
+    def test_dump_of_a_line_out_of_range_is_checked_at_scale(self, scale):
+        # the power of two of the coefficients drops out of the comparison
+        state = protocol.LineSuperposition(alpha=0.3, beta=0.4, coeffs=[scale, 0.5j * scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            protocol.to_fock(state, 40)
+
     def test_translation_collinear_with_line(self):
         # displacing the centre along the line's own direction is a rigid
         # translation: same state up to the tracked phases
