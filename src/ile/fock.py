@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverError
+
 __all__ = [
     "TruncationWarning",
     "FockVector",
@@ -52,13 +54,18 @@ def _finite_complex(z: complex, name: str) -> complex:
 
 
 def recommended_cutoff(gamma_max: float) -> int:
-    """Cutoff that keeps the Poisson tail of every coherent component below ~1e-10.
+    """Cutoff that keeps the Poisson tail of every coherent component below
+    ~1e-10: :func:`_cutoff_bound` rounded up, where no TruncationWarning is
+    issued.  ``gamma_max`` is the largest coherent amplitude magnitude
+    reachable in the computation (initial amplitude plus all accumulated
+    displacements)."""
+    return int(np.ceil(_cutoff_bound(abs(float(gamma_max)))))
 
-    ``gamma_max`` is the largest coherent amplitude magnitude reachable in the
-    computation (initial amplitude plus all accumulated displacements).
-    """
-    g = abs(float(gamma_max))
-    return int(np.ceil(g * g + 6.0 * g + 10.0))
+
+def _cutoff_bound(mag: float) -> float:
+    """g^2 + 6g + 10 at g = ``mag`` (inf past g ~ 1e154): the cutoff whose
+    Poisson tail is near 1e-10, which :func:`recommended_cutoff` rounds up."""
+    return mag * mag + 6.0 * mag + 10.0
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,9 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     amplitude(n) = exp(-|alpha|^2/2) alpha^n / sqrt(n!) via the ratio
     recurrence of :func:`coherent_table`, whose one row it is; the
     recurrence stays stable far beyond where explicit factorials overflow.
-    When |alpha|^2 > cutoff/2 the Poisson peak crowds the cutoff and a
-    :class:`TruncationWarning` is issued; the state is still returned, with
-    ``tail_weight`` quantifying the damage.
+    When |alpha|^2 > cutoff/2 the Poisson peak crowds the cutoff, and below
+    :func:`recommended_cutoff` a :class:`TruncationWarning` is issued; the
+    state is still returned, with ``tail_weight`` quantifying the damage.
     """
     alpha = _finite_complex(alpha, "alpha")
     if cutoff < 1:
@@ -137,8 +144,9 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
 
 def _warn_crowded(mag: float, cutoff: int, stacklevel: int) -> None:
     """:class:`TruncationWarning` when a coherent amplitude of modulus ``mag``
-    passes sqrt(cutoff/2), where the Poisson peak crowds the cutoff."""
-    if mag > math.sqrt(cutoff / 2):
+    passes sqrt(cutoff/2), where the Poisson peak crowds the cutoff, and the
+    cutoff is below the recommended :func:`_cutoff_bound`."""
+    if mag > math.sqrt(cutoff / 2) and cutoff < _cutoff_bound(mag):
         warnings.warn(
             f"|alpha| = {mag:.3g} exceeds sqrt(cutoff/2) = {math.sqrt(cutoff / 2):.3g}; "
             "truncation is unreliable",
@@ -288,6 +296,23 @@ def displacement_phase(beta, alpha: complex) -> np.ndarray:
     return np.exp(0.5 * (beta * np.conj(alpha) - np.conj(beta) * alpha))
 
 
+def _unit_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e), exact, the largest real or imaginary part of complex
+    ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0."""
+    e = int(np.frexp(np.max(np.abs(x.view(np.float64))))[1])
+    return _ldexp(x, -e), e
+
+
+def _ldexp(c: np.ndarray, e: int) -> np.ndarray:
+    """c * 2**e on the real and imaginary parts separately: exact, signs of
+    zero kept; a result past the float range raises :class:`SolverError`."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(c.view(np.float64), e).view(np.complex128)
+    if not np.all(np.isfinite(out)):
+        raise SolverError(f"line coefficients overflow at {c.size - 1} slots")
+    return out
+
+
 def inner(a: FockVector, b: FockVector) -> complex:
     """Hermitian inner product <a|b> (conjugate-linear in the first slot)."""
     if a.cutoff != b.cutoff:
@@ -296,11 +321,16 @@ def inner(a: FockVector, b: FockVector) -> complex:
 
 
 def norm(a: FockVector) -> float:
-    return float(np.linalg.norm(a.amps))
+    """||a||, summed over the power of two of its largest part, so it is in
+    range wherever the result is, amplitudes past 1e+-154 included."""
+    units, e = _unit_parts(a.amps)
+    return float(np.ldexp(np.linalg.norm(units), e))
 
 
 def fidelity_pure(a: FockVector, b: FockVector) -> float:
-    """|<a|b>|^2 / (|a|^2 |b|^2); the inputs may be unnormalized."""
+    """|<a|b>|^2 / (|a|^2 |b|^2); the inputs may be unnormalized, at any
+    scale: each is taken over the power of two of its largest part."""
+    a, b = (FockVector(_unit_parts(v.amps)[0]) for v in (a, b))
     na = norm(a)
     nb = norm(b)
     if na == 0.0 or nb == 0.0:

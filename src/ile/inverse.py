@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, check_memory
-from .fock import FockVector, coherent_blocks, norm
-from .protocol import LineSuperposition, _unit_parts, scaled_coeffs, success_probability_nominal
+from .fock import FockVector, _unit_parts, coherent_blocks, norm
+from .protocol import LineSuperposition, scaled_coeffs, success_probability_nominal
 
 __all__ = [
     "TargetCoefficients",
@@ -187,8 +187,8 @@ def fit_target(
     Q = diag(q) holds the unit phases e^{i (2k - n) theta / 2},
     theta = 4 Im(conj(alpha) beta).  So the pseudo-inverse comes from one
     real symmetric eigensolve of K, with its eigenvalues floored at 1e-12 of
-    the largest, which is what makes tightly spaced grids (|beta| small)
-    usable at all.
+    the largest (at least 1: K has a unit diagonal), which is what makes
+    tightly spaced grids (|beta| small) usable at all.
 
     Returns the coefficients and the fidelity of the line superposition they
     define, taken from the same eigen-decomposition.  Where the floor acts
@@ -225,8 +225,6 @@ def fit_target(
 
     k = np.arange(n + 1)
     evals, evecs = np.linalg.eigh(lags[abs(k[:, None] - k)])  # K[j, k] = lags[|j - k|]
-    if not (np.isfinite(evals[-1]) and evals[-1] > 0):
-        raise SolverError("component Gram matrix is numerically void; increase |beta|")
     inv = 1.0 / np.maximum(evals, 1e-12 * evals[-1])
     w = evecs.T @ (phases**2 * _component_overlaps(target, labels, phases))  # U^T Q v
     c = np.conj(phases) ** 2 * (evecs @ (inv * w))

@@ -45,12 +45,12 @@ alone.
 Sweeps: a sweep is one plan and two grids of one length, the detuning
 delta and the window t of each point, which enter the displacement tables
 alone.  ``analyze_points`` takes from the plan once what every point reads:
-the ions' lines and the ideal line, the autocorrelation tables of the
-moments, the class DFTs and the memory check.  It checks the grids at their
-extremes alone, so a delta sweep's RegimeWarning comes from there, not from
-every point.  It evaluates the points in blocks, slices of the grids, every
-lattice, table and COM-class matrix carrying the point on a leading axis;
-at the frontier shapes a block is one point.
+the ions' lines and the ideal line, the moment tables and class DFTs of
+one joint autocorrelation per ion, and the memory check.  It checks the
+grids at their extremes alone, so a delta sweep's RegimeWarning comes from
+there, not from every point.  It evaluates the points in blocks, slices of
+the grids, every lattice, table and COM-class matrix carrying the point on
+a leading axis; at the frontier shapes a block is one point.
 Each point's arithmetic is the one it has alone: matrix products run per
 point over the batch and every per-point matrix is C-contiguous, so a row
 of a sweep carries the bits of ``analyze_plan`` on its point, which is the
@@ -236,29 +236,31 @@ def _mode_overlaps(alpha: complex, betas: np.ndarray, c: int):
         yield np.exp(log)
 
 
-def _moment_tables(amps: np.ndarray) -> list:
-    """Per ion, the (2c + 1) x 4 autocorrelations of its line with the step
-    s_k = 2k - c on neither side, the bra, the ket or both, that
-    :func:`_moments` contracts."""
-    size = amps.shape[1]
-    steps = 2 * np.arange(size) - (size - 1)
-    tables = []
-    for a in amps:
-        sa = a * steps
-        # correlate(u, v)[c + d] = sum_k conj(v[k]) u[k + d]: plain, bra, ket, both
-        pairs = ((a, a), (a, sa), (sa, a), (sa, sa))
-        tables.append(np.transpose([np.correlate(u, v, "full") for u, v in pairs]))
-    return tables
+def _ion_tables(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tables, hats) off each ion's J[k, c + d] = conj(a_i[k]) a_i[k + d]:
+    tables[i, c + d] holds its sums over k weighted by 1, s_k, s_{k+d} and
+    s_k s_{k+d}, s_k = 2k - c (the step on neither side, the bra, the ket,
+    both), that :func:`_moments` contracts, and hats[i, q] its sums times z_q^k
+    at the Nc + 1 roots of unity z_q, the factors of :func:`_class_matrix`."""
+    n, size = lines.shape
+    c, k = size - 1, np.arange(size)
+    joint = np.zeros((n, size, 2 * size - 1), dtype=np.complex128)  # [i, k, c + d]
+    joint[:, k[:, None], c - k[:, None] + k] = np.conj(lines)[:, :, None] * lines[:, None, :]
+    steps = 2.0 * k - c
+    ket = joint * (steps[:, None] + 2.0 * np.arange(-c, size))  # s_{k+d} = s_k + 2d at [k, c + d]
+    tables = np.stack([joint.sum(1), steps @ joint, ket.sum(1), steps @ ket], axis=-1)
+    del ket
+    return tables, np.fft.fft(joint, n=n * c + 1, axis=1)
 
 
-def _moments(overlaps: np.ndarray, tables: list) -> np.ndarray:
+def _moments(overlaps: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """M[p, i, j] = sum_d G_p(d) prod_ion T_ion(d_ion), G_p = ``overlaps[p]``,
     where ion i's table carries the step s_k = 2k - c on the bra, ion j's on
     the ket, and index N is no ion (M[p, N, N] is the squared norm), with
-    ``tables`` from :func:`_moment_tables`.  One contraction, last ion
-    first, keeping a partial sum per placement; each point's products are
-    matrix products of their own, as for a point alone."""
-    points, n, w = overlaps.shape[0], len(tables), tables[0].shape[0]
+    ``tables`` (N x (2c + 1) x 4) from :func:`_ion_tables`.  One contraction,
+    last ion first, keeping a partial sum per placement; each point's
+    products are matrix products of their own, as for a point alone."""
+    points, (n, w) = overlaps.shape[0], tables.shape[:2]
     x = overlaps.reshape(points, 1, -1)
     pairs = [(n, n)]  # (bra ion, ket ion) of each partial sum
     for i in reversed(range(n)):
@@ -274,25 +276,16 @@ def _moments(overlaps: np.ndarray, tables: list) -> np.ndarray:
     return out
 
 
-def _class_hats(amps: np.ndarray) -> np.ndarray:
-    """hats[i, q, c + d] = sum_k conj(a_i[k]) a_i[k + d] z_q^k at the Nc + 1
-    roots of unity z_q, the factors of :func:`_class_matrix`."""
-    n, size = amps.shape
-    nc, w, k = n * (size - 1), 2 * size - 1, np.arange(size)
-    joint = np.zeros((n, size, w), dtype=np.complex128)  # [i, k, c + d]: conj(a_i[k]) a_i[k + d]
-    joint[:, k[:, None], size - 1 - k[:, None] + k] = np.conj(amps)[:, :, None] * amps[:, None, :]
-    return np.fft.fft(joint, n=nc + 1, axis=1)
-
-
 def _class_matrix(spectators: np.ndarray, hats: np.ndarray) -> np.ndarray:
     """R[p, m, m'] = sum conj(a(k)) a(k') G_p(k' - k) over the terms of COM
     classes sum k_i = m and sum k'_i = m', G_p = ``spectators[p]``: ion by
     ion, the bra's class is the power of z at the Nc + 1 roots of unity
-    (``hats`` from :func:`_class_hats`), m' - m a lag sum."""
+    (``hats`` from :func:`_ion_tables`), m' - m a lag sum, in blocks of the
+    classes that :func:`_class_block` reserves."""
     points, (n, classes, w) = spectators.shape[0], hats.shape
     nc = classes - 1
     sums = np.empty((points, classes, 2 * nc + 1), dtype=np.complex128)  # [p, q, m' - m + nc]
-    block = max(1, _BLOCK_ENTRIES // spectators[0].size)
+    block = max(1, _class_block(n, w // 2) // spectators[0].size)
     for lo in range(0, classes, block):
         h = hats[:, lo : lo + block]
         x = spectators.reshape(points, 1, w, -1) * h[0][:, :, None]
@@ -313,15 +306,14 @@ class _Lines:
     them alone: the product of the lines' squared norms, exp(``log_scale``)
     of :func:`_ion_lines` (at most 1, so it can only underflow, to 0), the
     DFT of each ion's bra line, the ket's amplitudes over the term lattice,
-    and the tables of :func:`_moments` and :func:`_class_matrix`."""
+    and the :func:`_ion_tables` of :func:`_moments` and :func:`_class_matrix`."""
 
     def __init__(self, lines: np.ndarray, log_scale: float):
         self.lines = lines
         self.scale = float(np.exp(log_scale))
         self.bra_dft = np.fft.fft(np.conj(lines), 2 * lines.shape[1] - 1)
         self.amps = reduce(np.multiply.outer, lines)
-        self.moment_tables = _moment_tables(lines)
-        self.hats = _class_hats(lines)
+        self.tables, self.hats = _ion_tables(lines)
 
 
 def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray) -> list:
@@ -355,7 +347,7 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     del bra_hat, overlap, h
 
     # the COM factor is taken again rather than held through the loop
-    moments = _moments(spectators * next(_mode_overlaps(alpha, betas, c)), shared.moment_tables)
+    moments = _moments(spectators * next(_mode_overlaps(alpha, betas, c)), shared.tables)
     nsq = np.real(moments[:, n, n])
     refused = cancellation_errors(nsq, *shared.lines)
     # <n_l> nsq = u_l^H M u_l: ion rows hold the displacements, the last alpha

@@ -40,6 +40,8 @@ from .errors import SolverError
 from .fock import (
     FockVector,
     TruncationWarning,
+    _ldexp,
+    _unit_parts,
     coherent_blocks,
     displacement_phase,
     fidelity_pure,
@@ -265,15 +267,14 @@ class LineSuperposition:
 
 def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:
     """Squared norm of a line with phase-free coefficients ``c`` and lag
-    overlaps ``overlaps`` (lags -n..n).  Where the gate of
+    overlaps ``overlaps`` (lags -n..n); where the gate of
     :func:`cancellation_errors` refuses it, its :class:`SolverError` is
-    raised; the gate runs on the float alone, so this once-per-cycle call of
-    :func:`_line_pass` builds no array for it."""
+    raised."""
     lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
     nsq = float(np.real(lags @ overlaps))
-    cancelled, log_l1_sq = _cancelled(nsq, (c,))
-    if cancelled:
-        raise _cancellation_error(nsq, log_l1_sq)
+    error = cancellation_errors(np.array([nsq]), c)[0]
+    if error is not None:
+        raise error
     return nsq
 
 
@@ -283,26 +284,17 @@ def cancellation_errors(nsq: np.ndarray, *factors) -> list:
     it, where it is NaN or more than ``_CANCELLATION_LIMIT`` times below
     ||c||_1^2 = prod ||factor||_1^2 (compared in logs, free of overflow),
     else None."""
-    cancelled, log_l1_sq = _cancelled(nsq, factors)
-    return [
-        _cancellation_error(x, log_l1_sq) if bad else None
-        for x, bad in zip(nsq.tolist(), cancelled.tolist())
-    ]
-
-
-def _cancelled(nsq, factors) -> tuple:
-    """(whether ``nsq``, a float or an array of them, is refused; log ||c||_1^2)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_l1_sq = 2.0 * sum(np.log(np.sum(np.abs(f))) for f in factors)
-        return ~(log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq)), log_l1_sq
-
-
-def _cancellation_error(nsq: float, log_l1_sq: float) -> SolverError:
-    with np.errstate(over="ignore"):
-        return SolverError(
-            f"coherent Gram sum cancelled past float precision: squared norm {nsq:.3g} "
-            f"against ||c||_1^2 = {np.exp(log_l1_sq):.3g} (limit ratio {_CANCELLATION_LIMIT:.0e})"
-        )
+        cancelled = ~(log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq))
+        return [
+            SolverError(
+                f"coherent Gram sum cancelled past float precision: squared norm {x:.3g} "
+                f"against ||c||_1^2 = {np.exp(log_l1_sq):.3g} "
+                f"(limit ratio {_CANCELLATION_LIMIT:.0e})"
+            ) if bad else None
+            for x, bad in zip(nsq.tolist(), cancelled.tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -368,23 +360,6 @@ def _recurrence(weights: np.ndarray, block: int):
             step = math.frexp(float(np.max(np.abs(c))))[1]
             c, e = _ldexp(c, -step), e + step
         yield c, e
-
-
-def _unit_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x * 2**-e, e), exact, the largest real or imaginary part of complex
-    ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0."""
-    e = int(np.frexp(np.max(np.abs(x.view(np.float64))))[1])
-    return _ldexp(x, -e), e
-
-
-def _ldexp(c: np.ndarray, e: int) -> np.ndarray:
-    """c * 2**e on the real and imaginary parts separately: exact, signs of
-    zero kept; a result past the float range raises :class:`SolverError`."""
-    with np.errstate(over="ignore"):
-        out = np.ldexp(c.view(np.float64), e).view(np.complex128)
-    if not np.all(np.isfinite(out)):
-        raise SolverError(f"line coefficients overflow at {c.size - 1} slots")
-    return out
 
 
 def success_probability_nominal(weights) -> float:

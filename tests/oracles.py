@@ -446,11 +446,19 @@ def per_mode_walk(weights_per_cycle, betas: np.ndarray, alpha: complex):
     return factors
 
 
-def product_overlap(ca, la, cb, lb) -> complex:
-    """<sum_t ca[t] |la[t]>|sum_u cb[u] |lb[u]>> for single-mode coherent sums."""
-    la = np.asarray(la).reshape(-1, 1)
-    lb = np.asarray(lb).reshape(-1, 1)
-    return complex(np.conj(ca) @ _product_gram(la, lb) @ cb)
+def moment_tables(amps: np.ndarray) -> list:
+    """Per ion, the (2c + 1) x 4 autocorrelations of its line with the step
+    s_k = 2k - c on neither side, the bra, the ket or both, that
+    ``multimode._moments`` contracts: four ``np.correlate`` calls per ion."""
+    size = amps.shape[1]
+    steps = 2 * np.arange(size) - (size - 1)
+    tables = []
+    for a in amps:
+        sa = a * steps
+        # correlate(u, v)[c + d] = sum_k conj(v[k]) u[k + d]: plain, bra, ket, both
+        pairs = ((a, a), (a, sa), (sa, a), (sa, sa))
+        tables.append(np.transpose([np.correlate(u, v, "full") for u, v in pairs]))
+    return tables
 
 
 def hand_hessian_three_ions() -> np.ndarray:

@@ -245,6 +245,20 @@ def test_fidelity_pure_basics():
     assert fock.fidelity_pure(b, scaled) == pytest.approx(np.exp(-0.64), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "scale", [1e-170, 1e170, 2.0**-1000, 2.0**1000], ids=["1e-170", "1e170", "2^-1000", "2^1000"]
+)
+def test_norm_and_fidelity_at_any_scale(scale):
+    a = np.array([1.0, 0.5j, 0.2])
+    b = fock.FockVector([0.3, 1.0, -0.4j])
+    scaled = fock.FockVector(a * scale)
+    assert abs(fock.norm(scaled) / scale - fock.norm(fock.FockVector(a))) <= 1e-15
+    want = fock.fidelity_pure(fock.FockVector(a), b)
+    assert abs(fock.fidelity_pure(scaled, b) - want) <= 1e-15
+    assert abs(fock.fidelity_pure(b, scaled) - want) <= 1e-15
+    assert abs(fock.fidelity_pure(scaled, scaled) - 1.0) <= 1e-15
+
+
 def test_fidelity_zero_norm_rejected():
     a = fock.coherent_fock(0.5, 8)
     z = fock.FockVector(np.zeros(9))
@@ -276,3 +290,11 @@ def test_recommended_cutoff_policy():
     # tail actually negligible at the recommended cutoff
     v = fock.coherent_fock(2.0, fock.recommended_cutoff(2.0))
     assert v.tail_weight < 1e-10
+
+
+def test_recommended_cutoff_draws_no_warning():
+    # from |g| = 8 on, sqrt(cutoff / 2) falls below |g| at the recommended cutoff
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)
+        for g in np.linspace(0.0, 50.0, 201):
+            fock.coherent_fock(g, fock.recommended_cutoff(g))

@@ -8,6 +8,7 @@ from oracles import (
     factor_terms,
     gram_gap,
     gram_leakage_report,
+    moment_tables,
     per_mode_walk,
     tensor_product_gap,
     two_mode_conditional,
@@ -284,6 +285,18 @@ class TestFactorsAgainstPerModeWalk:
         assert abs(rep.factorization_gap - gap) <= 1e-12
 
 
+class TestIonTables:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tables_match_the_correlations(self, n):
+        rng = np.random.default_rng(n)
+        for c in range(1, 9):
+            lines = rng.normal(size=(n, c + 1)) + 1j * rng.normal(size=(n, c + 1))
+            tables = multimode._ion_tables(lines)[0]
+            assert tables.shape == (n, 2 * c + 1, 4)
+            for table, want in zip(tables, moment_tables(lines)):
+                assert np.all(np.abs(table - want).max(0) <= 1e-13 * np.abs(want).max(0))
+
+
 class TestCollinearityGuard:
     def test_computed_tables_pass(self):
         for n in range(1, 65):
@@ -363,6 +376,23 @@ class TestLatticeBudget:
         assert multimode._class_block(2, 100) == 25 * 201**2
         # one class past the block keeps the frontier's reservation
         assert multimode._class_block(9, 2) == multimode._BLOCK_ENTRIES
+
+    def test_class_blocks_of_one_class_keep_the_bits(self, mode_tables, monkeypatch):
+        # 3 x 2: 7 classes of 125 lags, one block; at 125 entries a class a block
+        weights = ([0.3, -0.2j, 0.5 + 0.1j], [0.1, 0.4, -0.3 + 0.1j])
+        cycles = tuple(protocol.Cycle(duration=80.0, weights=w) for w in weights)
+        plan = protocol.ProtocolPlan(params=params_for(3), alpha=0.3 + 0.1j, cycles=cycles)
+        whole, p_whole = multimode.analyze_plan(plan, mode_tables[3], True)
+        monkeypatch.setattr(multimode, "_BLOCK_ENTRIES", 125)
+        assert multimode._class_block(3, 2) == 125
+        split, p_split = multimode.analyze_plan(plan, mode_tables[3], True)
+        assert p_split == p_whole
+        assert split.per_mode_mean_phonon.tobytes() == whole.per_mode_mean_phonon.tobytes()
+        assert (split.com_fidelity_vs_ideal, split.com_purity, split.factorization_gap) == (
+            whole.com_fidelity_vs_ideal,
+            whole.com_purity,
+            whole.factorization_gap,
+        )
 
     def test_sweep_rows_match_points_across_blocks(self, mode_tables, monkeypatch):
         # 1 x 1 sweeps evaluate up to 10,922 points a block; three blocks of

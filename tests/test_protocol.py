@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ile import fock, protocol
+from ile import fock, inverse, protocol
 from ile.errors import SolverError
 from conftest import complexes
 from oracles import (
@@ -462,3 +462,15 @@ class TestFidelityToTarget:
         a = protocol.fidelity_to_target(state, target)
         b = protocol.fidelity_to_target(state, rotated)
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_fitted_line_of_a_tiny_target(self):
+        # fit works at any target scale; its own line's fidelity must too
+        amps, beta = np.array([0.6, 0.3j, 0.5]), 0.3 + 0.1j
+        fids = []
+        for scale in (1.0, 1e-200):
+            target = fock.FockVector(amps * scale)
+            coeffs = inverse.fit_target(target, 6, 0j, beta)[0].coeffs
+            line = protocol.LineSuperposition(alpha=0j, beta=beta, coeffs=coeffs)
+            with pytest.warns(fock.TruncationWarning, match="cutoff 2 keeps"):
+                fids.append(protocol.fidelity_to_target(line, target))
+        assert abs(fids[1] - fids[0]) <= 1e-15
