@@ -14,7 +14,8 @@ fully resolved parameter set plus the library version, so no default is
 hidden.
 
 Exit codes: 0 success, 2 invalid input (an unwritable --output included),
-3 numerical or solver failure, running out of memory included.  A leakage
+3 numerical or solver failure, running out of memory and numpy's
+``LinAlgError`` included.  A leakage
 plan too large for the multimode memory budget, whose Gram sums cancel past
 float precision, or whose fields are not finite (displacements past about
 1e154) is a solver failure: exit 3 for JSON output, a complete=false row in
@@ -234,6 +235,8 @@ def cmd_plan(args) -> str:
     doc = _load_json(args.input)
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValueError("target must be a JSON object with a 'coeffs' list")
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError("target's 'coeffs' must be a list of [re, im] pairs")
     coeffs = [_complex_from_pair(c, "coefficient") for c in doc["coeffs"]]
     target = inverse.TargetCoefficients(np.array(coeffs))
     sol = inverse.solve_weights(target)[0]
@@ -488,12 +491,12 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         _emit(handler(args), args.output)
+    except (np.linalg.LinAlgError, SolverError) as exc:  # LinAlgError is a ValueError
+        print(f"solver error: {exc}", file=sys.stderr)
+        return _EXIT_SOLVER
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BAD_INPUT
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return _EXIT_SOLVER
     except MemoryError as exc:
         print(f"solver error: out of memory ({exc})", file=sys.stderr)
         return _EXIT_SOLVER

@@ -28,9 +28,12 @@ factors grow by about 2^n before they cancel, so rounding in the rebuilt
 line, not in the roots, passes 1e-9: x^64 + 1 is refused with residual
 2.5e-4.
 
-The pencil is solved by QZ (``scipy.linalg.eigvals`` in homogeneous form),
-which makes ``plan`` the one command that loads scipy.  Three numpy-only
-replacements were tried, and each failed a target that QZ solves:
+The pencil is solved by QZ: LAPACK's ``zggev``, called as
+``scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)`` calls it, from
+scipy's compiled wrapper ``scipy.linalg._flapack`` loaded on its own (see
+:func:`_qz_eigvals`), so ``plan`` never runs the ``scipy.linalg`` package
+init, about 0.43 s of CPU.  Three numpy-only replacements were tried, and
+each failed a target that QZ solves:
 
 1. A Cayley transform at the pole, ``eigvals(solve(B - A, A + B))``, which
    gives p directly: a target with one root at x = 1 + 2e-9 (p near -1e9)
@@ -51,6 +54,10 @@ regularized solve is one real symmetric eigensolve.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +83,7 @@ _RESIDUAL_TOL = 1e-9  # largest accepted relative forward-reconstruction error
 # not see LAPACK's buffers, counts 3.0).
 _LIVE_PENCILS = 7
 _LIVE_GRAMS = 6
+_FLAPACK = "scipy.linalg._flapack"  # the module name scipy's own lapack wrappers import
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,13 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     """The weight realization of the target, as a one-element list.
 
     The pencil reads the target over the power of two of its largest part,
-    then over its largest modulus, so any finite target is in range.
-    The weights are sorted by (real, imag).  A root at the x = 1 pole, or a
-    relative forward-reconstruction error above 1e-9, raises
-    :class:`SolverError`, and so does a target whose pencil would pass the
-    1 GiB memory budget, before it is built.  The reconstruction is the
+    then over its largest modulus, so any finite target is in range, and
+    is solved by QZ (:func:`_qz_eigvals`, the roots of
+    ``scipy.linalg.eigvals`` bit for bit).  The weights are sorted by
+    (real, imag).  A root at the x = 1 pole, a QZ failure, or a relative
+    forward-reconstruction error above 1e-9 raises :class:`SolverError`,
+    and so does a target whose pencil would pass the 1 GiB memory budget,
+    before it is built.  The reconstruction is the
     weights' line as :func:`ile.protocol.scaled_coeffs` carries it; the
     residual is projective, so its power-of-two scale drops out and the
     check holds at any length.  Built in the sorted order, its partial
@@ -146,9 +156,7 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     a[0] = -c[1:]
     b = np.eye(target.n, dtype=np.complex128)
     b[0, 0] = c[0]
-    import scipy.linalg  # here, so commands that never solve a pencil never load scipy
-
-    num, den = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    num, den = _qz_eigvals(a, b)
     if np.any(np.abs(num - den) <= _POLE_GUARD_TOL * np.abs(den)):
         raise SolverError(
             "no weight realization: a root sits at the x = 1 pole (target needs a "
@@ -162,6 +170,36 @@ def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:
     if not residual <= _RESIDUAL_TOL:
         raise SolverError(f"no weight realization within tolerance: residual {residual:.3e}")
     return [WeightSolution(weights, success_probability_nominal(weights), residual)]
+
+
+def _qz_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous eigenvalues (num, den) of the pencil A - x B by LAPACK's
+    QZ driver ``zggev``, in the two calls ``scipy.linalg.eigvals(a, b,
+    homogeneous_eigvals=True)`` makes: a workspace query at the default
+    flags, then the eigenvalues alone with that workspace.  So the roots
+    are scipy's bit for bit.
+
+    The wrapper comes from ``sys.modules`` or, the first time, from its
+    extension file in scipy's ``linalg`` folder, registered under its own
+    name.  ``import scipy`` runs first: it is lazy and loads no subpackage,
+    but sets up what the compiled wrappers need (scipy's bundled-library
+    search path on Windows wheels).  The ``scipy.linalg`` package init
+    never runs here, and a later ``import scipy.linalg`` reuses this
+    module.  A LAPACK failure (``info != 0``) raises :class:`SolverError`."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy  # here, so commands that never solve a pencil never load scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    zggev = module.zggev
+    lwork = zggev(a, b, lwork=-1)[-2][0].real.astype(np.int_)
+    num, den, _, _, _, info = zggev(a, b, compute_vl=0, compute_vr=0, lwork=lwork)
+    if info != 0:
+        raise SolverError(f"QZ solve of the companion pencil failed (LAPACK zggev info {info})")
+    return num, den
 
 
 def _component_overlaps(target: FockVector, labels, phases) -> np.ndarray:

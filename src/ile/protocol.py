@@ -72,6 +72,7 @@ __all__ = [
 # summed terms reach ||c||_1^2, and rounding then leaves the norm fewer than
 # about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
+_FLOAT = np.finfo(np.float64)
 _LN2 = math.log(2.0)
 # Most slots between two rescalings of the recurrence: rescaling after every
 # slot slows a planner pass by about 8%.  A slot multiplies the largest
@@ -260,9 +261,21 @@ class LineSuperposition:
         <alpha|D(2 d beta)|alpha>, a function of the lag d alone
         (:func:`ile.fock.line_overlaps`), so the norm is its sum against the
         autocorrelation of the phase-free coefficients: O(n^2) products and
-        2n + 1 exponentials.  A sum cancelled past float precision raises
-        :class:`SolverError`."""
-        return _lag_norm_sq(self.coeffs, line_overlaps(self.alpha, 2.0 * self.beta, self.n))
+        2n + 1 exponentials.  The sum is taken over the power of two 2^e of
+        the largest coefficient part and scaled back by 4^e, which is exact,
+        so coefficients at any scale give the value of scale 1 times their
+        squared scale.  A sum cancelled past float precision, or a squared
+        norm that is not a normal float, raises :class:`SolverError`."""
+        units, e = _unit_parts(self.coeffs)
+        nsq = _lag_norm_sq(units, line_overlaps(self.alpha, 2.0 * self.beta, self.n))
+        with np.errstate(over="ignore"):
+            out = float(np.ldexp(nsq, 2 * e))
+        if not _FLOAT.tiny <= out <= _FLOAT.max:
+            raise SolverError(
+                f"squared norm {nsq:.6g} * 4^{e} lies outside the normal float range "
+                f"[{_FLOAT.tiny:.3g}, {_FLOAT.max:.3g}]"
+            )
+        return out
 
 
 def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:

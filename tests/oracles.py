@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvals
 from scipy.sparse.linalg import expm_multiply
 
 from ile import fock
@@ -546,6 +546,20 @@ def loop_normal_modes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu[0] = 1.0
     evecs[:, 0] = 1.0 / np.sqrt(n)
     return mu, evecs
+
+
+def scipy_pencil_weights(target) -> np.ndarray:
+    """The weights of ``inverse.solve_weights``' companion pencil, built as
+    it builds it and solved by ``scipy.linalg.eigvals`` in homogeneous form,
+    sorted by (real, imag)."""
+    c = fock._unit_parts(target.coeffs)[0]
+    c = c / np.max(np.abs(c))
+    a = np.eye(target.n, k=-1, dtype=np.complex128)
+    a[0] = -c[1:]
+    b = np.eye(target.n, dtype=np.complex128)
+    b[0, 0] = c[0]
+    num, den = eigvals(a, b, homogeneous_eigvals=True)
+    return np.sort_complex((den + num) / (den - num))
 
 
 def polynomial_all_roots_weights(coeffs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import pathlib
+import sys
 import tempfile
+import types
 import warnings
 
 import dataclasses
@@ -111,6 +113,24 @@ class TestPlanCommand:
         target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [-1, 0]]})
         assert run(["plan", "--input", target]) == 3
         assert "solver error" in capsys.readouterr().err
+
+    def test_coeffs_not_a_list_exits_2(self, tmp_path, capsys):
+        target = write_json(tmp_path / "t.json", {"coeffs": 5})
+        assert run(["plan", "--input", target]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: target's 'coeffs' must be a list of [re, im] pairs\n"
+
+    def test_qz_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # LAPACK's zggev reports info = 1 (the QZ iteration did not converge)
+        def zggev(a, b, **kwargs):
+            n = len(a)
+            return np.ones(n, complex), np.ones(n, complex), None, None, np.ones(1, complex), 1
+
+        monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", types.SimpleNamespace(zggev=zggev))
+        target = write_json(tmp_path / "t.json", {"coeffs": [[1, 0], [0.4, 0.3], [0.9, -0.2]]})
+        assert run(["plan", "--input", target]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: QZ solve") and "info 1" in err and "Traceback" not in err
 
     def test_oversized_target_exits_3(self, tmp_path):
         # a 20,000-square companion pencil; refused before it is allocated
@@ -501,6 +521,16 @@ class TestModesCommand:
         assert run(["modes", "3"]) == 3
         err = capsys.readouterr().err
         assert "near-degenerate mode spectrum" in err and "Traceback" not in err
+
+    def test_unconverged_eigensolve_is_a_solver_failure(self, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, but not a sign of bad input
+        def eigh(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert run(["modes", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver error: Eigenvalues did not converge\n"
 
 
 class TestFitCommand:

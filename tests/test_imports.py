@@ -27,7 +27,8 @@ def test_every_exported_name_resolves(name):
 
 # Runs in a fresh interpreter: the five commands that never solve a pencil
 # leave scipy unloaded (validate with and without the fast terms), and plan,
-# which does, still loads it.
+# which does, loads scipy's compiled LAPACK wrapper alone, never the
+# scipy.linalg package; a later import of the package reuses that wrapper.
 _PROBE = """
 import contextlib, io, sys
 from ile import cli
@@ -49,7 +50,13 @@ codes = [
 assert codes == [0] * 6, codes
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
 assert run("plan", "--input", "target.json") == 0
-assert "scipy.linalg" in sys.modules
+assert "scipy.linalg" not in sys.modules
+assert "scipy.linalg._flapack" in sys.modules
+import numpy as np
+import scipy.linalg
+assert scipy.linalg.lapack.zggev is sys.modules["scipy.linalg._flapack"].zggev
+num, den = scipy.linalg.eigvals(np.diag([2.0, 3.0]), np.eye(2), homogeneous_eigvals=True)
+assert sorted((num / den).real) == [2.0, 3.0], (num, den)
 """
 
 

@@ -3,13 +3,17 @@ from math import comb
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from ile import fock, inverse, protocol
 from ile.errors import SolverError
 from conftest import complexes
-from oracles import dense_gram_fit, fit_overlaps_per_component, polynomial_all_roots_weights
+from oracles import (
+    dense_gram_fit,
+    fit_overlaps_per_component,
+    polynomial_all_roots_weights,
+    scipy_pencil_weights,
+)
 
 
 def coeff_arrays(n_min=1, n_max=6):
@@ -209,7 +213,7 @@ class TestEdgeCases:
         n = 1099
         target = inverse.TargetCoefficients([comb(n, k) / 2**n for k in range(n + 1)])
         roots = (-np.ones(n, dtype=complex), np.ones(n, dtype=complex))
-        monkeypatch.setattr(scipy.linalg, "eigvals", lambda *args, **kwargs: roots)
+        monkeypatch.setattr(inverse, "_qz_eigvals", lambda a, b: roots)
         (sol,) = inverse.solve_weights(target)
         assert np.array_equal(sol.weights, np.zeros(n))
         assert sol.residual <= 1e-9
@@ -219,6 +223,33 @@ class TestEdgeCases:
         sols = inverse.solve_weights(inverse.TargetCoefficients([1.0, -2.0 * np.cos(0.7), 1.0]))
         for s in sols:
             assert np.max(np.abs(s.weights.real)) <= 1e-8
+
+
+class TestQZ:
+    """The QZ call gives the weights of scipy's public generalized
+    eigensolver bit for bit: on random targets, on the tiny and the
+    subnormal edge, and on roots on the unit circle."""
+
+    TARGETS = [
+        [0, 1j, 1j, 5.2e-121j],
+        [2.225e-309j, 1j],
+        [1, -2 * np.cos(0.7), 1],
+    ]
+
+    def assert_pinned(self, coeffs):
+        target = inverse.TargetCoefficients(coeffs)
+        (sol,) = inverse.solve_weights(target)
+        assert sol.weights.tobytes() == scipy_pencil_weights(target).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_random_targets(self, n):
+        rng = np.random.default_rng(n)
+        weights = rng.uniform(0.2, 2, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        self.assert_pinned(protocol.forward_coeffs(weights))
+
+    @pytest.mark.parametrize("coeffs", TARGETS)
+    def test_edge_targets(self, coeffs):
+        self.assert_pinned(coeffs)
 
 
 class TestFitTarget:

@@ -144,6 +144,26 @@ class TestLineNorm:
         want = float("3.360442362719939732497325526335941142252")
         assert abs(state.norm_sq() - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scaled_coefficients_keep_the_bits(self, scale):
+        # in range, the sum over the unit coefficients scaled back by 4^e is
+        # the direct sum, bit for bit
+        state = protocol.LineSuperposition(0.1, 0.3, np.array([1.0, 0.5, 0.2]) * scale)
+        overlaps = fock.line_overlaps(state.alpha, 2.0 * state.beta, state.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert state.norm_sq() == protocol._lag_norm_sq(state.coeffs, overlaps)
+
+    @pytest.mark.parametrize("exp2", [-600, 600])
+    def test_squared_norm_past_the_float_range(self, exp2):
+        # the squared norm 2.487 * 2^(2 exp2) is no float: refused as range,
+        # not as cancellation, and with no RuntimeWarning on the way
+        state = protocol.LineSuperposition(0.1, 0.3, np.array([1.0, 0.5, 0.2]) * 2.0**exp2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match=r"outside the normal float range \[2\.23e-308, 1\.8e\+308\]"):
+                state.norm_sq()
+
 
 class TestCycleIonEquivalence:
     @settings(max_examples=20, deadline=None)
