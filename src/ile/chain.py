@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, frozen_array
 
 __all__ = [
     "ChainGeometry",
@@ -60,19 +60,13 @@ class ChainGeometry:
     positions: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.positions, dtype=float)
-        if u.ndim != 1 or u.size < 1:
-            raise ValueError("positions must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("positions must be finite")
+        u = frozen_array(self.positions, "positions", float)
         if u.size > 1 and not np.all(np.diff(u) > 0):
             raise ValueError("positions must be strictly ascending")
         if np.max(np.abs(u + u[::-1])) > 1e-10:
             raise ValueError("positions must be antisymmetric about the trap centre")
         if np.max(np.abs(potential_gradient(u))) > _GRAD_TOL:
             raise ValueError("positions are not an equilibrium of the chain potential")
-        u = u.copy()
-        u.flags.writeable = False
         object.__setattr__(self, "positions", u)
 
     @property
@@ -97,13 +91,11 @@ class ModeTable:
     def __post_init__(self):
         if np.iscomplexobj(self.frequencies) or np.iscomplexobj(self.vectors):
             raise ValueError("mode data must be real")
-        mu = np.asarray(self.frequencies, dtype=float)
-        b = np.asarray(self.vectors, dtype=float)
+        mu = frozen_array(self.frequencies, "frequencies", float)
+        b = frozen_array(self.vectors, "vectors", float, ndim=2)
         n = mu.size
         if b.shape != (n, n):
             raise ValueError("vectors must be an N x N table matching frequencies")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(b))):
-            raise ValueError("mode data must be finite")
         if np.any(np.diff(mu) < 0):
             raise ValueError("frequencies must be ascending")
         if mu[0] != 1.0:
@@ -112,10 +104,6 @@ class ModeTable:
             raise ValueError("mode vectors must be orthonormal")
         if np.any(b[:, 0] != 1.0 / np.sqrt(n)):
             raise ValueError("lowest mode vector must be exactly 1/sqrt(N)")
-        mu = mu.copy()
-        b = b.copy()
-        mu.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "frequencies", mu)
         object.__setattr__(self, "vectors", b)
 

@@ -21,6 +21,8 @@ float precision, or whose fields are not finite (displacements past about
 1e154) is a solver failure: exit 3 for JSON output, a complete=false row in
 CSV output.  A sweep whose rows, or a ``--fock`` dump whose levels, would
 pass the same budget is refused before anything is allocated (exit 3).
+While a command runs, a warning prints on stderr as one line,
+``Category: message``, without the package's file and source line.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -209,6 +212,8 @@ def _plan_from_json(doc) -> ProtocolPlan:
     for k, cyc in enumerate(doc["cycles"]):
         if not isinstance(cyc, dict) or "t" not in cyc or "p" not in cyc:
             raise ValueError(f"cycle {k} must be an object with 't' and 'p'")
+        if type(cyc["p"]) is not list:
+            raise ValueError(f"cycle {k}'s 'p' must be a list of [re, im] pairs")
         weights = [_complex_from_pair(p, f"cycle {k} weight") for p in cyc["p"]]
         cycles.append(Cycle(duration=_real(cyc["t"], f"cycle {k} t"), weights=weights))
     return ProtocolPlan(
@@ -444,11 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep 'delta' or 't' over a linear grid")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="json is available for single points only")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--integrated", action="store_true", default=True,
-                       help="bounded time-integrated displacement amplitudes (default)")
-    group.add_argument("--paper-beta", action="store_true", default=False,
-                       help="endpoint-form displacement amplitudes, beta ~ t e^{i(mu-delta)t}")
+    p.add_argument("--paper-beta", action="store_true",
+                   help="endpoint-form displacement amplitudes, beta ~ t e^{i(mu-delta)t}, "
+                   "in place of the bounded time-integrated ones")
 
     p = sub.add_parser("modes", help="chain normal-mode table")
     p.add_argument("n_ions", type=int)
@@ -485,10 +488,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as "Category: message" on one line: the user sees what was
+    warned about, not where in the package."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # The handler is looked up at call time, so a wrapped cmd_* still runs.
     handler = globals()[f"cmd_{args.command}"]
+    formatter, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         _emit(handler(args), args.output)
     except (np.linalg.LinAlgError, SolverError) as exc:  # LinAlgError is a ValueError
@@ -500,6 +510,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"solver error: out of memory ({exc})", file=sys.stderr)
         return _EXIT_SOLVER
+    finally:
+        warnings.formatwarning = formatter
     return 0
 
 

@@ -6,7 +6,9 @@ every object that can suffer from it exposes an explicit tail-weight
 diagnostic instead of hiding the truncation.
 
 States are stored unnormalized; norms are computed on demand.  All values
-are immutable after construction and safe to share between threads.
+are immutable after construction and safe to share between threads: the
+records hold read-only copies made by :func:`ile.errors.frozen_array`, and
+complex inputs pass :func:`ile.errors.finite_complex`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, finite_complex, frozen_array
 
 __all__ = [
     "TruncationWarning",
@@ -44,13 +46,6 @@ _ROW_BLOCK = 1 << 19
 
 class TruncationWarning(UserWarning):
     """A truncated-basis result carries non-negligible tail weight."""
-
-
-def _finite_complex(z: complex, name: str) -> complex:
-    z = complex(z)
-    if not np.isfinite(z):
-        raise ValueError(f"{name} must be finite, got {z!r}")
-    return z
 
 
 def recommended_cutoff(gamma_max: float) -> int:
@@ -80,15 +75,9 @@ class FockVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError("amplitudes must form a one-dimensional sequence")
+        arr = frozen_array(self.amps, "amplitudes")
         if arr.size < 2:
             raise ValueError("cutoff must be at least 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
 
     @property
@@ -114,15 +103,11 @@ class DisplacementMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+        arr = frozen_array(self.entries, "entries", ndim=2)
+        if arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
             raise ValueError("entries must be a square matrix of size >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "beta", _finite_complex(self.beta, "beta"))
+        object.__setattr__(self, "beta", finite_complex(self.beta, "beta"))
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
@@ -135,7 +120,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     :func:`recommended_cutoff` a :class:`TruncationWarning` is issued; the
     state is still returned, with ``tail_weight`` quantifying the damage.
     """
-    alpha = _finite_complex(alpha, "alpha")
+    alpha = finite_complex(alpha, "alpha")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     _warn_crowded(abs(alpha), cutoff, stacklevel=3)
@@ -228,7 +213,7 @@ def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     factorial-ratio cancellation that corrupts the naive formula past
     n ~ 20.  D(0) is the identity exactly, which the ladder misses by an ulp.
     """
-    beta = _finite_complex(beta, "beta")
+    beta = finite_complex(beta, "beta")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     size = cutoff + 1
@@ -253,8 +238,8 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     exp(-|g1|^2/2 - |g2|^2/2 + conj(g1) g2); the truncation-free twin of the
     Fock inner product, used as an independent cross-check throughout.
     """
-    g1 = _finite_complex(g1, "g1")
-    g2 = _finite_complex(g2, "g2")
+    g1 = finite_complex(g1, "g1")
+    g2 = finite_complex(g2, "g2")
     return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
 
 
@@ -270,7 +255,7 @@ def line_overlaps(alpha: complex, step, n: int) -> np.ndarray:
     the autocorrelation np.correlate(c, c, "full").  Each step's |step|^2
     and phase are taken in Python complex arithmetic, so a row does not
     depend on the other steps beside it."""
-    alpha = _finite_complex(alpha, "alpha")
+    alpha = finite_complex(alpha, "alpha")
     steps = np.asarray(step, dtype=np.complex128)
     if np.isnan(steps).any():
         raise ValueError(f"step must not be NaN, got {step!r}")

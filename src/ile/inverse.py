@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, check_memory
+from .errors import SolverError, check_memory, frozen_array
 from .fock import FockVector, _unit_parts, coherent_blocks, norm
 from .protocol import LineSuperposition, scaled_coeffs, success_probability_nominal
 
@@ -93,15 +93,9 @@ class TargetCoefficients:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+        c = frozen_array(self.coeffs, "coeffs")
         if not np.any(c != 0):
             raise ValueError("coefficients must not all vanish")
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -119,10 +113,7 @@ class WeightSolution:
     residual: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.complex128)
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen_array(self.weights, "weights"))
 
 
 def solve_weights(target: TargetCoefficients) -> list[WeightSolution]:

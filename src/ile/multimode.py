@@ -67,7 +67,7 @@ import numpy as np
 
 from . import errors
 from .chain import ModeTable, lamb_dicke
-from .errors import IntegratorError, SolverError, check_memory
+from .errors import IntegratorError, SolverError, check_memory, frozen_array
 from .fock import _warn_crowded, coherent_table, displacement_phase, line_overlaps
 from .protocol import (
     Cycle,
@@ -125,8 +125,7 @@ class LeakageReport:
     factorization_gap: float
 
     def __post_init__(self):
-        m = np.asarray(self.per_mode_mean_phonon, dtype=float).copy()
-        m.flags.writeable = False
+        m = frozen_array(self.per_mode_mean_phonon, "per_mode_mean_phonon", float)
         object.__setattr__(self, "per_mode_mean_phonon", m)
 
 

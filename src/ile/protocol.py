@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, finite_complex, frozen_array
 from .fock import (
     FockVector,
     TruncationWarning,
@@ -163,14 +163,7 @@ class Cycle:
     def __post_init__(self):
         if not (np.isfinite(self.duration) and self.duration > 0):
             raise ValueError("cycle duration must be positive and finite")
-        w = np.asarray(self.weights, dtype=np.complex128)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", frozen_array(self.weights, "weights"))
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,8 @@ class ProtocolPlan:
     """Full experiment description: drive parameters, initial coherent
     amplitude of the COM mode, and the cycle list.
 
-    All cycles must share one duration; the line structure of the result
-    holds only for a single displacement step, so unequal windows are
+    All cycles must share one duration, exactly: the line structure of the
+    result holds only for a single displacement step, so unequal windows are
     rejected rather than silently producing something else.
     """
 
@@ -188,9 +181,7 @@ class ProtocolPlan:
     cycles: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        object.__setattr__(self, "alpha", finite_complex(self.alpha, "alpha"))
         cycles = tuple(self.cycles)
         if not cycles:
             raise ValueError("plan must contain at least one cycle")
@@ -198,7 +189,7 @@ class ProtocolPlan:
         for c in cycles:
             if not isinstance(c, Cycle):
                 raise ValueError("cycles must be Cycle instances")
-            if abs(c.duration - t0) > 1e-12 * max(abs(t0), 1.0):
+            if c.duration != t0:
                 raise ValueError("all cycle durations must be equal")
             if c.weights.size != self.params.n_ions:
                 raise ValueError(
@@ -221,19 +212,11 @@ class LineSuperposition:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 1:
-            raise ValueError("coeffs must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
+        object.__setattr__(self, "alpha", finite_complex(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", finite_complex(self.beta, "beta"))
+        c = frozen_array(self.coeffs, "coeffs")
         if not np.any(c != 0):
             raise ValueError("at least one coefficient must be nonzero")
-        c = c.copy()
-        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -266,8 +249,7 @@ class LineSuperposition:
         so coefficients at any scale give the value of scale 1 times their
         squared scale.  A sum cancelled past float precision, or a squared
         norm that is not a normal float, raises :class:`SolverError`."""
-        units, e = _unit_parts(self.coeffs)
-        nsq = _lag_norm_sq(units, line_overlaps(self.alpha, 2.0 * self.beta, self.n))
+        nsq, e = self._scaled_norm_sq()
         with np.errstate(over="ignore"):
             out = float(np.ldexp(nsq, 2 * e))
         if not _FLOAT.tiny <= out <= _FLOAT.max:
@@ -276,6 +258,14 @@ class LineSuperposition:
                 f"[{_FLOAT.tiny:.3g}, {_FLOAT.max:.3g}]"
             )
         return out
+
+    def _scaled_norm_sq(self) -> tuple[float, int]:
+        """(nsq, e): the squared norm is nsq * 4**e, nsq the lag sum over the
+        coefficients divided by 2**e, the power of two of their largest part
+        (:func:`ile.fock._unit_parts`).  A sum the gate of
+        :func:`cancellation_errors` refuses raises its :class:`SolverError`."""
+        units, e = _unit_parts(self.coeffs)
+        return _lag_norm_sq(units, line_overlaps(self.alpha, 2.0 * self.beta, self.n)), e
 
 
 def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:
@@ -339,11 +329,7 @@ def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
     rescales itself as it runs, so c stays in range past the slot count
     where the coefficients themselves overflow, for any weights of modulus
     below 2^1022."""
-    w = np.asarray(weights, dtype=np.complex128)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = frozen_array(weights, "weights")
     return next(_recurrence(w, w.size))
 
 
@@ -381,11 +367,10 @@ def success_probability_nominal(weights) -> float:
     This is the squared prefactor of the unnormalized conditional state.  It
     neglects the norm of the surviving coefficient vector and all overlaps
     between displaced components, so it can sit far below the true
-    post-selection probability; see ``success_probability_exact``.
+    post-selection probability; see ``success_probability_exact``.  Weights
+    that are not a non-empty, finite 1-D sequence raise ValueError.
     """
-    w = np.asarray(weights, dtype=np.complex128)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a non-empty 1-D sequence")
+    w = frozen_array(weights, "weights")
     with np.errstate(over="ignore"):  # past |p| ~ 1e154 the factor is 1/inf = 0
         return float(0.25 ** w.size * np.prod(1.0 / (1.0 + np.abs(w) ** 2)))
 
@@ -499,9 +484,8 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
         if c != 0:
             amps += c * row
     out = FockVector(amps)
-    units, exp2 = _unit_parts(state.coeffs)
     try:
-        exact = _lag_norm_sq(units, line_overlaps(state.alpha, 2.0 * state.beta, state.n))
+        exact, exp2 = state._scaled_norm_sq()
     except SolverError as exc:
         note = f"cutoff {cutoff}: dump unchecked, as the state's exact norm is refused ({exc})"
     else:

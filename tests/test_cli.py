@@ -241,14 +241,43 @@ class TestSimulateCommand:
         with pytest.raises(SolverError, match=r"needs 1\.01 GiB"):
             errors.check_memory((1 << 30) + 1, "one byte past the budget needs")
 
-    def test_unequal_durations_exit_2(self, tmp_path):
-        plan = dict(
-            PLAN,
-            n_ions=1,
-            cycles=[{"t": 80.0, "p": [[0, 0]]}, {"t": 81.0, "p": [[0, 0]]}],
-        )
+    def test_unequal_durations_exit_2(self, tmp_path, capsys):
+        # one ulp apart too: the state would be built at the first window alone
+        for t in (81.0, 80.00000000000001):
+            plan = dict(
+                PLAN,
+                n_ions=1,
+                cycles=[{"t": 80.0, "p": [[0, 0]]}, {"t": t, "p": [[0, 0]]}],
+            )
+            path = write_json(tmp_path / "p.json", plan)
+            assert run(["simulate", "--input", path]) == 2
+            assert capsys.readouterr().err == "error: all cycle durations must be equal\n"
+
+    @pytest.mark.parametrize("weights", [5, None, True, {"re": 0.3}], ids=["int", "null", "bool", "object"])
+    def test_cycle_weights_not_a_list_exit_2(self, tmp_path, capsys, weights):
+        plan = dict(PLAN, cycles=[PLAN["cycles"][0], {"t": 80.0, "p": weights}])
+        assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
+        assert capsys.readouterr().err == "error: cycle 1's 'p' must be a list of [re, im] pairs\n"
+
+    def test_warning_prints_as_one_line(self, tmp_path, capsys, monkeypatch):
+        # omega above delta / 10 draws a RegimeWarning from the plan's parameters
+        plan = dict(PLAN, eta=0.05, omega=0.09, delta=0.68)
         path = write_json(tmp_path / "p.json", plan)
-        assert run(["simulate", "--input", path]) == 2
+
+        # the default hook, which pytest's own warning capture replaces here
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        before = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            monkeypatch.setattr(warnings, "showwarning", show)
+            assert run(["simulate", "--input", path, "--output", str(tmp_path / "r.json")]) == 0
+        assert warnings.formatwarning is before
+        assert capsys.readouterr().err == (
+            "RegimeWarning: omega = 0.09 is not small against delta = 0.68; "
+            "the weak-drive elimination is marginal\n"
+        )
 
 
 class TestLeakageCommand:
@@ -1211,6 +1240,13 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_modes", lambda args: seen.append(args.n_ions) or "")
         assert run(["modes", "4"]) == 0
         assert seen == [4]
+
+    def test_leakage_has_no_integrated_flag(self, capsys):
+        # the integrated window is the default; --paper-beta is the one switch
+        with pytest.raises(SystemExit) as exc:
+            run(["leakage", "--input", "p.json", "--integrated"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --integrated" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:
