@@ -89,8 +89,6 @@ class ModeTable:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.frequencies) or np.iscomplexobj(self.vectors):
-            raise ValueError("mode data must be real")
         mu = frozen_array(self.frequencies, "frequencies", float)
         b = frozen_array(self.vectors, "vectors", float, ndim=2)
         n = mu.size

@@ -20,7 +20,8 @@ plan too large for the multimode memory budget, whose Gram sums cancel past
 float precision, or whose fields are not finite (displacements past about
 1e154) is a solver failure: exit 3 for JSON output, a complete=false row in
 CSV output.  A sweep whose rows, or a ``--fock`` dump whose levels, would
-pass the same budget is refused before anything is allocated (exit 3).
+pass the same budget is refused before anything is allocated (exit 3); a
+dump whose displacement phases or amplitudes pass the float range exits 3.
 While a command runs, a warning prints on stderr as one line,
 ``Category: message``, without the package's file and source line.
 """
@@ -369,8 +370,7 @@ def cmd_modes(args) -> str:
 
 
 def cmd_fit(args) -> str:
-    doc = _load_json(args.input)
-    pairs = doc["amplitudes"] if isinstance(doc, dict) and "amplitudes" in doc else doc
+    pairs = _load_json(args.input)
     if not isinstance(pairs, list):
         raise ValueError("fit target must be a JSON list of [re, im] pairs")
     target = FockVector([_complex_from_pair(p, f"amplitude {k}") for k, p in enumerate(pairs)])

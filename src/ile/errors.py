@@ -34,8 +34,11 @@ def check_memory(need: int, what: str) -> None:
 
 def frozen_array(value, name: str, dtype=np.complex128, ndim: int = 1) -> np.ndarray:
     """``value`` as a read-only C-ordered copy of ``dtype``.  ValueError
-    "<name> must be a non-empty <ndim>-D sequence" for another shape or no
-    entries, "<name> must be finite" for a NaN or an infinity."""
+    "<name> must be real" for complex data and a real ``dtype``, "<name>
+    must be a non-empty <ndim>-D sequence" for another shape or no entries,
+    "<name> must be finite" for a NaN or an infinity."""
+    if np.dtype(dtype).kind != "c" and np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real")
     arr = np.asarray(value, dtype=dtype)
     if arr.ndim != ndim or arr.size < 1:
         raise ValueError(f"{name} must be a non-empty {ndim}-D sequence")

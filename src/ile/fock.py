@@ -277,14 +277,20 @@ def line_overlaps(alpha: complex, step, n: int) -> np.ndarray:
 
 def displacement_phase(beta, alpha: complex) -> np.ndarray:
     """Phase e^{(beta conj(alpha) - conj(beta) alpha)/2} in
-    D(beta)|alpha> = phase |alpha + beta>, elementwise over ``beta``."""
-    return np.exp(0.5 * (beta * np.conj(alpha) - np.conj(beta) * alpha))
+    D(beta)|alpha> = phase |alpha + beta>, elementwise over ``beta``.  An
+    exponent past the float range (|alpha| |beta| past about 1e308) raises
+    :class:`SolverError`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        turn = 0.5 * (beta * np.conj(alpha) - np.conj(beta) * alpha)
+    if not np.all(np.isfinite(turn)):
+        raise SolverError("displacement phase Im(beta conj(alpha)) passes the float range")
+    return np.exp(turn)
 
 
 def _unit_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
     """(x * 2**-e, e), exact, the largest real or imaginary part of complex
     ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0."""
-    e = int(np.frexp(np.max(np.abs(x.view(np.float64))))[1])
+    e = math.frexp(float(np.max(np.abs(x.view(np.float64)))))[1]
     return _ldexp(x, -e), e
 
 

@@ -68,7 +68,13 @@ import numpy as np
 from . import errors
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError, check_memory, frozen_array
-from .fock import _warn_crowded, coherent_table, displacement_phase, line_overlaps
+from .fock import (
+    _unit_parts,
+    _warn_crowded,
+    coherent_table,
+    displacement_phase,
+    line_overlaps,
+)
 from .protocol import (
     Cycle,
     PhysicalParams,
@@ -584,12 +590,16 @@ def trotter_validate(
     the 2^n (cutoff + 1)^n state, and the slowest admitted call would take
     about 99 s at 5 ions and 1,150 s at 10 (CPU, one BLAS thread).
 
-    Two guards refuse a call as bad input (ValueError) before anything is
-    allocated: a full-state step past 2^n (cutoff + 1)^(n + 1) = 4e6
-    multiply-adds (cutoff 99 at two ions, 1413 at one), and a whole run past
-    3.6e10 (:func:`_run_cost`, about a minute at a desk).  Three resolutions
-    (steps, 2x, 4x) are always run; a Richardson limit from the two finest
-    certifies second order (deviation ratio near 4), an
+    Three guards refuse a call as bad input (ValueError) before its state
+    is allocated: a full-state step past 2^n (cutoff + 1)^(n + 1) = 4e6
+    multiply-adds (cutoff 99 at two ions, 1413 at one), a whole run past
+    3.6e10 (:func:`_run_cost`, about a minute at a desk), and a step phase
+    whose bound passes the float range: max(1, t) times the largest of
+    cutoff |mu_l - delta| and 8 (cutoff + 1) omega and, with the fast terms,
+    cutoff sum_l mu_l and 4 steps delta.  (The window's own phase
+    (1 - delta) t is :func:`ile.protocol.beta_of`'s to check.)  Three
+    resolutions (steps, 2x, 4x) are always run; a Richardson limit from the
+    two finest certifies second order (deviation ratio near 4), an
     :class:`IntegratorError` flags anything far off that, and deviations
     below 64 eps per finest step (rounding noise, as where the step is
     exact) read as 4.
@@ -612,6 +622,20 @@ def trotter_validate(
     coeffs, labels = _expand(plan.alpha, cycle_displacements(modes, params, t, True), amps)
     endpoint = cycle_displacements(modes, params, t, integrated=False)
     coeffs_end, labels_end = _expand(plan.alpha, endpoint, amps)
+    # Each phase a step forms is a window t, or a part of it, times a rate
+    # times a count: (mu_l - delta) N up to the cutoff, the drive's omega
+    # lambda g below 8 (cutoff + 1) omega, and with the fast terms sum_l mu_l
+    # N_l and delta k for k < 4 steps.  Bounded with max(1, t) in place of t,
+    # the bound also covers the partial products on the way.
+    mu, omega, delta = modes.frequencies, float(params.omega), float(params.delta)
+    rates = [cfg.cutoff * float(np.max(np.abs(mu - delta))), 8.0 * (cfg.cutoff + 1) * omega]
+    name = "cutoff |mu - delta|, 8 (cutoff + 1) omega"
+    if cfg.include_fast_terms:
+        rates += [cfg.cutoff * float(mu.sum()), 4.0 * int(cfg.steps) * delta]
+        name += ", cutoff sum(mu), 4 steps delta"
+    phase = max(1.0, float(t)) * max(rates)
+    if not np.isfinite(phase):
+        raise ValueError(f"integrator phase max(1, t) max({name}) must be finite, got {phase!r}")
     # Row 0 of each mode's table holds the initial motion, then the terms.
     labels = np.vstack([np.zeros((1, n), dtype=np.complex128), labels, labels_end])
     labels[0, 0] = plan.alpha
@@ -731,7 +755,11 @@ def trotter_validate(
         nv = np.linalg.norm(v)
         if nu == 0 or nv == 0:
             raise IntegratorError("conditional state vanished; nothing to compare")
-        return float(min(abs(np.vdot(u, v)) ** 2 / (nu**2 * nv**2), 1.0))
+        den = nu**2 * nv**2
+        if not np.finfo(float).tiny <= den < np.inf:
+            # past the normal range: each vector over its power of two, exact
+            return fid(_unit_parts(u)[0], _unit_parts(v)[0])
+        return float(min(abs(np.vdot(u, v)) ** 2 / den, 1.0))
 
     fid_int = fid(cond, predicted(coeffs, 1))
     fid_end = fid(cond, predicted(coeffs_end, 1 + coeffs.size))

@@ -325,10 +325,11 @@ def forward_coeffs(weights) -> np.ndarray:
 
 def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
     """The line coefficients of ``weights`` as (c, e): forward_coeffs is
-    c * 2**e, and the largest |c| lies in [0.5, 1).  The recurrence
-    rescales itself as it runs, so c stays in range past the slot count
-    where the coefficients themselves overflow, for any weights of modulus
-    below 2^1022."""
+    c * 2**e, and the largest real or imaginary part of c lies in
+    [0.5, 1).  The recurrence rescales itself as it runs, so c stays in
+    range past the slot count where the coefficients themselves overflow;
+    a slot that takes them past the float range all the same raises
+    :class:`SolverError`."""
     w = frozen_array(weights, "weights")
     return next(_recurrence(w, w.size))
 
@@ -336,8 +337,8 @@ def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
 def _recurrence(weights: np.ndarray, block: int):
     """The recurrence of :func:`forward_coeffs`, the package's one loop over
     the slots.  After every ``block`` slots it yields (c, e), the prefix's
-    coefficients being c * 2**e with the largest |c| in [0.5, 1).  It
-    divides the prefix by the exact power of two of its largest modulus
+    coefficients being c * 2**e with the largest part of c in [0.5, 1).
+    It divides the prefix by that power of two (:func:`ile.fock._unit_parts`)
     there and after every run of slots short enough to stay in the float
     range (at most 64, fewer for weights past about 2.5e4), whatever the
     block.  Scaling by a power of two is exact, so c * 2**e is bitwise the
@@ -355,9 +356,8 @@ def _recurrence(weights: np.ndarray, block: int):
                     nxt[:-1] += (1 + p) * c
                     nxt[1:] += (1 - p) * c
                     c = nxt
-            # frexp of inf or NaN has exponent 0, so _ldexp sees the overflow
-            step = math.frexp(float(np.max(np.abs(c))))[1]
-            c, e = _ldexp(c, -step), e + step
+            c, step = _unit_parts(c)
+            e += step
         yield c, e
 
 
@@ -389,7 +389,7 @@ def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
     Returns (c, e, per_cycle): the line coefficients are c * 2**e, and
     per_cycle[j] is cycle j's post-selection probability, read off the
     prefix of the recurrence that ends with that cycle.  At every cycle
-    boundary the prefix is c_j 2**e_j with the largest |c_j| in [0.5, 1)
+    boundary the prefix is c_j 2**e_j with the largest part of c_j in [0.5, 1)
     (see :func:`scaled_coeffs`), so it neither over- nor underflows, and
     c * 2**e equals :func:`forward_coeffs` of all weights bitwise while that
     is finite and no coefficient is subnormal.
@@ -474,15 +474,21 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     of it, both taken over the coefficients' power of two, or one left
     unchecked as that norm is refused; pick the cutoff with
     :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.  A cutoff
-    below 1 raises ValueError before anything is allocated.
+    below 1 raises ValueError before anything is allocated; a displacement
+    phase (:func:`ile.fock.displacement_phase`) or an amplitude past the
+    float range raises :class:`SolverError`.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    phased = state.phased_coeffs()
     rows = itertools.chain.from_iterable(coherent_blocks(state.labels(), cutoff))
-    for c, row in zip(state.phased_coeffs(), rows):
-        if c != 0:
-            amps += c * row
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for c, row in zip(phased, rows):
+            if c != 0:
+                amps += c * row
+    if not np.all(np.isfinite(amps)):
+        raise SolverError(f"number amplitudes at cutoff {cutoff} pass the float range")
     out = FockVector(amps)
     try:
         exact, exp2 = state._scaled_norm_sq()

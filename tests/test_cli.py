@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ile import chain, cli, errors, fock, inverse, multimode, protocol
 from ile.errors import SolverError
@@ -211,6 +211,75 @@ class TestSimulateCommand:
             warnings.simplefilter("error", RuntimeWarning)
             assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
         assert "detuning phase" in capsys.readouterr().err
+
+    def test_weight_whose_modulus_passes_the_float_range_exits_3(self, tmp_path, capsys):
+        # each part of the second weight is finite, its modulus is not: the
+        # recurrence scales by the largest part, so the line overflows at
+        # once, without an overflow warning on the way
+        plan = dict(PLAN, eta=0.05, omega=0.01, delta=0.99, n_ions=1,
+                    cycles=[{"t": 80.0, "p": [[0.5, 0.5]]},
+                            {"t": 80.0, "p": [[1.7e308, 1.7e308]]}])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 3
+        assert capsys.readouterr().err == "solver error: line coefficients overflow at 2 slots\n"
+
+    def test_fock_dump_whose_phase_passes_the_float_range_exits_3(self, tmp_path, capsys):
+        # |alpha| |beta| = 1e154 x 1e157: the displacement phase of each
+        # component is past the float range, so the dump has no amplitudes
+        # (the plan without --fock, and at t = 1e10, still runs)
+        plan = dict(PLAN, eta=0.1, omega=0.01, delta=0.99, n_ions=1, alpha=[1e154, 0.0],
+                    cycles=[{"t": 1e160, "p": [[0.3, 0.0]]}])
+        path = write_json(tmp_path / "p.json", plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--input", path, "--fock", "5"]) == 3
+            assert capsys.readouterr().err == (
+                "solver error: displacement phase Im(beta conj(alpha)) passes the float range\n"
+            )
+            assert run(["simulate", "--input", path]) == 0
+            near = dict(plan, cycles=[{"t": 1e10, "p": [[0.3, 0.0]]}])
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            assert run(["simulate", "--input", write_json(tmp_path / "n.json", near),
+                        "--fock", "5"]) == 0
+
+    def test_fock_amplitudes_near_the_float_range(self, tmp_path, capsys):
+        # p = 1.7e308 makes line coefficients near the largest float.  At
+        # |beta| = 1 and alpha = 0 the components' level-1 amplitudes add to
+        # about 2.1e308, past it (exit 3); at |beta| = 0.4 and alpha = (-0.066,
+        # 0.32) each amplitude stays in range, although numpy's vector
+        # multiply flags an overflow on the way (exit 0)
+        far = dict(PLAN, eta=0.05, omega=0.01, delta=0.99, n_ions=1, alpha=[0.0, 0.0],
+                   cycles=[{"t": 2000.0, "p": [[1.7e308, 0.0]]}])
+        near = dict(PLAN, eta=0.05, omega=0.05, delta=0.6, n_ions=1, alpha=[-0.066, 0.32],
+                    cycles=[{"t": 200.0, "p": [[1.7e308, -0.375]]}])
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--input", write_json(tmp_path / "f.json", far),
+                        "--fock", "2"]) == 3
+            assert capsys.readouterr().err == (
+                "solver error: number amplitudes at cutoff 2 pass the float range\n"
+            )
+            assert run(["simulate", "--input", write_json(tmp_path / "n.json", near),
+                        "--fock", "2", "--output", str(out)]) == 0
+        assert len(_strict_json(out)["fock"]) == 3
+
+    def test_far_coherent_amplitude_warns_of_truncation(self, tmp_path, capsys):
+        # |alpha| = 30 puts the state far above cutoff 40: the dump keeps
+        # next to none of its squared norm, and a TruncationWarning says so
+        plan = dict(PLAN, eta=0.05, omega=0.01, delta=0.99, n_ions=1, alpha=[30.0, 0.0],
+                    cycles=[{"t": 80.0, "p": [[0.3, 0.0]]}])
+        path = write_json(tmp_path / "p.json", plan)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["simulate", "--input", path, "--fock", "40", "--output", str(out)]) == 0
+        assert [w.category for w in record] == [fock.TruncationWarning]
+        assert str(record[0].message).startswith("cutoff 40 keeps ")
+        assert len(_strict_json(out)["fock"]) == 41
 
     @pytest.mark.parametrize("cutoff", ["-1", "-2"])
     def test_negative_fock_cutoff_exits_2(self, tmp_path, capsys, cutoff):
@@ -598,6 +667,12 @@ class TestFitCommand:
         assert doc["coeffs"] == cli._pairs(coeffs.coeffs)
         assert doc["fidelity"] == fidelity
 
+    def test_object_target_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", {"amplitudes": [[0.6, 0], [0, 0.3]]})
+        assert run(["fit", "--input", path, "--n", "4", "--beta", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: fit target must be a JSON list of [re, im] pairs\n"
+
     def test_target_past_the_squared_range(self, tmp_path):
         # |target|^2 overflows, and fit is projective: it fits the target as
         # it fits the same target times 2^-1000
@@ -705,6 +780,72 @@ class TestValidateCommand:
             assert run(["validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1e300",
                         "--t", "1e10"]) == 2
         assert "betas must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--delta", "0.7", "--t", "1.7e308", "--cutoff", "2", "--n-ions", "2"],
+        ["--delta", "1.7e308", "--t", "0.865", "--cutoff", "4"],
+        ["--delta", "1.7e308", "--t", "0.865", "--cutoff", "4", "--full-terms"],
+        ["--delta", "1.7e308", "--t", "1e-300", "--cutoff", "5", "--full-terms"],
+    ], ids=["stretch-turns", "detuning-turns", "fast-terms", "partial-products"])
+    def test_step_phase_past_float_range_exits_2(self, tmp_path, capsys, args):
+        # (1 - delta) t is finite; the phases the steps form, up to t cutoff
+        # |mu - delta|, are not, or (at t = 1e-300) their partial products
+        # such as cutoff |mu - delta| are not
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["validate", "--eta", "0.05", "--omega", "0.005", "--steps", "12",
+                        "--output", str(out)] + args)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: integrator phase max(1, t) max(cutoff |mu - delta|, ")
+        assert err.endswith(") must be finite, got inf\n")
+
+    def test_step_phases_in_range_reach_the_integrator(self, tmp_path, capsys):
+        # t cutoff |mu - delta| = 1.7e308 x 6 x 0.01 and t 8 (cutoff + 1)
+        # omega = 1.7e308 x 0.28 are finite: the run is admitted, and its
+        # step-halving probe fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fock.TruncationWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["validate", "--eta", "0.05", "--omega", "0.005", "--delta", "0.99",
+                        "--t", "1.7e308", "--cutoff", "6", "--steps", "12"]) == 3
+        assert capsys.readouterr().err.startswith("solver error: step-halving ratio")
+
+    def test_weight_whose_modulus_passes_the_float_range_exits_3(self, tmp_path, capsys):
+        # the second ion's spin state is 0 after normalization by |p| = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["validate", "--eta", "0.05", "--omega", "0.005", "--delta", "0.99",
+                        "--t", "2.35", "--cutoff", "2", "--steps", "10", "--n-ions", "2",
+                        "--weights", "1.85,-0.68;-1.7e308,-1.7e308"]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: conditional state vanished; nothing to compare\n"
+        )
+
+    def test_faint_conditional_state_keeps_its_fidelities(self, tmp_path):
+        # |p| = 1e160 leaves a conditional state of squared norm 1.4e-34,
+        # whose squared norms multiply to 0: each fidelity is taken over the
+        # vectors' powers of two, so none is 0 / 0
+        out = tmp_path / "v.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["validate", "--eta", "5e-324", "--omega", "0.005", "--delta", "0.6",
+                        "--t", "2.35", "--cutoff", "1", "--steps", "10", "--n-ions", "2",
+                        "--weights", "0.251;0.022,1e+160", "--full-terms",
+                        "--output", str(out)]) == 0
+        doc = _strict_json(out)
+        assert doc["fidelity_integrated"] == doc["fidelity_endpoint"] == 1.0
+        assert 0 < doc["conditional_weight"] < 1e-30
+
+    def test_three_ions_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert run(["validate", "--eta", "0.05", "--omega", "0.01", "--delta", "0.99",
+                    "--t", "20", "--n-ions", "3", "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: the referee is a desk-scale tool; n_ions <= 2 only\n"
+        )
 
     def test_oversized_step_refused_quickly(self, tmp_path, capsys):
         import time
@@ -904,6 +1045,8 @@ class TestSweepGridChecks:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["delta", "t"]), _SWEEP_BOUNDS, _SWEEP_BOUNDS, st.integers(2, 40))
+    @example("delta", 0.01, 1.0, 3)  # a point below omega
+    @example("t", 0.0, 1.0, 3)  # a window of 0
     def test_exit_2_exactly_when_a_point_plan_is_refused(self, name, start, stop, count):
         base = cli._plan_from_json(self.DOC)
         values = np.linspace(start, stop, count).tolist()

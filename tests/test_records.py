@@ -1,6 +1,7 @@
 """Every record keeps its arrays as read-only copies and refuses empty,
-misshapen and non-finite data with one message per kind of fault; the two
-public readers of weights refuse the same data the same way."""
+misshapen, non-finite and (where real) complex data with one message per
+kind of fault; the two public readers of weights refuse the same data the
+same way."""
 
 import re
 
@@ -85,6 +86,15 @@ def test_bad_arrays_are_refused_with_one_message(case, fault):
         message = f"{name} must be a non-empty {good.ndim}-D sequence"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(value)
+
+
+@pytest.mark.parametrize("case", [case for case in RECORDS if RECORDS[case][1].dtype == float])
+def test_real_records_refuse_complex_data(case):
+    name, good, build = RECORDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be real')}$"):
+        build(good + 1e-3j)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be real')}$"):
+        build((good + 1e-3j).tolist())
 
 
 # name of the checked complex scalar and a build from a replacement value
