@@ -649,10 +649,13 @@ def trotter_validate(
 
     # Spins live in the sigma_y basis throughout: rows of to_y map a z-basis
     # spin onto (|+y>, |-y>), and <1| in the z basis reads (i, -i) / sqrt 2.
-    # Ion 0's spin is the slowest index, and index 0 is +y (s_i = 1).
+    # Ion 0's spin is the slowest index, and index 0 is +y (s_i = 1).  Each
+    # spin (i p, 1) is normalized over its largest part, exact, so a finite
+    # p whose modulus passes the float range keeps its state.
     to_y = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / np.sqrt(2.0)
+    spins = [_unit_parts(np.array([1j * p, 1.0]))[0] for p in plan.cycles[0].weights]
     spin0 = reduce(np.multiply.outer, [
-        to_y @ np.array([1j * p, 1.0]) / np.hypot(1.0, abs(p)) for p in plan.cycles[0].weights
+        to_y @ s / np.hypot(abs(s[0]), abs(s[1])) for s in spins
     ]).ravel()
     bra = reduce(np.multiply.outer, [np.array([1.0j, -1.0j]) / np.sqrt(2.0)] * n).ravel()
     signs = 1 - 2 * np.indices((2,) * n).reshape(n, -1)  # signs[i, sector]
