@@ -28,22 +28,22 @@ _GRAD_TOL = 1e-10
 
 def potential_gradient(positions) -> np.ndarray:
     """Gradient of V(u) = sum u_i^2/2 + sum_{i<j} 1/|u_i - u_j|."""
-    u = np.asarray(positions, dtype=float)
-    g = u.copy()
-    if u.size > 1:
-        d = u[:, None] - u[None, :]
-        np.fill_diagonal(d, np.inf)
-        g -= np.sum(np.sign(d) / d**2, axis=1)
-    return g
+    return _gradient(np.asarray(positions, dtype=float))[0]
+
+
+def _gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of V at ``u`` and the matrix of pairwise differences
+    u_i - u_j (inf on the diagonal) it was taken from."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    return u - np.sum(np.sign(d) / d**2, axis=1), d
 
 
 def _pair_field(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient of V at ``u`` (as :func:`potential_gradient` gives it) and
-    the table 1/|u_i - u_j|^3 (zero on the diagonal) the Hessian reads, both
-    from one matrix of pairwise differences."""
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    return u - np.sum(np.sign(d) / d**2, axis=1), 1.0 / np.abs(d) ** 3
+    """The gradient of V at ``u`` and the table 1/|u_i - u_j|^3 (zero on the
+    diagonal) the Hessian reads, from the one difference matrix of :func:`_gradient`."""
+    g, d = _gradient(u)
+    return g, 1.0 / np.abs(d) ** 3
 
 
 def _hessian(inv3: np.ndarray) -> np.ndarray:
@@ -205,7 +205,8 @@ def lamb_dicke(modes: ModeTable, eta: float) -> np.ndarray:
     in-phase-mode parameter ``eta``, as a read-only (ions x modes) array:
     entry [i, l] = eta sqrt(N) b[i, l] / sqrt(mu_l), linear in ``eta``.
 
-    The in-phase column is identically ``eta`` for every ion.
+    The in-phase column is one value for every ion, within 2.2e-16
+    relative of ``eta`` (eta sqrt(N) (1/sqrt(N)) rounds).
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError("eta must be positive and finite")

@@ -69,8 +69,8 @@ from . import errors
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError, check_memory, frozen_array
 from .fock import (
+    _check_kept,
     _unit_parts,
-    _warn_crowded,
     coherent_table,
     displacement_phase,
     line_overlaps,
@@ -142,8 +142,8 @@ def cycle_displacements(
     read-only (ions x modes) table, finite, each column real multiples of
     one amplitude and the COM column one value.
 
-    With ``integrated=False`` the endpoint form, whose COM column equals
-    :func:`ile.protocol.beta_of` identically; with ``integrated=True`` the
+    With ``integrated=False`` the endpoint form, whose COM column agrees
+    with :func:`ile.protocol.beta_of` to rounding; with ``integrated=True`` the
     bounded time-integral form (see module docstring).
     """
     if modes.n_ions != params.n_ions:
@@ -582,7 +582,7 @@ def trotter_validate(
     exact state, the endpoint one with its own displacement table (the
     ions' lines depend on the weights alone), and each mode's kets, the
     initial one and every term's, are rows of one :func:`coherent_table`;
-    a label past sqrt(cutoff / 2) issues a :class:`TruncationWarning`.
+    one :class:`TruncationWarning` reports the row furthest off norm 1, past 1e-8.
 
     More than two ions are refused (ValueError) for cost: uncapped, the run
     matches full-state oracles at 3 and 4 ions, but from 5 on
@@ -639,8 +639,9 @@ def trotter_validate(
     # Row 0 of each mode's table holds the initial motion, then the terms.
     labels = np.vstack([np.zeros((1, n), dtype=np.complex128), labels, labels_end])
     labels[0, 0] = plan.alpha
-    _warn_crowded(float(np.max(np.abs(labels))), cfg.cutoff, stacklevel=3)
     tables = [coherent_table(column, cfg.cutoff) for column in labels.T]
+    kept = np.sum(np.abs(tables) ** 2, axis=2).ravel()
+    _check_kept(float(kept[np.argmax(np.abs(kept - 1.0))]), cfg.cutoff, stacklevel=3)
     motion = np.array([table[0] for table in tables])
 
     lam, vecs = _position_basis(size)

@@ -40,6 +40,7 @@ from .errors import SolverError, finite_complex, frozen_array
 from .fock import (
     FockVector,
     TruncationWarning,
+    _check_kept,
     _ldexp,
     _unit_parts,
     coherent_blocks,
@@ -471,8 +472,9 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     amplitudes a row of the blocks of :func:`ile.fock.coherent_blocks`,
     added in the order of k.  A TruncationWarning reports a dump whose
     squared norm is off the state's exact one (``norm_sq``) by more than 1e-8
-    of it, both taken over the coefficients' power of two, or one left
-    unchecked as that norm is refused; pick the cutoff with
+    of it, both taken over the coefficients' power of two (the one
+    truncation test of :mod:`ile.fock`), or one left unchecked as that norm
+    is refused; pick the cutoff with
     :func:`ile.fock.recommended_cutoff` for |alpha| + n |beta|.  A cutoff
     below 1 raises ValueError before anything is allocated; a displacement
     phase (:func:`ile.fock.displacement_phase`) or an amplitude past the
@@ -494,13 +496,10 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
         exact, exp2 = state._scaled_norm_sq()
     except SolverError as exc:
         note = f"cutoff {cutoff}: dump unchecked, as the state's exact norm is refused ({exc})"
+        warnings.warn(note, TruncationWarning, stacklevel=2)
     else:
         dump = _ldexp(amps, -exp2)
-        kept = float(np.real(np.vdot(dump, dump))) / exact
-        note = f"cutoff {cutoff} keeps {kept:.3g} of the state's squared norm"
-        if abs(kept - 1.0) <= 1e-8:
-            return out
-    warnings.warn(note, TruncationWarning, stacklevel=2)
+        _check_kept(float(np.real(np.vdot(dump, dump))) / exact, cutoff, stacklevel=3)
     return out
 
 

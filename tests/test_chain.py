@@ -153,6 +153,16 @@ def test_lamb_dicke_com_column_is_eta():
         assert np.allclose(ld[:, 0], 0.07, atol=1e-12)
 
 
+def test_lamb_dicke_com_column_is_one_value_next_to_eta():
+    # eta sqrt(N) (1/sqrt(N)) rounds, so the column need not equal eta, but
+    # it is one value for every ion, within 2.2e-16 relative of it
+    eta = 0.05
+    for n in range(1, 65):
+        column = chain.lamb_dicke(chain.normal_modes(chain.equilibrium_positions(n)), eta)[:, 0]
+        assert np.all(column == column[0])
+        assert abs(column[0] - eta) <= 2.2e-16 * eta
+
+
 def test_lamb_dicke_two_ion_stretch_value():
     table = chain.normal_modes(chain.equilibrium_positions(2))
     ld = chain.lamb_dicke(table, 0.1)

@@ -1097,7 +1097,7 @@ class TestHugeDisplacements:
             warnings.simplefilter("error", RuntimeWarning)
             assert run(["simulate", "--input", plan, "--output", str(out)] + fock_args) == 0
         # both components lie far above the dump's cutoff, which keeps none of the state
-        expected = ["cutoff 10 keeps 0 of the state's squared norm"] if fock_args else []
+        expected = ["cutoff 10 keeps 0 of the state's squared norm, off 1 by -1"] if fock_args else []
         assert [str(w.message) for w in record] == expected
         assert all(w.category is fock.TruncationWarning for w in record)
         doc = _strict_json(out)

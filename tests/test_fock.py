@@ -25,13 +25,36 @@ def test_coherent_norm_converges():
     assert abs(fock.norm(v) - 1.0) < 1e-12
 
 
+# (g, cutoff) whose ket loses more than 1e-8 of its squared norm, though
+# |g| is within sqrt(cutoff / 2) in all but the first
+LOSSY = [(3.0, 8), (0.9, 2), (2.0, 8), (2.0, 12), (3.0, 18), (39.0, 8000)]
+
+
 def test_coherent_truncation_warning():
-    with pytest.warns(fock.TruncationWarning):
-        fock.coherent_fock(3.0, 8)
+    for g, cutoff in LOSSY:
+        with pytest.warns(fock.TruncationWarning, match=f"cutoff {cutoff} keeps") as record:
+            fock.coherent_fock(g, cutoff)
+        assert len(record) == 1
+
+
+def _warnings_of(call, *args):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call(*args)
+    return [(w.category, str(w.message)) for w in record]
+
+
+@pytest.mark.parametrize("g, cutoff", LOSSY[:3] + [(0.5, 40)])
+def test_coherent_fock_and_to_fock_judge_one_component_alike(g, cutoff):
+    line = protocol.LineSuperposition(alpha=g, beta=0.0, coeffs=[1.0])
+    from_ket = _warnings_of(fock.coherent_fock, g, cutoff)
+    assert from_ket == _warnings_of(protocol.to_fock, line, cutoff)
+    assert len(from_ket) == (cutoff != 40)
 
 
 def test_tail_weight_is_exposed():
-    v = fock.coherent_fock(2.0, 12)
+    with pytest.warns(fock.TruncationWarning, match=r"off 1 by -0\.000274"):
+        v = fock.coherent_fock(2.0, 12)
     top = np.sum(np.abs(v.amps[-3:]) ** 2)
     assert v.tail_weight == pytest.approx(top)
     assert v.tail_weight > 1e-6  # genuinely lossy at this cutoff
@@ -55,8 +78,9 @@ def test_coherent_fock_bitwise_matches_array_recurrence(rng):
 
 
 def _grid_labels(rng, size):
-    """Random labels: zero, signed-zero parts, components far past
-    sqrt(cutoff / 2), and moduli past 1e150 where every amplitude is 0."""
+    """Random labels: zero, signed-zero parts, components that lose most of
+    their squared norm at the cutoff, and moduli past 1e150 where every
+    amplitude is 0."""
     labels = rng.uniform(0, 9, size) * np.exp(2j * np.pi * rng.random(size))
     labels[: size // 8] = 0j
     labels[size // 8 : size // 4] = [complex(-0.0, y) for y in rng.uniform(-3, 3, size // 4 - size // 8)]
@@ -293,8 +317,13 @@ def test_recommended_cutoff_policy():
 
 
 def test_recommended_cutoff_draws_no_warning():
-    # from |g| = 8 on, sqrt(cutoff / 2) falls below |g| at the recommended cutoff
     with warnings.catch_warnings():
         warnings.simplefilter("error", fock.TruncationWarning)
-        for g in np.linspace(0.0, 50.0, 201):
+        for g in np.linspace(0.0, 38.0, 191):
             fock.coherent_fock(g, fock.recommended_cutoff(g))
+    # from |g| ~ 38.2 the seed exp(-g^2 / 2) is too small to hold the ket:
+    # the kets are wrong, or all 0, and the warning says so
+    for g in (38.2, 38.6, 39.0, 50.0):
+        with pytest.warns(fock.TruncationWarning) as record:
+            fock.coherent_fock(g, fock.recommended_cutoff(g))
+        assert len(record) == 1

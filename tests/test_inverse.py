@@ -312,10 +312,11 @@ class TestFitTarget:
         assert 0.9 <= fid <= 1.0
 
     def test_far_grid_is_silent_and_exact(self):
-        # Components past sqrt(cutoff / 2) raise no TruncationWarning here:
-        # their overlaps with the target are exact, since the target has no
-        # amplitude above its cutoff.  Padding the target with zeros, so that
-        # no component is past it, gives the same fit.
+        # Components that lose most of their squared norm at the cutoff
+        # raise no TruncationWarning here: their overlaps with the target
+        # are exact, since the target has no amplitude above its cutoff.
+        # Padding the target with zeros, so that no component is past it,
+        # gives the same fit.
         target = fock.coherent_fock(0.5 + 0.2j, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -372,7 +373,7 @@ class TestFitTarget:
             amps = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
             amps[rng.random(cutoff + 1) < 0.3] = 0.0
             target = fock.FockVector(amps)
-            # most grids reach past sqrt(cutoff / 2)
+            # most grids lose part of their squared norm at the cutoff
             grid = protocol.LineSuperposition(
                 complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.4, 2)), np.ones(n + 1)
             )

@@ -400,7 +400,7 @@ class TestToFock:
                 coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
                 coeffs[rng.random(n + 1) < 0.3] = 0.0  # skipped components
                 coeffs[0] = 1.0
-                # the grid reaches past sqrt(cutoff / 2) on most trials
+                # most trials' grids lose part of their squared norm at the cutoff
                 state = protocol.LineSuperposition(
                     alpha=complex(*rng.normal(0, 1.0, 2)),
                     beta=complex(*rng.normal(0, 0.4, 2)),

@@ -1,4 +1,4 @@
-"""Smoke test: every study script under scripts/ runs to completion."""
+"""Smoke test: every study script under scripts/ runs to completion, with nothing on stderr."""
 
 import os
 import subprocess
@@ -22,3 +22,4 @@ def test_script_runs(script):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""  # no warning, truncation included

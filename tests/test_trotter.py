@@ -66,19 +66,23 @@ def test_two_ion_referee(mode_tables):
 
 
 def test_predicted_component_past_the_cutoff_warns(mode_tables):
-    """|alpha| = 1.9 stays below sqrt(cutoff / 2) = 2 at cutoff 8, the
-    predicted component alpha + beta at |beta| = 0.2 passes it; at cutoff 9
-    both stay below sqrt(4.5) and nothing warns."""
+    """The initial ket |1.9i> and the predicted component of modulus 2.1
+    (|beta| = 0.2) lose 1.2% and 3.6% of their squared norm at cutoff 8, and
+    0.4% and 1.5% at cutoff 9: one warning each.  Cutoff 21 is the smallest
+    that keeps both within 1e-8, and nothing warns."""
     params = protocol.PhysicalParams(eta=0.05, omega=0.01, delta=1.0, n_ions=1)
     assert abs(protocol.beta_of(params, 400.0)) == pytest.approx(0.2)
-    with pytest.warns(fock.TruncationWarning, match="2.1"):
-        multimode.trotter_validate(
-            params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=8, steps=10), alpha=1.9j
-        )
+    for cutoff, kept in ((8, "0.964"), (9, "0.985")):
+        with pytest.warns(fock.TruncationWarning, match=f"cutoff {cutoff} keeps {kept} ") as record:
+            multimode.trotter_validate(
+                params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=cutoff, steps=10),
+                alpha=1.9j,
+            )
+        assert len(record) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error", fock.TruncationWarning)
         multimode.trotter_validate(
-            params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=9, steps=10), alpha=1.9j
+            params, mode_tables[1], 400.0, multimode.TrotterConfig(cutoff=21, steps=10), alpha=1.9j
         )
 
 
