@@ -1,9 +1,7 @@
 """Truncated Fock-space numerics for a single bosonic mode.
 
 Coherent amplitudes, displacement matrices, overlaps and fidelities.  The
-only approximation anywhere in this module is the number-basis cutoff, and
-every object that can suffer from it exposes an explicit tail-weight
-diagnostic instead of hiding the truncation.
+only approximation anywhere in this module is the number-basis cutoff.
 
 States are stored unnormalized; norms are computed on demand.  All values
 are immutable after construction and safe to share between threads: the
@@ -53,9 +51,13 @@ def recommended_cutoff(gamma_max: float) -> int:
     amplitude magnitude reachable (initial amplitude plus all accumulated
     displacements).  There a coherent ket's squared norm is within 4.7e-10
     of 1 up to g = 38.0; from about g = 38.2 the seed exp(-g^2/2) is too
-    small to hold the ket, which is wrong, and a TruncationWarning says so."""
+    small to hold the ket, which is wrong, and a TruncationWarning says so.
+    A NaN, an infinity or a g whose square passes the float range raises
+    ValueError."""
     mag = abs(float(gamma_max))
-    return int(np.ceil(mag * mag + 6.0 * mag + 10.0))
+    if not math.isfinite(mag * mag):
+        raise ValueError(f"gamma_max must be finite, its square in the float range, got {gamma_max!r}")
+    return math.ceil(mag * mag + 6.0 * mag + 10.0)
 
 
 _KEPT_TOL = 1e-8
@@ -78,8 +80,7 @@ class FockVector:
     """Pure state of one mode on the number basis ``|0..M>``, unnormalized.
 
     ``amps[n]`` is the amplitude on phonon number ``n``; the cutoff is
-    ``len(amps) - 1``.  ``tail_weight`` reports the probability weight on the
-    top three levels, the standard proxy for truncation damage.
+    ``len(amps) - 1``.
     """
 
     amps: np.ndarray
@@ -93,11 +94,6 @@ class FockVector:
     @property
     def cutoff(self) -> int:
         return self.amps.size - 1
-
-    @property
-    def tail_weight(self) -> float:
-        """Weight |amps[n]|^2 summed over the levels n >= cutoff - 2."""
-        return float(np.sum(np.abs(self.amps[-3:]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -123,12 +119,12 @@ class DisplacementMatrix:
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated at ``cutoff`` phonons.
 
-    amplitude(n) = exp(-|alpha|^2/2) alpha^n / sqrt(n!) via the ratio
-    recurrence of :func:`coherent_table`, whose one row it is; the
-    recurrence stays stable far beyond where explicit factorials overflow.
-    A ket whose squared norm is off the exact 1 by more than 1e-8 issues a
-    :class:`TruncationWarning` (see :func:`recommended_cutoff`); the state
-    is still returned, with ``tail_weight`` quantifying the damage.
+    amplitude(n) = exp(-|alpha|^2/2) alpha^n / sqrt(n!), the one row of
+    :func:`coherent_table`, whose ratio recurrence stays stable far beyond
+    where explicit factorials overflow.  A ket whose squared norm is off the
+    exact 1 by more than 1e-8 issues a :class:`TruncationWarning` that
+    states the share it keeps (see :func:`recommended_cutoff`); the state is
+    still returned.
     """
     alpha = finite_complex(alpha, "alpha")
     if cutoff < 1:
@@ -140,15 +136,14 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
 
 def coherent_table(labels, cutoff: int) -> np.ndarray:
     """Coherent states |labels[j]> truncated at ``cutoff`` phonons, one per
-    row of a (len(labels), cutoff + 1) array.
+    row of a (len(labels), cutoff + 1) array, the transposed view of the
+    level-major table the recurrence fills.
 
-    The package's one coherent-ket recurrence: amplitude n of row j is
-    amplitude n - 1 times g = labels[j], then times 1/sqrt(n), from the seed
-    exp(-|g|^2/2), run down the levels for all rows at once on separate real
-    and imaginary parts, as re gr - im gi and im gr + re gi.  Each row is
-    therefore bitwise, signs of zero included, the same recurrence on Python
-    complex scalars.  (A complex-array multiply is not bitwise equal to the
-    scalar product.)  Unlike :func:`coherent_fock` it issues no
+    The package's one coherent-ket recurrence: from the seed exp(-|g|^2/2),
+    amplitude n of row j is amplitude n - 1 times g = labels[j], then times
+    1/sqrt(n), run down the levels for all rows at once.  A row depends on
+    its own label alone, so a block of rows is bitwise those rows of a
+    larger table.  Unlike :func:`coherent_fock` it issues no
     :class:`TruncationWarning`; a caller that needs the rows whole checks
     the share of the squared norm, 1 for each exact row, that they keep.
     """
@@ -159,32 +154,16 @@ def coherent_table(labels, cutoff: int) -> np.ndarray:
         raise ValueError("labels must be finite")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    rows = labels.size
-    table = np.empty((rows, cutoff + 1, 2))  # (re, im) of row j at level n
-    # z holds (re, im, re) of the current level, so that its first 2 rows
-    # entries are the parts and its last 2 rows the swapped parts, both
-    # contiguous: the next level is parts (gr, gr) + swapped (-gi, gi).
-    z = np.zeros(3 * rows)
-    # The seed exp(-|g|^2 / 2); past |g| ~ 1e154 the square overflows, and
-    # every amplitude is 0.
-    mags = [abs(g) for g in labels.tolist()]
-    z[:rows] = [float(np.exp(-0.5 * m**2)) if m < 1e150 else 0.0 for m in mags]
-    z[2 * rows :] = z[:rows]
-    parts, swapped, head, tail = z[: 2 * rows], z[rows:], z[:rows], z[2 * rows :]
-    by_parts = np.concatenate([labels.real, labels.real])
-    by_swapped = np.concatenate([-labels.imag, labels.imag])
-    left = np.empty(2 * rows)
-    right = np.empty(2 * rows)
-    level = parts.reshape(2, rows).T
-    table[:, 0] = level
-    for n in range(1, cutoff + 1):
-        np.multiply(parts, by_parts, out=left)
-        np.multiply(swapped, by_swapped, out=right)
-        np.add(left, right, out=parts)
-        parts *= 1.0 / math.sqrt(n)
-        tail[:] = head
-        table[:, n] = level
-    return table.view(np.complex128).reshape(rows, cutoff + 1)
+    table = np.empty((cutoff + 1, labels.size), dtype=np.complex128)  # [level, row]
+    prev = table[0]
+    # The seed exp(-|g|^2 / 2), 0 from |g| ~ 38.6; |g| is cut at 1e150, as
+    # past ~1e154 its square overflows.
+    prev[:] = np.exp(-0.5 * np.minimum(np.abs(labels), 1e150) ** 2)
+    for n, row in enumerate(table[1:], 1):
+        np.multiply(prev, labels, out=row)
+        row *= 1.0 / math.sqrt(n)
+        prev = row
+    return table.T
 
 
 def coherent_blocks(labels, cutoff: int):
@@ -319,10 +298,10 @@ def norm(a: FockVector) -> float:
 def fidelity_pure(a: FockVector, b: FockVector) -> float:
     """|<a|b>|^2 / (|a|^2 |b|^2); the inputs may be unnormalized, at any
     scale: each is taken over the power of two of its largest part."""
-    a, b = (FockVector(_unit_parts(v.amps)[0]) for v in (a, b))
-    na = norm(a)
-    nb = norm(b)
-    if na == 0.0 or nb == 0.0:
+    if a.cutoff != b.cutoff:
+        raise ValueError(f"cutoff mismatch: {a.cutoff} vs {b.cutoff}")
+    u, v = (_unit_parts(x.amps)[0] for x in (a, b))
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
         raise ValueError("fidelity undefined for a zero-norm state")
-    val = abs(inner(a, b)) ** 2 / (na * na * nb * nb)
-    return float(min(val, 1.0))
+    return min(abs(complex(np.vdot(u, v))) ** 2 / (nu**2 * nv**2), 1.0)

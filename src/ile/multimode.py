@@ -69,10 +69,12 @@ from . import errors
 from .chain import ModeTable, lamb_dicke
 from .errors import IntegratorError, SolverError, check_memory, frozen_array
 from .fock import (
+    FockVector,
     _check_kept,
     _unit_parts,
     coherent_table,
     displacement_phase,
+    fidelity_pure,
     line_overlaps,
 )
 from .protocol import (
@@ -754,24 +756,15 @@ def trotter_validate(
             vec += reduce(np.multiply.outer, [table[k] for table in tables], c).ravel()
         return vec
 
-    def fid(u: np.ndarray, v: np.ndarray) -> float:
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-        if nu == 0 or nv == 0:
-            raise IntegratorError("conditional state vanished; nothing to compare")
-        den = nu**2 * nv**2
-        if not np.finfo(float).tiny <= den < np.inf:
-            # past the normal range: each vector over its power of two, exact
-            return fid(_unit_parts(u)[0], _unit_parts(v)[0])
-        return float(min(abs(np.vdot(u, v)) ** 2 / den, 1.0))
-
-    fid_int = fid(cond, predicted(coeffs, 1))
-    fid_end = fid(cond, predicted(coeffs_end, 1 + coeffs.size))
-
-    effect = None
+    others = [predicted(coeffs, 1), predicted(coeffs_end, 1 + coeffs.size)]
     if cfg.include_fast_terms:
-        cond_fast = conditional(evolve_fast(4 * cfg.steps))
-        effect = float(np.clip(1.0 - fid(cond, cond_fast), 0.0, 1.0))
+        others.append(conditional(evolve_fast(4 * cfg.steps)))
+    try:
+        ket = FockVector(cond)
+        fid_int, fid_end, *fast = [fidelity_pure(ket, FockVector(v)) for v in others]
+    except ValueError as exc:  # a zero-norm state
+        raise IntegratorError("conditional state vanished; nothing to compare") from exc
+    effect = float(np.clip(1.0 - fast[0], 0.0, 1.0)) if fast else None
 
     return TrotterReport(
         fidelity_integrated=fid_int,

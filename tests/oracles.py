@@ -7,7 +7,6 @@ code paths it is used to certify.
 
 from __future__ import annotations
 
-import math
 import warnings
 from functools import reduce
 
@@ -50,37 +49,18 @@ def unscaled_forward_coeffs(weights) -> np.ndarray:
     return c
 
 
-def coherent_fock_array(alpha: complex, cutoff: int) -> np.ndarray:
-    """Coherent amplitudes by the ratio recurrence on numpy complex scalars,
-    amps[n] = amps[n - 1] * alpha / sqrt(n), the loop ``fock.coherent_fock``
-    must reproduce bitwise."""
-    alpha = complex(alpha)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    return amps
+def coherent_fock_mp(alpha: complex, cutoff: int, dps: int = 40) -> np.ndarray:
+    """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0..cutoff
+    in mpmath at ``dps`` digits, each rounded once to a double."""
+    import mpmath
 
-
-def coherent_fock_scalar(alpha: complex, cutoff: int) -> np.ndarray:
-    """Coherent amplitudes by the ratio recurrence on Python complex scalars,
-    the signed-zero reference ``fock.coherent_table`` must reproduce bitwise.
-
-    Each part is scaled by the reciprocal root, which is what numpy's
-    complex-by-real division computes, so the amplitudes equal bitwise those
-    of :func:`coherent_fock_array` (up to the sign of a part that is exactly
-    zero)."""
-    alpha = complex(alpha)
-    mag = abs(alpha)
-    # Past |alpha| ~ 1e154 the square overflows; every amplitude is then 0.
-    a = complex(np.exp(-0.5 * mag**2)) if mag < 1e150 else 0j
-    amps = [a]
-    for n in range(1, cutoff + 1):
-        a = a * alpha
-        s = 1.0 / math.sqrt(n)
-        a = complex(a.real * s, a.imag * s)
-        amps.append(a)
-    return np.array(amps, dtype=np.complex128)
+    with mpmath.workdps(dps):
+        a = mpmath.mpc(complex(alpha))
+        seed = mpmath.exp(-abs(a) ** 2 / 2)
+        return np.array(
+            [complex(seed * a**n / mpmath.sqrt(mpmath.factorial(n))) for n in range(cutoff + 1)],
+            dtype=np.complex128,
+        )
 
 
 def line_fock_per_component(state, cutoff: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -52,29 +53,12 @@ def test_coherent_fock_and_to_fock_judge_one_component_alike(g, cutoff):
     assert len(from_ket) == (cutoff != 40)
 
 
-def test_tail_weight_is_exposed():
+def test_lost_share_is_reported():
     with pytest.warns(fock.TruncationWarning, match=r"off 1 by -0\.000274"):
         v = fock.coherent_fock(2.0, 12)
-    top = np.sum(np.abs(v.amps[-3:]) ** 2)
-    assert v.tail_weight == pytest.approx(top)
-    assert v.tail_weight > 1e-6  # genuinely lossy at this cutoff
-
-
-def test_coherent_fock_bitwise_matches_array_recurrence(rng):
-    amplitudes = [0j]
-    amplitudes += [complex(x) for x in rng.uniform(-5, 5, 40)]
-    amplitudes += [complex(0, y) for y in rng.uniform(-5, 5, 40)]
-    amplitudes += list(rng.uniform(0, 5, 120) * np.exp(2j * np.pi * rng.random(120)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        for alpha in amplitudes:
-            for cutoff in (1, 2, int(rng.integers(3, 80)), 80):
-                want = oracles.coherent_fock_array(alpha, cutoff)
-                assert np.array_equal(fock.coherent_fock(alpha, cutoff).amps, want)
-                assert np.array_equal(fock.coherent_table([alpha], cutoff)[0], want)
-        table = fock.coherent_table(amplitudes, 80)
-        for alpha, row in zip(amplitudes, table):
-            assert np.array_equal(row, oracles.coherent_fock_array(alpha, 80))
+    # the lost share is the Poisson(4) weight above level 12
+    poisson_tail = 1.0 - math.exp(-4.0) * math.fsum(4.0**n / math.factorial(n) for n in range(13))
+    assert 1.0 - fock.norm(v) ** 2 == pytest.approx(poisson_tail, rel=1e-9)
 
 
 def _grid_labels(rng, size):
@@ -88,21 +72,28 @@ def _grid_labels(rng, size):
     return rng.permutation(labels)
 
 
-def test_coherent_table_rows_are_coherent_fock_bitwise(rng):
-    """Every row, signs of zero and moduli past 1e150 included, is the ratio
-    recurrence on Python complex scalars, and so is ``coherent_fock``."""
+def test_coherent_table_matches_mpmath(rng):
+    """Every row at every cutoff up to 120 is within 1e-13 of its largest
+    amplitude of the mpmath ket, rows past 1e150 are exactly 0, and
+    ``coherent_fock`` is the row of the table bitwise."""
+    labels = [0j]
+    labels += [complex(x) for x in rng.uniform(-5, 5, 40)]
+    labels += [complex(0, y) for y in rng.uniform(-5, 5, 40)]
+    labels += list(rng.uniform(0, 5, 120) * np.exp(2j * np.pi * rng.random(120)))
+    labels = np.array(labels + list(_grid_labels(rng, 64)))
+    want = np.array([oracles.coherent_fock_mp(g, 120) for g in labels])
+    far = np.abs(labels) > 1e150
+    assert far.sum() == 2 and not want[far].any()
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fock.TruncationWarning)
-        for trial in range(30):
-            labels = _grid_labels(rng, int(rng.integers(8, 70)))
-            cutoff = int(rng.integers(1, 90))
+        for cutoff in range(1, 121):
             table = fock.coherent_table(labels, cutoff)
             assert table.shape == (labels.size, cutoff + 1)
-            for g, row in zip(labels, table):
-                # tobytes: signs of zero count too
-                want = oracles.coherent_fock_scalar(g, cutoff).tobytes()
-                assert row.tobytes() == want
-                assert fock.coherent_fock(g, cutoff).amps.tobytes() == want
+            assert np.all(np.abs(table - want[:, : cutoff + 1]) <= 1e-13 * scale)
+            assert not table[far].any()
+            for j in rng.choice(labels.size, 8, replace=False):
+                assert fock.coherent_fock(labels[j], cutoff).amps.tobytes() == table[j].tobytes()
 
 
 @pytest.mark.parametrize("block", [None, 1, 100])
@@ -311,9 +302,15 @@ def test_vector_is_immutable():
 def test_recommended_cutoff_policy():
     assert fock.recommended_cutoff(0.0) == 10
     assert fock.recommended_cutoff(2.0) == 26
-    # tail actually negligible at the recommended cutoff
+    # the ket keeps all but a negligible share of its squared norm there
     v = fock.coherent_fock(2.0, fock.recommended_cutoff(2.0))
-    assert v.tail_weight < 1e-10
+    assert abs(fock.norm(v) ** 2 - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("gamma_max", [np.nan, np.inf, -np.inf, 1.35e154, 1e160, -1e200])
+def test_recommended_cutoff_refuses_by_name(gamma_max):
+    with pytest.raises(ValueError, match="gamma_max"):
+        fock.recommended_cutoff(gamma_max)
 
 
 def test_recommended_cutoff_draws_no_warning():
