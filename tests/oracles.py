@@ -7,6 +7,7 @@ code paths it is used to certify.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import reduce
 
@@ -47,6 +48,28 @@ def unscaled_forward_coeffs(weights) -> np.ndarray:
             nxt[1:] += (1 - p) * c
             c = nxt
     return c
+
+
+def coherent_fock_one_row(alpha: complex, cutoff: int) -> np.ndarray:
+    """Coherent amplitudes by the ratio recurrence run for one label alone,
+    amps[n] = (amps[n - 1] * alpha) * (1 / sqrt(n)) from the seed
+    exp(-|alpha|^2 / 2) (0 past |alpha| = 1e150, where the square would
+    overflow), the loop every row of ``fock.coherent_table`` must reproduce
+    bitwise, signs of zero included.
+
+    Seed and products are taken on one-element numpy arrays, not on numpy
+    or Python scalars: numpy's array loops may round otherwise than its
+    scalar ones (the complex multiply may fuse each part, re =
+    fma(ar, br, -ai bi); exp may differ by an ulp)."""
+    alpha = np.array([complex(alpha)])
+    a = np.exp(-0.5 * np.minimum(np.abs(alpha), 1e150) ** 2).astype(np.complex128)
+    amps = np.empty(cutoff + 1, dtype=np.complex128)
+    amps[0] = a[0]
+    for n in range(1, cutoff + 1):
+        a = a * alpha
+        a = a * (1.0 / math.sqrt(n))
+        amps[n] = a[0]
+    return amps
 
 
 def coherent_fock_mp(alpha: complex, cutoff: int, dps: int = 40) -> np.ndarray:

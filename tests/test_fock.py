@@ -61,6 +61,23 @@ def test_lost_share_is_reported():
     assert 1.0 - fock.norm(v) ** 2 == pytest.approx(poisson_tail, rel=1e-9)
 
 
+def test_coherent_fock_bitwise_matches_array_recurrence(rng):
+    amplitudes = [0j]
+    amplitudes += [complex(x) for x in rng.uniform(-5, 5, 40)]
+    amplitudes += [complex(0, y) for y in rng.uniform(-5, 5, 40)]
+    amplitudes += list(rng.uniform(0, 5, 120) * np.exp(2j * np.pi * rng.random(120)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for alpha in amplitudes:
+            for cutoff in (1, 2, int(rng.integers(3, 80)), 80):
+                want = oracles.coherent_fock_one_row(alpha, cutoff)
+                assert np.array_equal(fock.coherent_fock(alpha, cutoff).amps, want)
+                assert np.array_equal(fock.coherent_table([alpha], cutoff)[0], want)
+        table = fock.coherent_table(amplitudes, 80)
+        for alpha, row in zip(amplitudes, table):
+            assert np.array_equal(row, oracles.coherent_fock_one_row(alpha, 80))
+
+
 def _grid_labels(rng, size):
     """Random labels: zero, signed-zero parts, components that lose most of
     their squared norm at the cutoff, and moduli past 1e150 where every
@@ -70,6 +87,23 @@ def _grid_labels(rng, size):
     labels[size // 8 : size // 4] = [complex(-0.0, y) for y in rng.uniform(-3, 3, size // 4 - size // 8)]
     labels[size // 4 : size // 4 + 3] = [complex(0.0, -0.0), 1e160, -2e200j]
     return rng.permutation(labels)
+
+
+def test_coherent_table_rows_are_coherent_fock_bitwise(rng):
+    """Every row, signs of zero and moduli past 1e150 included, is the ratio
+    recurrence run for its label alone, and so is ``coherent_fock``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)
+        for trial in range(30):
+            labels = _grid_labels(rng, int(rng.integers(8, 70)))
+            cutoff = int(rng.integers(1, 90))
+            table = fock.coherent_table(labels, cutoff)
+            assert table.shape == (labels.size, cutoff + 1)
+            for g, row in zip(labels, table):
+                # tobytes: signs of zero count too
+                want = oracles.coherent_fock_one_row(g, cutoff).tobytes()
+                assert row.tobytes() == want
+                assert fock.coherent_fock(g, cutoff).amps.tobytes() == want
 
 
 def test_coherent_table_matches_mpmath(rng):
