@@ -264,11 +264,24 @@ def displacement_phase(beta, alpha: complex) -> np.ndarray:
     return np.exp(turn)
 
 
-def _unit_parts(x: np.ndarray) -> tuple[np.ndarray, int]:
+def _unit_parts(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """(x * 2**-e, e), exact, the largest real or imaginary part of complex
-    ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0."""
-    e = math.frexp(float(np.max(np.abs(x.view(np.float64)))))[1]
-    return _ldexp(x, -e), e
+    ``x`` (not its modulus, which may overflow) in [0.5, 1); e = 0 at x = 0.
+    The result is written to ``out`` where given (``x`` itself for an
+    in-place rescale).
+
+    A NaN or infinite part raises :class:`SolverError` before anything is
+    scaled.  Otherwise no value can leave the float range, as scaling into
+    [0.5, 1) never grows the largest part past 1, so numpy has no overflow
+    to report and the split needs no ``np.errstate``; parts far below the
+    largest may round into the subnormals or to zero, signs kept."""
+    parts = x.view(np.float64)
+    top = float(np.abs(parts).max())
+    if not math.isfinite(top):
+        raise SolverError(f"line coefficients overflow at {x.size - 1} slots")
+    e = math.frexp(top)[1]
+    scaled = np.ldexp(parts, -e, out=None if out is None else out.view(np.float64))
+    return scaled.view(np.complex128), e
 
 
 def _ldexp(c: np.ndarray, e: int) -> np.ndarray:

@@ -73,6 +73,7 @@ __all__ = [
 # summed terms reach ||c||_1^2, and rounding then leaves the norm fewer than
 # about 16 - 8 = 8 correct digits.
 _CANCELLATION_LIMIT = 1e8
+_LOG_LIMIT = np.log(_CANCELLATION_LIMIT)
 _FLOAT = np.finfo(np.float64)
 _LN2 = math.log(2.0)
 # Most slots between two rescalings of the recurrence: rescaling after every
@@ -273,13 +274,18 @@ def _lag_norm_sq(c: np.ndarray, overlaps: np.ndarray) -> float:
     """Squared norm of a line with phase-free coefficients ``c`` and lag
     overlaps ``overlaps`` (lags -n..n); where the gate of
     :func:`cancellation_errors` refuses it, its :class:`SolverError` is
-    raised."""
+    raised.
+
+    A positive sum is judged by the gate's comparison written for one
+    scalar: the same numpy calls on the same values, so it passes exactly
+    the sums the gate passes, and the logs of positive finite values need
+    no ``np.errstate``.  Only a refused sum, or one that is not positive,
+    goes through :func:`cancellation_errors`, which words the error."""
     lags = np.correlate(c, c, "full")  # lags[n + d] = sum_k conj(c[k]) c[k + d]
     nsq = float(np.real(lags @ overlaps))
-    error = cancellation_errors(np.array([nsq]), c)[0]
-    if error is not None:
-        raise error
-    return nsq
+    if nsq > 0.0 and 2.0 * np.log(np.sum(np.abs(c))) <= _LOG_LIMIT + np.log(nsq):
+        return nsq
+    raise cancellation_errors(np.array([nsq]), c)[0]
 
 
 def cancellation_errors(nsq: np.ndarray, *factors) -> list:
@@ -290,7 +296,7 @@ def cancellation_errors(nsq: np.ndarray, *factors) -> list:
     else None."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_l1_sq = 2.0 * sum(np.log(np.sum(np.abs(f))) for f in factors)
-        cancelled = ~(log_l1_sq <= np.log(_CANCELLATION_LIMIT) + np.log(nsq))
+        cancelled = ~(log_l1_sq <= _LOG_LIMIT + np.log(nsq))
         return [
             SolverError(
                 f"coherent Gram sum cancelled past float precision: squared norm {x:.3g} "
@@ -338,28 +344,49 @@ def scaled_coeffs(weights) -> tuple[np.ndarray, int]:
 def _recurrence(weights: np.ndarray, block: int):
     """The recurrence of :func:`forward_coeffs`, the package's one loop over
     the slots.  After every ``block`` slots it yields (c, e), the prefix's
-    coefficients being c * 2**e with the largest part of c in [0.5, 1).
-    It divides the prefix by that power of two (:func:`ile.fock._unit_parts`)
-    there and after every run of slots short enough to stay in the float
-    range (at most 64, fewer for weights past about 2.5e4), whatever the
-    block.  Scaling by a power of two is exact, so c * 2**e is bitwise the
-    unscaled recurrence while no value is subnormal or past the float range.
-    A run that overflows all the same raises :class:`SolverError`."""
+    coefficients being c * 2**e with the largest part of c in [0.5, 1); c is
+    a view of the walk's buffer, valid until the generator resumes.
+
+    One preallocated buffer holds the prefix, and one scratch row the
+    shifted term, so a slot allocates nothing and makes three numpy calls:
+
+        scratch = (1 - p) * c;  c = (1 + p) * c;  buf[1 : m + 2] += scratch.
+
+    Each product is written scalar first, as ``(1 + p) * c`` spells it (and
+    ``tests/oracles.unscaled_forward_coeffs`` with it): numpy's fused complex
+    multiply gives other bits for ``c * (1 + p)``.  A slot of the allocating
+    loop adds each term to a fresh row of zeros, 0 + a, which turns a -0.0
+    part into +0.0.  The buffer adds 0.0 once per run of slots instead: a
+    signed zero changes no nonzero sum or product, so only the signs of the
+    zeros differ in between, and that one addition restores them.
+
+    The walk divides the prefix by the power of two of its largest part
+    (:func:`ile.fock._unit_parts`, in place) at every yield and after every
+    run of slots short enough to stay in the float range (at most 64, fewer
+    for weights past about 2.5e4), whatever the block.  Scaling by a power
+    of two is exact, so c * 2**e is bitwise the unscaled recurrence while no
+    value is subnormal or past the float range.  A run that overflows all
+    the same (a weight past about 2^1000) raises :class:`SolverError`."""
     bits = 1.0 + math.log2(1.0 + float(np.abs(weights).max()))
     run = max(1, min(_BLOCK_SLOTS, int(_RESCALE_BITS / bits)))
-    c, e = np.array([1.0 + 0.0j]), 0
+    buf = np.zeros(weights.size + 1, dtype=np.complex128)
+    buf[0] = 1.0
+    scratch = np.empty(weights.size, dtype=np.complex128)
+    e = 0
     for lo in range(0, weights.size, block):
         hi = min(lo + block, weights.size)
         for start in range(lo, hi, run):
+            stop = min(start + run, hi)
             with np.errstate(over="ignore", invalid="ignore"):
-                for p in weights[start : min(start + run, hi)]:
-                    nxt = np.zeros(c.size + 1, dtype=np.complex128)
-                    nxt[:-1] += (1 + p) * c
-                    nxt[1:] += (1 - p) * c
-                    c = nxt
-            c, step = _unit_parts(c)
-            e += step
-        yield c, e
+                for m, p in enumerate(weights[start:stop], start):
+                    c, s = buf[: m + 1], scratch[: m + 1]
+                    np.multiply(1 - p, c, out=s)
+                    np.multiply(1 + p, c, out=c)
+                    buf[1 : m + 2] += s
+            c = buf[: stop + 1]
+            c += 0.0
+            e += _unit_parts(c, out=c)[1]
+        yield buf[: hi + 1], e
 
 
 def success_probability_nominal(weights) -> float:

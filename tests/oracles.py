@@ -28,6 +28,7 @@ from ile.protocol import (
     ProtocolPlan,
     beta_of,
     cancellation_errors,
+    log_slot_nominal,
 )
 
 
@@ -48,6 +49,51 @@ def unscaled_forward_coeffs(weights) -> np.ndarray:
             nxt[1:] += (1 - p) * c
             c = nxt
     return c
+
+
+def per_cycle_p_exact(plan: ProtocolPlan) -> np.ndarray:
+    """Per-cycle ``p_exact`` of a plan by the allocating slot loop, read
+    once per cycle: the loop ``protocol.run_ideal`` and
+    ``success_probability_exact`` must reproduce bitwise.
+
+    Every slot builds a fresh row as :func:`unscaled_forward_coeffs` does.
+    The prefix is divided by the power of two of its largest part after
+    each cycle and after every run of slots short enough to stay in range
+    (``protocol``'s schedule).  At each cycle end, the lag sum
+    np.correlate(c, c) against the lag overlaps must pass
+    ``cancellation_errors``, whose SolverError is raised otherwise.  The
+    cycle's probability is then exp(log aleph_j^2 + 2 (e_j - e_{j-1}) log 2
+    + log N_j - log N_{j-1}), capped at 1."""
+    weights = plan.all_weights
+    n = weights.size
+    beta = beta_of(plan.params, plan.cycles[0].duration)
+    overlaps = fock.line_overlaps(plan.alpha, 2.0 * beta, n)
+    log_a = log_slot_nominal(weights.reshape(len(plan.cycles), -1)).sum(axis=1)
+    bits = 1.0 + math.log2(1.0 + float(np.abs(weights).max()))
+    run = max(1, min(64, int(1000 / bits)))
+    c, e, exp2, log_prev = np.array([1.0 + 0.0j]), 0, 0, 0.0
+    out = []
+    for j, cycle in enumerate(plan.cycles):
+        for start in range(0, cycle.weights.size, run):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for p in cycle.weights[start : start + run]:
+                    nxt = np.zeros(c.size + 1, dtype=np.complex128)
+                    nxt[:-1] += (1 + p) * c
+                    nxt[1:] += (1 - p) * c
+                    c = nxt
+            parts = c.view(np.float64)
+            step = math.frexp(float(np.max(np.abs(parts))))[1]
+            c = np.ldexp(parts, -step).view(np.complex128)
+            e += step
+        m = c.size - 1
+        nsq = float(np.real(np.correlate(c, c, "full") @ overlaps[n - m : n + m + 1]))
+        (refused,) = cancellation_errors(np.array([nsq]), c)
+        if refused is not None:
+            raise refused
+        log_cur = math.log(nsq)
+        out.append(math.exp(min(log_a[j] + 2.0 * (e - exp2) * math.log(2.0) + log_cur - log_prev, 0.0)))
+        exp2, log_prev = e, log_cur
+    return np.array(out)
 
 
 def coherent_fock_one_row(alpha: complex, cutoff: int) -> np.ndarray:

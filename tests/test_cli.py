@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ile import chain, cli, errors, fock, inverse, multimode, protocol
 from ile.errors import SolverError
+from oracles import per_cycle_p_exact
 
 PLAN = {
     "eta": 0.1,
@@ -190,7 +191,11 @@ class TestSimulateCommand:
         path = write_json(tmp_path / "p.json", CANCELLING_PLAN)
         assert run(["simulate", "--input", path, "--output", str(out)]) == 3
         assert not out.exists()
-        assert "cancelled" in capsys.readouterr().err
+        # the whole line, as cancellation_errors words it for the first
+        # prefix of the plan whose lag sum it refuses
+        with pytest.raises(SolverError, match="cancelled") as refused:
+            per_cycle_p_exact(cli._plan_from_json(CANCELLING_PLAN))
+        assert capsys.readouterr().err == f"solver error: {refused.value}\n"
 
     @pytest.mark.parametrize("n_ions", [2.7, True])
     def test_non_integer_ion_count_exits_2(self, tmp_path, capsys, n_ions):

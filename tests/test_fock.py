@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import oracles
 from ile import fock, protocol
+from ile.errors import SolverError
 from conftest import complexes
 
 
@@ -306,6 +307,35 @@ def test_norm_and_fidelity_at_any_scale(scale):
     assert abs(fock.fidelity_pure(scaled, b) - want) <= 1e-15
     assert abs(fock.fidelity_pure(b, scaled) - want) <= 1e-15
     assert abs(fock.fidelity_pure(scaled, scaled) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [5e-324, -0.0, -1e-323, 0.0, 2.5e-320, -0.0],
+        [1.7e308, -0.0, -1e308, 0.0, 1.5, -0.0],
+        [-0.0, 0.0, 0.0, -0.0],
+    ],
+    ids=["subnormal", "near-max", "zeros"],
+)
+def test_unit_parts_split_exactly(parts):
+    # x = units * 2**e bit for bit, signs of zero included, with no
+    # RuntimeWarning on the way at either end of the float range
+    x = np.array(parts).view(np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        units, e = fock._unit_parts(x)
+    top = np.max(np.abs(units.view(np.float64)))
+    assert 0.5 <= top < 1 or (top == 0 and e == 0)
+    assert np.ldexp(units.view(np.float64), e).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)])
+def test_unit_parts_refuse_a_part_past_the_float_range(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"^line coefficients overflow at 2 slots$"):
+            fock._unit_parts(np.array([0.5, bad, 1j]))
 
 
 def test_fidelity_zero_norm_rejected():

@@ -12,9 +12,18 @@ from oracles import (
     coherent_gram,
     dyadic_p_exact,
     line_fock_per_component,
+    per_cycle_p_exact,
     single_mode_conditional,
     unscaled_forward_coeffs,
 )
+
+
+# Real weights ending in two below -1: a product in their line has the
+# imaginary part -0.0, which the unscaled loop's 0 + a turns into +0.0
+SIGNED_ZERO_WEIGHTS = ([-3.0, -3.0], [0.5, -3.0, -3.0])
+
+# (ions, cycles) of the random plans whose single pass is pinned bitwise
+PINNED_SHAPES = [(1, 1), (1, 60), (2, 30), (5, 12), (20, 20), (3, 300)]
 
 
 def make_plan(weights_per_cycle, eta=0.1, omega=0.02, delta=0.99, t=100.0, alpha=0j):
@@ -96,6 +105,9 @@ class TestForwardCoeffs:
             weights[rng.random(n) < 0.1] = 0.0
             want = unscaled_forward_coeffs(weights)
             assert protocol.forward_coeffs(weights).tobytes() == want.tobytes()
+        for weights in SIGNED_ZERO_WEIGHTS:
+            want = unscaled_forward_coeffs(weights)
+            assert protocol.forward_coeffs(weights).tobytes() == want.tobytes()
 
     def test_scaled_binomials_past_the_float_range(self):
         # 2,080 zero weights: binomials up to about 2^2074, twice the float range
@@ -151,6 +163,29 @@ class TestLineNorm:
         state = protocol.LineSuperposition(0.1, 0.3, np.array([1.0, 0.5, 0.2]) * scale)
         overlaps = fock.line_overlaps(state.alpha, 2.0 * state.beta, state.n)
         assert state.norm_sq() == protocol._lag_norm_sq(state.coeffs, overlaps)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 40])
+    def test_gate_refuses_exactly_where_cancellation_errors_does(self, rng, size):
+        # one lag-0 overlap x puts ||c||_1^2 / nsq within a few ulps of the
+        # 1e8 limit on either side; x = 0, < 0 and NaN give nsq <= 0 and NaN
+        c = fock._unit_parts(rng.normal(size=size) + 1j * rng.normal(size=size))[0]
+        lags = np.correlate(c, c, "full")
+        edge = np.sum(np.abs(c)) ** 2 / 1e8 / lags[size - 1].real
+        xs = [edge * (1 + k * 2.0**-52) for k in range(-40, 41)] + [0.0, -edge, np.nan]
+        outcomes = set()
+        for x in xs:
+            overlaps = np.zeros(2 * size - 1)
+            overlaps[size - 1] = x
+            nsq = float(np.real(lags @ overlaps))
+            (want,) = protocol.cancellation_errors(np.array([nsq]), c)
+            if want is None:
+                assert protocol._lag_norm_sq(c, overlaps) == nsq
+            else:
+                with pytest.raises(SolverError) as got:
+                    protocol._lag_norm_sq(c, overlaps)
+                assert str(got.value) == str(want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("exp2", [-600, 600])
     def test_squared_norm_past_the_float_range(self, exp2):
@@ -330,15 +365,32 @@ class TestRunIdeal:
         assert np.max(np.abs(res.state.coeffs - np.array([2.0, 0.0, 2.0]))) <= 1e-12
         assert res.p_nominal == 1 / 64
 
+    @staticmethod
+    def pinned_plans(rng):
+        for n_ions, n_cycles in PINNED_SHAPES:
+            weights = rng.normal(0, 0.7, (n_cycles, n_ions)) + 1j * rng.normal(0, 0.7, (n_cycles, n_ions))
+            weights[rng.random(weights.shape) < 0.1] = 0.0
+            yield make_plan(list(weights), t=80.0, alpha=0.2 - 0.1j)
+
     def test_coeffs_are_forward_coeffs_bitwise(self, rng):
         # the single pass carries its prefix scaled by powers of two, which
         # must not move a bit of the coefficients
-        for n_ions, n_cycles in [(1, 1), (1, 60), (2, 30), (5, 12), (20, 20), (3, 300)]:
-            weights = rng.normal(0, 0.7, (n_cycles, n_ions)) + 1j * rng.normal(0, 0.7, (n_cycles, n_ions))
-            weights[rng.random(weights.shape) < 0.1] = 0.0
-            plan = make_plan(list(weights), t=80.0, alpha=0.2 - 0.1j)
+        for plan in self.pinned_plans(rng):
             got = protocol.run_ideal(plan).state.coeffs
             assert got.tobytes() == protocol.forward_coeffs(plan.all_weights).tobytes()
+        # and the signs of zero are those of the unscaled loop
+        for weights in SIGNED_ZERO_WEIGHTS:
+            got = protocol.run_ideal(make_plan([[p] for p in weights], t=80.0)).state.coeffs
+            assert got.tobytes() == unscaled_forward_coeffs(weights).tobytes()
+
+    def test_p_exact_is_the_allocating_loops_bitwise(self, rng):
+        # the one-buffer walk and the scalar gate must not move a bit of the
+        # per-cycle probabilities either
+        plans = [*self.pinned_plans(rng), *(make_plan([w], t=80.0) for w in SIGNED_ZERO_WEIGHTS)]
+        for plan in plans:
+            want = per_cycle_p_exact(plan)
+            assert protocol.success_probability_exact(plan)[1].tobytes() == want.tobytes()
+            assert protocol.run_ideal(plan).p_exact == float(np.prod(want))
 
     def test_plan_validation(self):
         params = protocol.PhysicalParams(eta=0.1, omega=0.02, delta=0.99, n_ions=1)
