@@ -36,7 +36,8 @@ a(k) = prod_i a_i[k_i], overlap by G(d) = prod_l <init_l|D(2 sum_i d_i beta[i, l
 Every leakage field is a sum over the (2c + 1)^N lags, with no Gram or merge
 of terms: the norm pairs G with the autocorrelations of the a_i, each <n_l>
 with those tables carrying the step 2k - c on bra or ket, and the gap needs
-h_l(k) = sum_k' conj(a(k')) G_l(k - k'), a cyclic FFT convolution per mode.
+h_l(k) = sum_k' conj(a(k')) G_l(k - k'), per mode one lag axis at a time
+against each ion's shifted bra line, as :func:`_moments` contracts.
 The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
 mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
 same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
@@ -98,10 +99,12 @@ __all__ = [
 ]
 
 # Memory of one point's report, refused up front past the 1 GiB budget:
-# complex arrays of the (2c + 1)^N lags (at most 6.5 alive at once, counted
-# and measured at 9 x 2 and 12 x 1), of the (Nc + 1) x (2Nc + 1) COM-class
-# sums (at most 3) and two blocks of _class_matrix (see _class_block).  A
-# block of points holds that per point, so the budget sets the points per
+# complex arrays of the (2c + 1)^N lags, of the (Nc + 1) x (2Nc + 1) COM-class
+# sums (at most 3), two blocks of _class_matrix (see _class_block) and the
+# ions' bra shifts of _Lines.  tracemalloc peaks at 4.5 lattices at 9 x 2 and
+# 6.1 at 12 x 1, class blocks included; 7 is kept so that the admitted and
+# refused shapes README lists, and the points per block, stay as they are.
+# A block of points holds that per point, so the budget sets the points per
 # block.
 _LIVE_LATTICES = 7
 _LIVE_CLASSES = 4
@@ -188,7 +191,9 @@ def _class_block(n: int, c: int) -> int:
 def _lattice_need(n: int, c: int) -> int:
     """Bytes one point's report may hold at once (see _LIVE_LATTICES)."""
     lattice, classes = (2 * c + 1) ** n, (n * c + 1) * (2 * n * c + 1)
-    return 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + 2 * _class_block(n, c))
+    shifts = n * (2 * c + 1) * (c + 1)  # _Lines.shifts
+    return 16 * (_LIVE_LATTICES * lattice + _LIVE_CLASSES * classes + shifts
+                 + 2 * _class_block(n, c))
 
 
 def _check_lattice(n: int, c: int) -> None:
@@ -311,14 +316,19 @@ def _class_matrix(spectators: np.ndarray, hats: np.ndarray) -> np.ndarray:
 class _Lines:
     """The ions' unit lines and what every point that shares them reads from
     them alone: the product of the lines' squared norms, exp(``log_scale``)
-    of :func:`_ion_lines` (at most 1, so it can only underflow, to 0), the
-    DFT of each ion's bra line, the ket's amplitudes over the term lattice,
-    and the :func:`_ion_tables` of :func:`_moments` and :func:`_class_matrix`."""
+    of :func:`_ion_lines` (at most 1, so it can only underflow, to 0), each
+    ion's bra shifts S_i[c + d, k] = conj(a_i[k - d]) (zero where k - d is
+    off the line) that carry a lag axis to a term axis, the ket's amplitudes
+    over the term lattice, and the :func:`_ion_tables` of :func:`_moments`
+    and :func:`_class_matrix`."""
 
     def __init__(self, lines: np.ndarray, log_scale: float):
         self.lines = lines
         self.scale = float(np.exp(log_scale))
-        self.bra_dft = np.fft.fft(np.conj(lines), 2 * lines.shape[1] - 1)
+        n, size = lines.shape
+        k = np.arange(size)
+        self.shifts = np.zeros((n, 2 * size - 1, size), dtype=np.complex128)
+        self.shifts[:, size - 1 - k[:, None] + k, k] = np.conj(lines)[:, :, None]
         self.amps = reduce(np.multiply.outer, lines)
         self.tables, self.hats = _ion_tables(lines)
 
@@ -337,21 +347,21 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     beta0 = betas[:, 0, 0]
     lattice = tuple(range(1, n + 1))  # the lag axes; axis 0 is the point
 
-    # h_l(k) is entry c + k of the cyclic convolution of the zero-padded
-    # conj(a) with G_l, whose DFT is a product over ions; formed per block
-    # and dropped after the mode loop, so a one-point block holds no more
-    # lattices than the point alone
-    bra_hat = reduce(np.multiply.outer, shared.bra_dft)
     cross, fact_nsq = shared.amps, np.ones(points)
     spectators = np.ones((points,) + (2 * size - 1,) * n)
     for l, overlap in enumerate(_mode_overlaps(alpha, betas, c)):
         if l:
             spectators *= overlap
-        h = np.fft.ifftn(np.fft.fftn(overlap, axes=lattice) * bra_hat, axes=lattice)
-        h = h[(slice(None),) + (slice(c, None),) * n]
+        # h_l(k) = sum_k' conj(a(k')) G_l(k - k'), last ion first: each
+        # product turns the trailing lag axis into a term axis, moved to the
+        # front of the lattice so that the next lag axis trails
+        h = overlap
+        for shift in shared.shifts[::-1]:
+            h = np.moveaxis(h.reshape(points, -1, 2 * size - 1) @ shift, 2, 1)
+        h = h.reshape((points,) + (size,) * n)
         fact_nsq *= np.real(np.sum(shared.amps * h, axis=lattice))  # ||f_l||^2
         cross = cross * h
-    del bra_hat, overlap, h
+    del overlap, h
 
     # the COM factor is taken again rather than held through the loop
     moments = _moments(spectators * next(_mode_overlaps(alpha, betas, c)), shared.tables)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ class TestFactorized:
 
 
 class TestFactorizedOverlap:
-    @pytest.mark.parametrize("n_ions, n_cycles", [(3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("n_ions, n_cycles", [(3, 1), (3, 2), (4, 1), (2, 4)])
     def test_gap_matches_tensor_product(self, n_ions, n_cycles):
         modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
         weights = [0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5][:n_ions]
@@ -368,6 +370,23 @@ class TestLatticeBudget:
         for n, c in ((15, 1), (10, 2), (7, 5), (6, 7), (5, 12), (4, 28), (3, 105)):
             with pytest.raises(SolverError, match="budget 1 GiB"):
                 multimode._check_lattice(n, c)
+
+    @pytest.mark.parametrize("n_ions, n_cycles", [(1, 1000), (2, 150), (4, 8), (8, 2), (12, 1)])
+    def test_need_bounds_the_traced_peak(self, n_ions, n_cycles):
+        # the pre-flight estimate against what one point really allocates
+        rng = np.random.default_rng(1000 * n_ions + n_cycles)
+        weights = rng.normal(0.0, 0.5, (n_cycles, n_ions, 2)) @ [1.0, 1j]
+        cycles = tuple(protocol.Cycle(duration=80.0, weights=w) for w in weights)
+        params = params_for(n_ions, eta=0.05, omega=0.01, delta=0.99)
+        plan = protocol.ProtocolPlan(params=params, alpha=0.3 + 0.1j, cycles=cycles)
+        modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
+        tracemalloc.start()
+        try:
+            multimode.analyze_plan(plan, modes, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multimode._lattice_need(n_ions, n_cycles)
 
     def test_class_block_is_the_shapes_own(self):
         assert multimode._class_block(1, 1) == 2 * 3  # 2 classes of 3 lags
