@@ -205,12 +205,13 @@ def lamb_dicke(modes: ModeTable, eta: float) -> np.ndarray:
     in-phase-mode parameter ``eta``, as a read-only (ions x modes) array:
     entry [i, l] = eta sqrt(N) b[i, l] / sqrt(mu_l), linear in ``eta``.
 
-    The in-phase column is one value for every ion, within 2.2e-16
-    relative of ``eta`` (eta sqrt(N) (1/sqrt(N)) rounds).
+    The in-phase column is ``eta`` exactly, as :func:`normal_modes` stores mu_0
+    and b_0, not the rounding of eta sqrt(N) (1/sqrt(N)).
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError("eta must be positive and finite")
     n = modes.n_ions
     entries = eta * np.sqrt(n) * modes.vectors / np.sqrt(modes.frequencies)[None, :]
+    entries[:, 0] = eta
     entries.flags.writeable = False
     return entries

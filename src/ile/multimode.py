@@ -2,17 +2,16 @@
 conditional state, and a midpoint integrator that referees the analytic
 displacement formulas against the underlying time-dependent Hamiltonian.
 
-Displacement amplitude per ion and mode over a window t, in two variants:
+Displacement amplitude per ion and mode over a window t (:func:`ile.protocol._displacement`):
 
-* endpoint form:   beta[i, l] = i Omega t eta[i, l] e^{i (mu_l - delta) t}, with the
+* endpoint form:   beta[i, l] = i Omega t eta[i, l] e^{i Delta t}, Delta = mu_l - delta,
   coupling eta[i, l] = eta sqrt(N / mu_l) b[i, l] of :func:`ile.chain.lamb_dicke`
 * integrated form: the same prefactor times the actual first-order time
-  integral of the drive, t e^{i Delta t / 2} sinc(Delta t / 2 pi) with
-  Delta = mu_l - delta.  The two agree as Delta t -> 0; only the integrated
+  integral of the drive, e^{i Delta t / 2} sinc(Delta t / 2 pi) in place of
+  e^{i Delta t}.  The two agree as Delta t -> 0; only the integrated
   form is bounded in t and can show the averaging-out of far-detuned
   spectator modes, so it is the default for leakage studies.  The endpoint
-  form (CLI name: --paper-beta) reproduces the protocol formula on the COM
-  mode exactly.
+  form's (CLI name: --paper-beta) COM column is beta_of's value bit for bit.
 
 The exact conditional state is a product over ions: ion i, with weights
 w_i over all c cycles, applies its own line sum_k a_i[k] D((2k - c) beta[i]),
@@ -38,10 +37,11 @@ of terms: the norm pairs G with the autocorrelations of the a_i, each <n_l>
 with those tables carrying the step 2k - c on bra or ket, and the gap needs
 h_l(k) = sum_k' conj(a(k')) G_l(k - k'), per mode one lag axis at a time
 against each ion's shifted bra line, as :func:`_moments` contracts.
-The reduced COM state is a matrix over the classes m = sum_i k_i: the COM
-mode vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the
-same beta_0 and a term's COM label alpha + (2m - Nc) beta_0 depends on m
-alone.
+The reduced COM state is a matrix over the classes m = sum_i k_i: the COM mode
+vector is exactly 1/sqrt(N), so every ion displaces the COM mode by the same
+beta_0, a term's COM label alpha + (2m - Nc) beta_0 depends on m alone, and G's
+COM factor on the total lag sum_i d_i alone: one row of lag overlaps on the COM
+line gives it on the lattice and between the classes alike.
 
 Sweeps: a sweep is one plan and two grids of one length, the detuning
 delta and the window t of each point, which enter the displacement tables
@@ -83,6 +83,7 @@ from .protocol import (
     PhysicalParams,
     ProtocolPlan,
     _check_detuning,
+    _displacement,
     cancellation_errors,
     log_slot_nominal,
     scaled_coeffs,
@@ -101,7 +102,7 @@ __all__ = [
 # Memory of one point's report, refused up front past the 1 GiB budget:
 # complex arrays of the (2c + 1)^N lags, of the (Nc + 1) x (2Nc + 1) COM-class
 # sums (at most 3), two blocks of _class_matrix (see _class_block) and the
-# ions' bra shifts of _Lines.  tracemalloc peaks at 4.5 lattices at 9 x 2 and
+# ions' bra shifts of _Lines.  tracemalloc peaks at 3.8 lattices at 9 x 2 and
 # 6.1 at 12 x 1, class blocks included; 7 is kept so that the admitted and
 # refused shapes README lists, and the points per block, stay as they are.
 # A block of points holds that per point, so the budget sets the points per
@@ -147,8 +148,8 @@ def cycle_displacements(
     read-only (ions x modes) table, finite, each column real multiples of
     one amplitude and the COM column one value.
 
-    With ``integrated=False`` the endpoint form, whose COM column agrees
-    with :func:`ile.protocol.beta_of` to rounding; with ``integrated=True`` the
+    With ``integrated=False`` the endpoint form, whose COM column is
+    :func:`ile.protocol.beta_of`'s value; with ``integrated=True`` the
     bounded time-integral form (see module docstring).
     """
     if modes.n_ions != params.n_ions:
@@ -164,19 +165,10 @@ def cycle_displacements(
 
 def _displacements(modes: ModeTable, params: PhysicalParams, deltas, ts, integrated: bool):
     """The tables of :func:`cycle_displacements` at the detunings ``deltas``
-    and windows ``ts``, one (ions x modes) table per point; ValueError if a
-    phase past the float range leaves one not finite."""
-    ts = np.asarray(ts, dtype=float)[:, None]
-    detune = modes.frequencies - np.asarray(deltas, dtype=float)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if integrated:
-            window = ts * np.exp(0.5j * detune * ts) * np.sinc(detune * ts / (2.0 * np.pi))
-        else:
-            window = ts * np.exp(1j * detune * ts)
-        betas = 1j * params.omega * lamb_dicke(modes, params.eta) * window[:, None, :]
-    if not np.all(np.isfinite(betas)):
-        raise ValueError("betas must be finite")
-    return betas
+    and windows ``ts``, one (ions x modes) table per point."""
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    detune = modes.frequencies - np.asarray(deltas, dtype=float)[:, None, None]
+    return _displacement(lamb_dicke(modes, params.eta), params.omega, detune, ts, integrated)
 
 
 def _class_block(n: int, c: int) -> int:
@@ -231,21 +223,19 @@ def _expand(alpha: complex, betas: np.ndarray, amps: np.ndarray) -> tuple[np.nda
     return coeffs, labels
 
 
-def _mode_overlaps(alpha: complex, betas: np.ndarray, c: int):
-    """Mode by mode, <init_l|D(g)|init_l> = exp(-|g|^2 / 2 + 2i Im(conj(init_l) g))
-    at g = 2 sum_i d_i betas[p, i, l], over each point's lattice (axis 0: the
-    point p; axis i + 1: lag d_i at c + d_i)."""
+def _mode_overlaps(line: np.ndarray, betas: np.ndarray, c: int):
+    """Mode by mode, <init_l|D(g)|init_l> at g = 2 sum_i d_i betas[p, i, l],
+    over each point's lattice (axis 0: the point p; axis i + 1: lag d_i at
+    c + d_i): the COM mode's gathered from the point's lag overlaps ``line``
+    at the total lag sum_i d_i, then each spectator's, real, exp(-|g|^2 / 2)."""
     points, n = betas.shape[:2]
+    yield np.take(line, sum(np.ogrid[(slice(2 * c + 1),) * n]), axis=1)
     lags = 2.0 * np.arange(-c, c + 1)
-    for l in range(betas.shape[2]):
+    for l in range(1, betas.shape[2]):
         g = betas[:, 0, l, None] * lags
         for i in range(1, n):
             g = g[..., None] + (betas[:, i, l, None] * lags).reshape((points,) + (1,) * i + (-1,))
-        log = -0.5 * (g.real**2 + g.imag**2)
-        if l == 0 and alpha != 0:
-            log = log + 2j * (alpha.real * g.imag - alpha.imag * g.real)
-        del g
-        yield np.exp(log)
+        yield np.exp(-0.5 * (g.real**2 + g.imag**2))
 
 
 def _ion_tables(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,12 +334,12 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     point's cancelled norm or non-finite field refuses it."""
     points, (n, size) = len(betas), shared.lines.shape
     nc, c = n * (size - 1), size - 1
-    beta0 = betas[:, 0, 0]
     lattice = tuple(range(1, n + 1))  # the lag axes; axis 0 is the point
+    line = line_overlaps(alpha, 2.0 * betas[:, 0, 0], nc)  # the one COM Gram, per point
 
     cross, fact_nsq = shared.amps, np.ones(points)
     spectators = np.ones((points,) + (2 * size - 1,) * n)
-    for l, overlap in enumerate(_mode_overlaps(alpha, betas, c)):
+    for l, overlap in enumerate(_mode_overlaps(line, betas, c)):
         if l:
             spectators *= overlap
         # h_l(k) = sum_k' conj(a(k')) G_l(k - k'), last ion first: each
@@ -363,8 +353,8 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
         cross = cross * h
     del overlap, h
 
-    # the COM factor is taken again rather than held through the loop
-    moments = _moments(spectators * next(_mode_overlaps(alpha, betas, c)), shared.tables)
+    # the COM factor is gathered from the line again rather than held through the loop
+    moments = _moments(spectators * next(_mode_overlaps(line, betas, c)), shared.tables)
     nsq = np.real(moments[:, n, n])
     refused = cancellation_errors(nsq, *shared.lines)
     # <n_l> nsq = u_l^H M u_l: ion rows hold the displacements, the last alpha
@@ -378,7 +368,7 @@ def _report(alpha: complex, betas: np.ndarray, shared: _Lines, ideal: np.ndarray
     m = np.arange(nc + 1)
     # s[p, m, m'] = <class m|class m'> for point p's COM states
     # D((2m - nc) beta0)|alpha>, the components of the ideal line too
-    s = np.ascontiguousarray(line_overlaps(alpha, 2.0 * beta0, nc)[:, m - m[:, None] + nc])
+    s = np.ascontiguousarray(line[:, m - m[:, None] + nc])
     rs = np.swapaxes(r, 1, 2) @ s
     # squares and moduli of single values are taken scalar by scalar, as a
     # point alone takes them: numpy's array kernels for them round otherwise
@@ -498,6 +488,11 @@ class TrotterConfig:
     include_fast_terms: bool = False
 
     def __post_init__(self):
+        for name in ("cutoff", "steps"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         if self.steps < 10:
@@ -608,8 +603,8 @@ def trotter_validate(
     3.6e10 (:func:`_run_cost`, about a minute at a desk), and a step phase
     whose bound passes the float range: max(1, t) times the largest of
     cutoff |mu_l - delta| and 8 (cutoff + 1) omega and, with the fast terms,
-    cutoff sum_l mu_l and 4 steps delta.  (The window's own phase
-    (1 - delta) t is :func:`ile.protocol.beta_of`'s to check.)  Three
+    cutoff sum_l mu_l and 4 steps delta.  (The window's own phases
+    (mu_l - delta) t are :func:`ile.protocol._displacement`'s to check.)  Three
     resolutions (steps, 2x, 4x) are always run; a Richardson limit from the
     two finest certifies second order (deviation ratio near 4), an
     :class:`IntegratorError` flags anything far off that, and deviations
@@ -622,8 +617,7 @@ def trotter_validate(
     size = cfg.cutoff + 1
     if 2**n * size ** (n + 1) > _STEP_BUDGET:
         raise ValueError("one integrator step beyond desk scale; lower the cutoff")
-    # in Python integers, so that a numpy step count cannot wrap round under the budget
-    if _run_cost(n, size, int(cfg.steps), cfg.include_fast_terms) > _RUN_BUDGET:
+    if _run_cost(n, size, cfg.steps, cfg.include_fast_terms) > _RUN_BUDGET:
         raise ValueError(
             "the whole integrator run beyond desk scale; lower the steps or the cutoff"
         )
@@ -632,8 +626,7 @@ def trotter_validate(
     # The two predictions differ in their displacement tables alone.
     amps = _ion_lines(plan)[0]
     coeffs, labels = _expand(plan.alpha, cycle_displacements(modes, params, t, True), amps)
-    endpoint = cycle_displacements(modes, params, t, integrated=False)
-    coeffs_end, labels_end = _expand(plan.alpha, endpoint, amps)
+    coeffs_end, labels_end = _expand(plan.alpha, cycle_displacements(modes, params, t, False), amps)
     # Each phase a step forms is a window t, or a part of it, times a rate
     # times a count: (mu_l - delta) N up to the cutoff, the drive's omega
     # lambda g below 8 (cutoff + 1) omega, and with the fast terms sum_l mu_l
@@ -643,7 +636,7 @@ def trotter_validate(
     rates = [cfg.cutoff * float(np.max(np.abs(mu - delta))), 8.0 * (cfg.cutoff + 1) * omega]
     name = "cutoff |mu - delta|, 8 (cutoff + 1) omega"
     if cfg.include_fast_terms:
-        rates += [cfg.cutoff * float(mu.sum()), 4.0 * int(cfg.steps) * delta]
+        rates += [cfg.cutoff * float(mu.sum()), 4.0 * cfg.steps * delta]
         name += ", cutoff sum(mu), 4 steps delta"
     phase = max(1.0, float(t)) * max(rates)
     if not np.isfinite(phase):

@@ -119,8 +119,9 @@ class PhysicalParams:
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError("omega must be positive and finite")
         _check_detuning(self.omega, self.delta, stacklevel=4)
-        if int(self.n_ions) != self.n_ions or self.n_ions < 1:
+        if not (float(self.n_ions).is_integer() and self.n_ions >= 1):
             raise ValueError("n_ions must be a positive integer")
+        object.__setattr__(self, "n_ions", int(self.n_ions))
 
 
 def _check_detuning(omega: float, delta: float, stacklevel: int) -> None:
@@ -143,16 +144,27 @@ def _check_detuning(omega: float, delta: float, stacklevel: int) -> None:
 def beta_of(params: PhysicalParams, t: float) -> complex:
     """Displacement amplitude accumulated by the COM mode over a window t.
 
-    beta = i eta omega t exp(i (1 - delta) t); at delta = 1 the phase factor
-    freezes and |beta| grows linearly with t.  A phase (1 - delta) t past the
-    float range raises ValueError.
+    beta = i eta omega t exp(i (1 - delta) t), :func:`_displacement` of the COM
+    mode; at delta = 1 the phase factor freezes and |beta| grows linearly
+    with t.  A phase (1 - delta) t past the float range raises ValueError.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be non-negative and finite")
-    phase = (1.0 - params.delta) * t
-    if not np.isfinite(phase):
-        raise ValueError(f"detuning phase (1 - delta) t must be finite, got {phase!r}")
-    return complex(1j * params.eta * params.omega * t * np.exp(1j * phase))
+    return complex(_displacement(params.eta, params.omega, 1.0 - params.delta, t, False))
+
+
+def _displacement(coupling, omega, detune, t, integrated: bool):
+    """The one displacement formula, elementwise, detune = mu - delta: i coupling omega t
+    e^{i detune t}, or with ``integrated`` the drive's time integral, e^{i detune t / 2}
+    sinc(detune t / 2 pi) in place of e^{i detune t}.  A phase past float range: ValueError."""
+    with np.errstate(over="ignore"):
+        phase = np.multiply(detune, t)
+    if not np.all(np.isfinite(phase)):
+        bad = next(x for x in np.ravel(phase).tolist() if not math.isfinite(x))
+        raise ValueError(f"detuning phase (mu - delta) t must be finite, got {bad!r}")
+    if integrated:
+        return 1j * coupling * omega * t * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+    return 1j * coupling * omega * t * np.exp(1j * phase)
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,13 @@ def test_lamb_dicke_com_column_is_eta():
 
 
 def test_lamb_dicke_com_column_is_one_value_next_to_eta():
-    # eta sqrt(N) (1/sqrt(N)) rounds, so the column need not equal eta, but
-    # it is one value for every ion, within 2.2e-16 relative of it
-    eta = 0.05
+    # eta sqrt(N) (1/sqrt(N)) would round; the column is stored as eta
+    # itself, as normal_modes stores mu_0 and b_0, so every ion's COM
+    # displacement is protocol.beta_of's value bit for bit
     for n in range(1, 65):
-        column = chain.lamb_dicke(chain.normal_modes(chain.equilibrium_positions(n)), eta)[:, 0]
-        assert np.all(column == column[0])
-        assert abs(column[0] - eta) <= 2.2e-16 * eta
+        modes = chain.normal_modes(chain.equilibrium_positions(n))
+        for eta in (0.05, 0.07, 0.1 / 3):
+            assert np.all(chain.lamb_dicke(modes, eta)[:, 0] == eta)
 
 
 def test_lamb_dicke_two_ion_stretch_value():

@@ -141,6 +141,23 @@ class TestPlanCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--input", "PLAN"],
+    ["leakage", "--input", "PLAN", "--format", "json"],
+    ["leakage", "--input", "PLAN", "--sweep", "t=1e10:2e10:2"],
+    ["validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1e300", "--t", "1e10"],
+], ids=["simulate", "leakage", "leakage-sweep", "validate"])
+def test_detuning_phase_past_float_range_exits_2(tmp_path, capsys, argv):
+    # delta 1e300 and t 1e10: every command refuses the one displacement
+    # formula's phase (1 - delta) t = -inf with the same line
+    plan = dict(PLAN, n_ions=1, delta=1e300, cycles=[{"t": 1e10, "p": [[0.3, 0.0]]}])
+    path = write_json(tmp_path / "p.json", plan)
+    assert run([path if a == "PLAN" else a for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: detuning phase (mu - delta) t must be finite, got -inf\n"
+    )
+
+
 class TestSimulateCommand:
     def test_single_ion_single_cycle(self, tmp_path):
         plan = dict(PLAN, n_ions=1, cycles=[{"t": 80.0, "p": [[0, 0]]}])
@@ -209,11 +226,6 @@ class TestSimulateCommand:
         plan = dict(PLAN, n_ions=n_ions)
         assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
         assert f"n_ions must be an integer, got {n_ions!r}" in capsys.readouterr().err
-
-    def test_detuning_phase_past_float_range_exits_2(self, tmp_path, capsys):
-        plan = dict(PLAN, n_ions=1, delta=1e300, cycles=[{"t": 1e10, "p": [[0.3, 0.0]]}])
-        assert run(["simulate", "--input", write_json(tmp_path / "p.json", plan)]) == 2
-        assert "detuning phase" in capsys.readouterr().err
 
     def test_weight_whose_modulus_passes_the_float_range_exits_3(self, tmp_path, capsys):
         # each part of the second weight is finite, its modulus is not: the
@@ -764,11 +776,6 @@ class TestValidateCommand:
         ]) == 2
         assert not out.exists()
         assert "weights must be finite" in capsys.readouterr().err
-
-    def test_detuning_phase_past_float_range_exits_2(self, tmp_path, capsys):
-        assert run(["validate", "--eta", "0.05", "--omega", "0.01", "--delta", "1e300",
-                    "--t", "1e10"]) == 2
-        assert "betas must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["--delta", "0.7", "--t", "1.7e308", "--cutoff", "2", "--n-ions", "2"],

@@ -43,11 +43,21 @@ def spectators_off(betas):
 
 class TestCycleDisplacements:
     def test_com_column_equals_single_mode_formula(self, mode_tables):
+        # one formula and an in-phase coupling of exactly eta: the endpoint
+        # table's COM column is beta_of's value, bit for bit
         for n in (1, 2, 3):
             params = params_for(n)
             betas = multimode.cycle_displacements(mode_tables[n], params, 100.0, integrated=False)
-            ref = protocol.beta_of(params, 100.0)
-            assert np.max(np.abs(betas[:, 0] - ref)) <= 1e-14 * abs(ref)
+            assert np.all(betas[:, 0] == protocol.beta_of(params, 100.0))
+        modes = {n: chain.normal_modes(chain.equilibrium_positions(n)) for n in range(1, 9)}
+        rng = np.random.default_rng(35)
+        for _ in range(250):
+            n, delta = int(rng.integers(1, 9)), rng.uniform(0.5, 1.5)
+            params = params_for(n, eta=rng.uniform(1e-3, 0.1), omega=rng.uniform(1e-3, 0.1) * delta,
+                                delta=delta)
+            t = rng.uniform(0.0, 1000.0)
+            betas = multimode.cycle_displacements(modes[n], params, t, integrated=False)
+            assert np.all(betas[:, 0] == protocol.beta_of(params, t))
 
     def test_two_ion_stretch_magnitude(self, mode_tables):
         params = params_for(2, eta=0.1, omega=0.02, delta=0.99)
@@ -98,11 +108,26 @@ class TestConditionalExact:
         assert rep.com_fidelity_vs_ideal >= 1 - 1e-10
         assert rep.factorization_gap <= 1e-12  # one mode: factorization is exact
 
-    def test_spectators_zeroed_reduce_to_protocol(self, mode_tables, monkeypatch):
-        plan = one_cycle_plan([0.3 + 0.2j, -0.4j], alpha=0.3)
+    @pytest.mark.parametrize("n_ions, n_cycles", [(2, 1), (3, 2), (4, 1), (2, 3), (3, 3)])
+    def test_spectators_zeroed_reduce_to_protocol(self, monkeypatch, n_ions, n_cycles):
+        # the lattice's COM factor is the COM line's lag overlap at the total
+        # lag: with the spectators off, the report is the line state's
+        weights = np.array([0.3 + 0.2j, -0.4j, 0.2 - 0.1j, 0.5])[:n_ions]
+        plan = protocol.ProtocolPlan(
+            params=params_for(n_ions),
+            alpha=0.3 + 0.1j,
+            cycles=tuple(protocol.Cycle(80.0, np.roll(weights, j)) for j in range(n_cycles)),
+        )
+        modes = chain.normal_modes(chain.equilibrium_positions(n_ions))
         use_tables(monkeypatch, spectators_off)
-        _, p = multimode.analyze_plan(plan, mode_tables[2], False)
-        assert abs(p - protocol.success_probability_exact(plan)[0]) <= 1e-10
+        for integrated in (False, True):
+            rep, p = multimode.analyze_plan(plan, modes, integrated)
+            if not integrated:
+                expect = protocol.success_probability_exact(plan)[0]
+                assert abs(p - expect) <= 1e-12 * expect
+            assert 1.0 - rep.com_fidelity_vs_ideal <= 1e-12
+            assert 1.0 - rep.com_purity <= 1e-12
+            assert rep.factorization_gap <= 1e-12
 
     def test_term_cap(self):
         # 5^10 lags: their sums would need 1.2 GiB

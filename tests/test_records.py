@@ -115,3 +115,51 @@ def test_non_finite_complex_scalars_are_refused(case, z):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be finite, got {z!r}')}$"):
         build(z)
     assert isinstance(getattr(build(0.5), name), complex)
+
+
+def _plan(n_ions):
+    params = protocol.PhysicalParams(eta=0.05, omega=0.01, delta=0.99, n_ions=n_ions)
+    return protocol.ProtocolPlan(params, 0.3, (protocol.Cycle(80.0, [0.3 + 0.1j]),) * 2)
+
+
+def test_integral_ion_count_is_stored_as_an_int():
+    # a float count passed the integer check but was kept, and every runner
+    # then raised a bare TypeError on it
+    plan, plan_float = _plan(1), _plan(1.0)
+    assert type(plan_float.params.n_ions) is int and plan_float.params == plan.params
+    modes = chain.normal_modes(chain.equilibrium_positions(1))
+    cfg = multimode.TrotterConfig(cutoff=8, steps=10)
+    for p in (plan, plan_float):
+        assert repr(protocol.run_ideal(p)) == repr(protocol.run_ideal(plan))
+        assert repr(multimode.analyze_plan(p, modes, False)) == repr(
+            multimode.analyze_plan(plan, modes, False)
+        )
+        report = multimode.trotter_validate(p.params, modes, 20.0, cfg, [0.3 + 0.1j])
+        assert report == multimode.trotter_validate(plan.params, modes, 20.0, cfg, [0.3 + 0.1j])
+
+
+@pytest.mark.parametrize("n_ions", [1.5, 0.0, -1.0, np.nan, np.inf])
+def test_ion_count_that_is_not_a_positive_integer_is_refused(n_ions):
+    with pytest.raises(ValueError, match="^n_ions must be a positive integer$"):
+        _plan(n_ions)
+
+
+def test_integral_trotter_counts_are_stored_as_ints():
+    modes = chain.normal_modes(chain.equilibrium_positions(1))
+    cfg = multimode.TrotterConfig(cutoff=8.0, steps=10.0)
+    assert (type(cfg.cutoff), type(cfg.steps)) == (int, int)
+    assert cfg == multimode.TrotterConfig(cutoff=8, steps=10)
+    reports = [multimode.trotter_validate(PARAMS, modes, 20.0, c, [0.3 + 0.1j])
+               for c in (cfg, multimode.TrotterConfig(cutoff=8, steps=10))]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("cutoff", {"cutoff": 8.5, "steps": 10}),
+    ("steps", {"cutoff": 8, "steps": 10.5}),
+    ("cutoff", {"cutoff": np.inf, "steps": 10}),
+    ("steps", {"cutoff": 8, "steps": np.nan}),
+], ids=["cutoff-8.5", "steps-10.5", "cutoff-inf", "steps-nan"])
+def test_trotter_counts_that_are_not_integers_are_refused(name, kw):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        multimode.TrotterConfig(**kw)
