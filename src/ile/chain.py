@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, frozen_array
+from .errors import SolverError, as_array, count, frozen_array, positive
 
 __all__ = [
     "ChainGeometry",
@@ -28,7 +28,7 @@ _GRAD_TOL = 1e-10
 
 def potential_gradient(positions) -> np.ndarray:
     """Gradient of V(u) = sum u_i^2/2 + sum_{i<j} 1/|u_i - u_j|."""
-    return _gradient(np.asarray(positions, dtype=float))[0]
+    return _gradient(as_array(positions, "positions", float))[0]
 
 
 def _gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +145,7 @@ def equilibrium_positions(n_ions: int) -> ChainGeometry:
     half step once max|gradient| <= 1e-10.  ``ChainGeometry`` checks the
     gradient of every result.
     """
-    if not 1 <= n_ions <= 64:
+    if (n_ions := count(n_ions, "n_ions", 1)) > 64:
         raise ValueError("n_ions must lie in 1..64")
     if n_ions == 1:
         return ChainGeometry(np.zeros(1))
@@ -208,8 +208,7 @@ def lamb_dicke(modes: ModeTable, eta: float) -> np.ndarray:
     The in-phase column is ``eta`` exactly, as :func:`normal_modes` stores mu_0
     and b_0, not the rounding of eta sqrt(N) (1/sqrt(N)).
     """
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError("eta must be positive and finite")
+    eta = positive(eta, "eta")
     n = modes.n_ions
     entries = eta * np.sqrt(n) * modes.vectors / np.sqrt(modes.frequencies)[None, :]
     entries[:, 0] = eta

@@ -41,7 +41,7 @@ import warnings
 import numpy as np
 
 from . import __version__, chain, inverse, multimode, protocol
-from .errors import SolverError, check_memory
+from .errors import SolverError, check_memory, real
 from .fock import FockVector
 from .protocol import Cycle, PhysicalParams, ProtocolPlan
 
@@ -67,26 +67,12 @@ def _pairs(seq) -> list[list[float]]:
     return np.ascontiguousarray(seq, np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
-_JSON_NUMBERS = frozenset((int, float))  # what json.load gives a number; bool is apart
-
-
-def _real(obj, name: str, kind: str = "a number") -> float:
-    """A JSON number as a float, booleans excluded; anything else, an integer
-    literal past the float range included, raises "<name> must be <kind>"."""
-    if type(obj) in _JSON_NUMBERS:
-        try:
-            return float(obj)
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be {kind}")
-
-
 def _complex_from_pair(obj, name: str) -> complex:
-    """A JSON [re, im] pair: a list of exactly two numbers as :func:`_real` reads them."""
+    """A JSON [re, im] pair: a list of exactly two numbers as :func:`ile.errors.real` reads them."""
     kind = "a [re, im] pair"
     if type(obj) is not list or len(obj) != 2:
         raise ValueError(f"{name} must be {kind}")
-    return complex(_real(obj[0], name, kind), _real(obj[1], name, kind))
+    return complex(real(obj[0], name, kind), real(obj[1], name, kind))
 
 
 def _parse_complex_arg(text: str, name: str) -> complex:
@@ -198,14 +184,11 @@ def _plan_from_json(doc) -> ProtocolPlan:
     for key in ("eta", "omega", "delta", "n_ions", "alpha", "cycles"):
         if key not in doc:
             raise ValueError(f"plan is missing {key!r}")
-    n_ions = doc["n_ions"]
-    if type(n_ions) not in _JSON_NUMBERS or (type(n_ions) is float and not n_ions.is_integer()):
-        raise ValueError(f"n_ions must be an integer, got {n_ions!r}")
     params = PhysicalParams(
-        eta=_real(doc["eta"], "eta"),
-        omega=_real(doc["omega"], "omega"),
-        delta=_real(doc["delta"], "delta"),
-        n_ions=int(n_ions),
+        eta=real(doc["eta"], "eta"),
+        omega=real(doc["omega"], "omega"),
+        delta=real(doc["delta"], "delta"),
+        n_ions=doc["n_ions"],
     )
     cycles = []
     if not isinstance(doc["cycles"], list) or not doc["cycles"]:
@@ -216,7 +199,7 @@ def _plan_from_json(doc) -> ProtocolPlan:
         if type(cyc["p"]) is not list:
             raise ValueError(f"cycle {k}'s 'p' must be a list of [re, im] pairs")
         weights = [_complex_from_pair(p, f"cycle {k} weight") for p in cyc["p"]]
-        cycles.append(Cycle(duration=_real(cyc["t"], f"cycle {k} t"), weights=weights))
+        cycles.append(Cycle(duration=real(cyc["t"], f"cycle {k} t"), weights=weights))
     return ProtocolPlan(
         params=params,
         alpha=_complex_from_pair(doc["alpha"], "alpha"),

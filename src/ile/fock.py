@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, finite_complex, frozen_array
+from .errors import SolverError, as_array, count, finite_complex, frozen_array, real
 
 __all__ = [
     "TruncationWarning",
@@ -54,7 +54,7 @@ def recommended_cutoff(gamma_max: float) -> int:
     small to hold the ket, which is wrong, and a TruncationWarning says so.
     A NaN, an infinity or a g whose square passes the float range raises
     ValueError."""
-    mag = abs(float(gamma_max))
+    mag = abs(real(gamma_max, "gamma_max"))
     if not math.isfinite(mag * mag):
         raise ValueError(f"gamma_max must be finite, its square in the float range, got {gamma_max!r}")
     return math.ceil(mag * mag + 6.0 * mag + 10.0)
@@ -126,12 +126,9 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     states the share it keeps (see :func:`recommended_cutoff`); the state is
     still returned.
     """
-    alpha = finite_complex(alpha, "alpha")
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    amps = coherent_table([alpha], cutoff)[0]
-    _check_kept(float(np.real(np.vdot(amps, amps))), cutoff, stacklevel=3)
-    return FockVector(amps)
+    out = FockVector(coherent_table([finite_complex(alpha, "alpha")], cutoff)[0])
+    _check_kept(float(np.real(np.vdot(out.amps, out.amps))), out.cutoff, stacklevel=3)
+    return out
 
 
 def coherent_table(labels, cutoff: int) -> np.ndarray:
@@ -147,13 +144,12 @@ def coherent_table(labels, cutoff: int) -> np.ndarray:
     :class:`TruncationWarning`; a caller that needs the rows whole checks
     the share of the squared norm, 1 for each exact row, that they keep.
     """
-    labels = np.asarray(labels, dtype=np.complex128)
+    labels = as_array(labels, "labels")
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D sequence")
     if not np.all(np.isfinite(labels)):
         raise ValueError("labels must be finite")
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    cutoff = count(cutoff, "cutoff", 1)
     table = np.empty((cutoff + 1, labels.size), dtype=np.complex128)  # [level, row]
     prev = table[0]
     # The seed exp(-|g|^2 / 2), 0 from |g| ~ 38.6; |g| is cut at 1e150, as
@@ -171,7 +167,7 @@ def coherent_blocks(labels, cutoff: int):
     of at most ``_ROW_BLOCK`` amplitudes (one row at least): a caller holding
     one block while the next is built keeps two blocks alive at most,
     however long the grid and large the cutoff."""
-    labels = np.asarray(labels, dtype=np.complex128)
+    labels, cutoff = as_array(labels, "labels"), count(cutoff, "cutoff", 1)
     step = max(1, _ROW_BLOCK // (cutoff + 1))
     for start in range(0, labels.size, step):
         yield coherent_table(labels[start : start + step], cutoff)
@@ -191,9 +187,7 @@ def displacement_matrix(beta: complex, cutoff: int) -> DisplacementMatrix:
     n ~ 20.  D(0) is the identity exactly, which the ladder misses by an ulp.
     """
     beta = finite_complex(beta, "beta")
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    size = cutoff + 1
+    size = count(cutoff, "cutoff", 1) + 1
     if beta == 0:
         return DisplacementMatrix(beta=beta, entries=np.eye(size, dtype=np.complex128))
     d = np.zeros((size, size), dtype=np.complex128)
@@ -213,11 +207,14 @@ def coherent_overlap(g1: complex, g2: complex) -> complex:
     """Analytic overlap <g1|g2> of two coherent states.
 
     exp(-|g1|^2/2 - |g2|^2/2 + conj(g1) g2); the truncation-free twin of the
-    Fock inner product, used as an independent cross-check throughout.
+    Fock inner product, used as an independent cross-check throughout.  A
+    |g|^2 past the float range raises ValueError.
     """
-    g1 = finite_complex(g1, "g1")
-    g2 = finite_complex(g2, "g2")
-    return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
+    g1, g2 = finite_complex(g1, "g1"), finite_complex(g2, "g2")
+    try:
+        return complex(np.exp(-0.5 * (abs(g1) ** 2 + abs(g2) ** 2) + np.conj(g1) * g2))
+    except OverflowError:
+        raise ValueError(f"|g|^2 must lie in the float range, got {g1!r}, {g2!r}") from None
 
 
 def line_overlaps(alpha: complex, step, n: int) -> np.ndarray:
@@ -233,7 +230,7 @@ def line_overlaps(alpha: complex, step, n: int) -> np.ndarray:
     and phase are taken in Python complex arithmetic, so a row does not
     depend on the other steps beside it."""
     alpha = finite_complex(alpha, "alpha")
-    steps = np.asarray(step, dtype=np.complex128)
+    steps, n = as_array(step, "step"), count(n, "n", 0)
     if np.isnan(steps).any():
         raise ValueError(f"step must not be NaN, got {step!r}")
     d = np.arange(-n, n + 1, dtype=float)
@@ -257,6 +254,7 @@ def displacement_phase(beta, alpha: complex) -> np.ndarray:
     D(beta)|alpha> = phase |alpha + beta>, elementwise over ``beta``.  An
     exponent past the float range (|alpha| |beta| past about 1e308) raises
     :class:`SolverError`."""
+    beta, alpha = as_array(beta, "beta"), finite_complex(alpha, "alpha")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         turn = 0.5 * (beta * np.conj(alpha) - np.conj(beta) * alpha)
     if not np.all(np.isfinite(turn)):

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, check_memory, frozen_array
+from .errors import SolverError, check_memory, count, finite_complex, frozen_array
 from .fock import FockVector, _unit_parts, coherent_blocks, norm
 from .protocol import LineSuperposition, scaled_coeffs, success_probability_nominal
 
@@ -229,11 +229,8 @@ def fit_target(
     (the component set then nests).  A grid whose arrays would pass the
     1 GiB memory budget raises :class:`SolverError` before any is built.
     """
-    if not 0 <= n < np.inf or int(n) != n:
-        raise ValueError("n must be a non-negative integer")
-    n = int(n)
-    beta = complex(beta)
-    alpha = complex(alpha)
+    n = count(n, "n", 0)
+    alpha, beta = finite_complex(alpha, "alpha"), finite_complex(beta, "beta")
     if beta == 0:
         raise ValueError("beta must be nonzero; the component grid would collapse")
     # the fit is projective: fit the target scaled into range by a power of two
@@ -242,7 +239,7 @@ def fit_target(
     tn = norm(target)
     if tn == 0.0:
         raise ValueError("target must be nonzero")
-    check_memory(8 * _LIVE_GRAMS * (int(n) + 1) ** 2, f"{n + 1}-square component Gram needs")
+    check_memory(8 * _LIVE_GRAMS * (n + 1) ** 2, f"{n + 1}-square component Gram needs")
 
     grid = LineSuperposition(alpha, beta, np.ones(n + 1))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -156,8 +156,7 @@ def cycle_displacements(
         raise ValueError(
             f"mode table is for {modes.n_ions} ions, parameters for {params.n_ions}"
         )
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    t, integrated = errors.positive(t, "t"), errors.flag(integrated, "integrated")
     betas = _displacements(modes, params, [params.delta], [t], integrated)[0]
     betas.flags.writeable = False
     return betas
@@ -226,10 +225,12 @@ def _expand(alpha: complex, betas: np.ndarray, amps: np.ndarray) -> tuple[np.nda
 def _mode_overlaps(line: np.ndarray, betas: np.ndarray, c: int):
     """Mode by mode, <init_l|D(g)|init_l> at g = 2 sum_i d_i betas[p, i, l],
     over each point's lattice (axis 0: the point p; axis i + 1: lag d_i at
-    c + d_i): the COM mode's gathered from the point's lag overlaps ``line``
-    at the total lag sum_i d_i, then each spectator's, real, exp(-|g|^2 / 2)."""
+    c + d_i): the COM mode's a read-only view of the point's lag overlaps
+    ``line`` at the total lag sum_i d_i, the lag stride on every lattice axis,
+    then each spectator's, real, exp(-|g|^2 / 2)."""
     points, n = betas.shape[:2]
-    yield np.take(line, sum(np.ogrid[(slice(2 * c + 1),) * n]), axis=1)
+    shape, strides = (points,) + (2 * c + 1,) * n, line.strides[:1] + line.strides[1:] * n
+    yield np.lib.stride_tricks.as_strided(line, shape, strides, writeable=False)
     lags = 2.0 * np.arange(-c, c + 1)
     for l in range(1, betas.shape[2]):
         g = betas[:, 0, l, None] * lags
@@ -411,7 +412,8 @@ def analyze_points(
     block's results yielded before the next is evaluated.  A shape past the
     budget, or weights whose lines overflow, refuse every point; a point's
     cancelled norm or non-finite field refuses that point alone."""
-    deltas, ts = np.asarray(deltas, dtype=float), np.asarray(ts, dtype=float)
+    integrated = errors.flag(integrated, "integrated")
+    deltas, ts = errors.as_array(deltas, "deltas", float), errors.as_array(ts, "ts", float)
     if deltas.ndim != 1 or deltas.shape != ts.shape:
         raise ValueError("the detuning and window grids must be 1-D and of one length")
     if not deltas.size:
@@ -422,12 +424,10 @@ def analyze_points(
     # each constraint on delta and t is monotone, so the extremes stand for
     # every point; the plan passed them at its own values when it was built,
     # and warned about its eta then
-    params, cycle = plan.params, plan.cycles[0]
     for delta, t in dict.fromkeys([(deltas.min(), ts.min()), (deltas.max(), ts.max())]):
-        if delta != params.delta:
-            _check_detuning(params.omega, float(delta), stacklevel=2)
-        if t != cycle.duration:
-            Cycle(float(t), cycle.weights)
+        if delta != plan.params.delta:
+            _check_detuning(plan.params.omega, delta, stacklevel=2)
+        errors.positive(t, "cycle duration")
     failure = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         try:
@@ -479,24 +479,20 @@ def analyze_plan(
 
 @dataclass(frozen=True)
 class TrotterConfig:
-    """Integrator settings: per-mode cutoff, base step count, and whether to
-    reinstate the fast terms the rotating-wave step discards (the carrier
-    spin-flip term and the counter-rotating sideband terms)."""
+    """Integrator settings: per-mode cutoff, base step count (10 at least,
+    for the convergence probe), and whether to reinstate the fast terms the
+    rotating-wave step discards (the carrier spin-flip term and the
+    counter-rotating sideband terms)."""
 
     cutoff: int
     steps: int
     include_fast_terms: bool = False
 
     def __post_init__(self):
-        for name in ("cutoff", "steps"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be at least 1")
-        if self.steps < 10:
-            raise ValueError("need at least 10 steps for the convergence probe")
+        object.__setattr__(self, "cutoff", errors.count(self.cutoff, "cutoff", 1))
+        object.__setattr__(self, "steps", errors.count(self.steps, "steps", 10))
+        fast = errors.flag(self.include_fast_terms, "include_fast_terms")
+        object.__setattr__(self, "include_fast_terms", fast)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, finite_complex, frozen_array
+from .errors import SolverError, as_array, count, finite_complex, frozen_array, positive, real
 from .fock import (
     FockVector,
     TruncationWarning,
@@ -104,8 +104,7 @@ class PhysicalParams:
     n_ions: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ValueError("eta must be positive and finite")
+        object.__setattr__(self, "eta", positive(self.eta, "eta"))
         if self.eta > 0.25:
             raise ValueError(
                 "eta > 0.25 breaks the first-order recoil expansion this model rests on"
@@ -116,20 +115,15 @@ class PhysicalParams:
                 RegimeWarning,
                 stacklevel=3,
             )
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError("omega must be positive and finite")
-        _check_detuning(self.omega, self.delta, stacklevel=4)
-        if not (float(self.n_ions).is_integer() and self.n_ions >= 1):
-            raise ValueError("n_ions must be a positive integer")
-        object.__setattr__(self, "n_ions", int(self.n_ions))
+        object.__setattr__(self, "omega", positive(self.omega, "omega"))
+        object.__setattr__(self, "delta", _check_detuning(self.omega, self.delta, stacklevel=4))
+        object.__setattr__(self, "n_ions", count(self.n_ions, "n_ions", 1))
 
 
-def _check_detuning(omega: float, delta: float, stacklevel: int) -> None:
-    """The checks of :class:`PhysicalParams` that read ``delta``: ValueError
-    unless it is positive, finite and above ``omega``, and a
-    :class:`RegimeWarning` at ``stacklevel`` where ``omega`` passes delta / 10."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
+def _check_detuning(omega: float, delta, stacklevel: int) -> float:
+    """``delta`` as :class:`PhysicalParams` checks it: finite, above 0 and ``omega``;
+    a :class:`RegimeWarning` at ``stacklevel`` where ``omega`` passes delta / 10."""
+    delta = positive(delta, "delta")
     if omega >= delta:
         raise ValueError("omega must stay below the detuning delta")
     if omega > delta / 10:
@@ -139,6 +133,7 @@ def _check_detuning(omega: float, delta: float, stacklevel: int) -> None:
             RegimeWarning,
             stacklevel=stacklevel,
         )
+    return delta
 
 
 def beta_of(params: PhysicalParams, t: float) -> complex:
@@ -148,7 +143,7 @@ def beta_of(params: PhysicalParams, t: float) -> complex:
     mode; at delta = 1 the phase factor freezes and |beta| grows linearly
     with t.  A phase (1 - delta) t past the float range raises ValueError.
     """
-    if not (np.isfinite(t) and t >= 0):
+    if not 0.0 <= (t := real(t, "t")) < math.inf:
         raise ValueError("t must be non-negative and finite")
     return complex(_displacement(params.eta, params.omega, 1.0 - params.delta, t, False))
 
@@ -175,8 +170,7 @@ class Cycle:
     weights: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration) and self.duration > 0):
-            raise ValueError("cycle duration must be positive and finite")
+        object.__setattr__(self, "duration", positive(self.duration, "cycle duration"))
         object.__setattr__(self, "weights", frozen_array(self.weights, "weights"))
 
 
@@ -419,7 +413,7 @@ def log_slot_nominal(weights) -> np.ndarray:
     """log(1 / (4 (1 + |p|^2))) per weight, 1 + |p|^2 taken as hypot(1, |p|)^2:
     the logs of the factors of :func:`success_probability_nominal`, whose
     product underflows long before their sum does, finite for finite p."""
-    return np.log(0.25) - 2.0 * np.log(np.hypot(1.0, np.abs(weights)))
+    return np.log(0.25) - 2.0 * np.log(np.hypot(1.0, np.abs(as_array(weights, "weights"))))
 
 
 def _line_pass(plan: ProtocolPlan) -> tuple[np.ndarray, int, np.ndarray]:
@@ -519,8 +513,7 @@ def to_fock(state: LineSuperposition, cutoff: int) -> FockVector:
     phase (:func:`ile.fock.displacement_phase`) or an amplitude past the
     float range raises :class:`SolverError`.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    cutoff = count(cutoff, "cutoff", 1)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     phased = state.phased_coeffs()
     rows = itertools.chain.from_iterable(coherent_blocks(state.labels(), cutoff))
